@@ -8,7 +8,8 @@ CSV output mirrors ``rows`` with a header line.  Numbers are emitted with
 deterministic for fixed inputs and seed.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 numerical-budget failure.
+3 numerical-budget failure, 4 internal-consistency failure (a bug, not a
+usage problem).
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ from .analysis import (
     default_r_grid,
     run_sweep,
 )
-from .exceptions import NumericalBudgetError, UnsupportedConfigurationError
+from .exceptions import (
+    InternalConsistencyError,
+    NumericalBudgetError,
+    UnsupportedConfigurationError,
+)
 from .kernels import ComplexPoint, KernelSpec, hermitized_kernel, kernel_eval
 from .montecarlo import McConfig, estimate_moments
 from .verification import ToleranceProfile, run_checks
@@ -510,6 +515,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalBudgetError as exc:
         print(f"numerical budget exhausted: {exc}", file=sys.stderr)
         return 3
+    except InternalConsistencyError as exc:
+        print(f"internal consistency error: {exc}", file=sys.stderr)
+        return 4
     except (UnsupportedConfigurationError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

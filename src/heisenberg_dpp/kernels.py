@@ -74,6 +74,8 @@ class KernelSpec:
         level = self.level
         if level is None:
             level = (0,) * self.dimension
+        if any(m != int(m) for m in level):
+            raise ValueError(f"levels must be integers, got {tuple(level)}")
         level = tuple(int(m) for m in level)
         if len(level) != self.dimension:
             raise ValueError(

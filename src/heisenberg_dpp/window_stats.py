@@ -15,10 +15,12 @@ and the overlap is what the verification suite cross-checks.
 The p_n are computed from the exact integer expansion of
 u^(n-m) L_m^(n-m)(u)^2 into monomials paired with regularized incomplete
 gamma values.  The monomial coefficients alternate in sign and grow like
-binom(n, m), so the assembly runs at elevated precision (mpmath's libmp
-primitives with an explicit precision argument, which keeps the
-computation free of global state); the only rounding to double happens on
-the finished probability.
+binom(n, m), so nothing is rounded before the sum: the incomplete gamma
+values come from a ladder at elevated precision (mpmath's libmp primitives
+with an explicit precision argument, which keeps the computation free of
+global state), each is read exactly as mantissa times a power of two, and
+the whole sum is formed in integer arithmetic.  The only rounding is the
+one to double on the finished probability, and it is toward zero.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import numpy as np
 from mpmath import libmp
@@ -44,9 +46,9 @@ SPECTRUM_SIZE_CAP = 10_000_000
 PROB_CONSISTENCY_BAND = 1e-12
 ADAPTIVE_NODE_BUDGET = 200_000
 
-# Exact coefficient convolution is kept up to this level; beyond it the
-# integer coefficients become unwieldy and compensated float convolution
-# takes over (accuracy degrades gracefully, documented rather than hidden).
+# Highest level the spectrum route evaluates.  build_spectrum raises
+# UnsupportedConfigurationError beyond it; bernoulli_prob swaps (n, m) when
+# n is within range (p is symmetric in n and m) and raises otherwise.
 EXACT_COEFF_MAX_LEVEL = 16
 
 
@@ -319,7 +321,7 @@ def _working_prec(level: int, max_index: int) -> int:
 
 
 class _GammaLadder:
-    """P(j+1, R^2) for j = 0..N and factorials, at fixed binary precision.
+    """P(j+1, R^2) for j = 0..N at fixed binary precision.
 
     Uses forward recurrence P(j+1) = P(j) - r^j e^(-r)/j!, whose terms are
     all positive, so absolute error stays ~N ulps of the working precision.
@@ -332,76 +334,92 @@ class _GammaLadder:
         exp_neg = libmp.mpf_exp(libmp.mpf_neg(self.rsq), prec)
         self._term = exp_neg  # r^j e^-r / j!
         self._p = [libmp.mpf_sub(libmp.fone, exp_neg, prec)]
-        self._fact = [libmp.fone]
 
     def extend(self, j_max: int) -> None:
         prec = self.prec
         for j in range(len(self._p), j_max + 1):
-            jf = libmp.from_int(j)
             self._term = libmp.mpf_div(
-                libmp.mpf_mul(self._term, self.rsq, prec), jf, prec
+                libmp.mpf_mul(self._term, self.rsq, prec), libmp.from_int(j), prec
             )
             self._p.append(libmp.mpf_sub(self._p[-1], self._term, prec))
-            self._fact.append(libmp.mpf_mul(self._fact[-1], jf, prec))
-        if len(self._fact) <= j_max:
-            raise AssertionError("ladder extension out of sync")
 
     def reg_gamma(self, j: int):
         return self._p[j]
-
-    def fact(self, j: int):
-        return self._fact[j]
 
     def mean_float(self) -> float:
         return libmp.to_float(self.rsq)
 
 
-def _squared_coeffs(n: int, m: int) -> list[int]:
-    """Integer coefficients of (m!)^2 * [L_m^(n-m)(u)]^2 in the monomial basis.
+def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[float]:
+    """p_n at level m for n = n_lo..n_hi from the ladder, one rounding each.
 
-    a_i = (-1)^i binom(n, m-i) m!/i! are the (m!-scaled) coefficients of
-    L_m^(n-m); the convolution squares the polynomial.  Exact integers, so
-    the cancellation between the alternating signs costs nothing here.
+    c_i = binom(n, m-i) m!/i! are the unsigned (m!-scaled) coefficients of
+    L_m^(n-m); the signed ones are (-1)^i c_i, so the squared polynomial
+    has coefficients b_k = (-1)^k d_k with d = c * c.  The c_i are packed
+    into one integer and squared (Kronecker substitution), which yields all
+    d_k from a single big-int product.  Reading each ladder value exactly as
+    P_j = M_j 2^e_j, the sum S = sum_k b_k (j_k!/j_0!) M_k 2^(e_k - e_min)
+    over j_k = n-m+k >= j_0 = max(n-m, 0) is an exact integer, and
+    p_n = S 2^e_min / (m! n!/j_0!) is rounded once, toward zero.
     """
-    scaled = [
-        (-1) ** i * comb(n, m - i) * (factorial(m) // factorial(i))
-        for i in range(m + 1)
-    ]
-    out = []
-    for k in range(2 * m + 1):
-        lo = max(0, k - m)
-        hi = min(k, m)
-        out.append(sum(scaled[i] * scaled[k - i] for i in range(lo, hi + 1)))
-    return out
-
-
-def _assemble_prob(n: int, m: int, ladder: _GammaLadder) -> float:
-    """p_n at level m from the ladder; the one rounding step is the return."""
-    prec = ladder.prec
     if m == 0:
-        raw = libmp.to_float(ladder.reg_gamma(n))
+        raws = [libmp.to_float(ladder.reg_gamma(n)) for n in range(n_lo, n_hi + 1)]
     else:
-        coeffs = _squared_coeffs(n, m)
-        acc = libmp.fzero
-        alpha = n - m
-        for k, bk in enumerate(coeffs):
-            if bk == 0 or alpha + k < 0:
-                continue
-            term = libmp.mpf_mul(
-                libmp.mpf_mul(
-                    libmp.from_int(bk), ladder.fact(alpha + k), prec
-                ),
-                ladder.reg_gamma(alpha + k),
-                prec,
+        raws = []
+        m_fact = factorial(m)
+        j_first = max(n_lo - m, 0)
+        mans = []
+        exps = []
+        for j in range(j_first, n_hi + m + 1):
+            sign, man, exp, _ = ladder.reg_gamma(j)
+            mans.append(-man if sign else man)
+            exps.append(exp)
+        # c_i at n_lo; Pascal's rule c_i(n+1) = c_i(n) + (i+1) c_{i+1}(n)
+        # advances them.  The slots fit the largest d_k, which is at n_hi.
+        coeffs = [comb(n_lo, m - i) * (m_fact // factorial(i)) for i in range(m + 1)]
+        top = max(comb(n_hi, m - i) * (m_fact // factorial(i)) for i in range(m + 1))
+        slot = (2 * top.bit_length() + (m + 1).bit_length() + 7) // 8
+        slot_bits = 8 * slot
+        for n in range(n_lo, n_hi + 1):
+            packed = 0
+            for c in reversed(coeffs):
+                packed = (packed << slot_bits) | c
+            squared = (packed * packed).to_bytes((2 * m + 1) * slot, "little")
+            j0 = max(n - m, 0)
+            e_min = min(exps[j0 - j_first : n + m + 1 - j_first])
+            acc = 0
+            falling = 1  # j!/j0!
+            for j in range(j0, n + m + 1):
+                if j > j0:
+                    falling *= j
+                k = j - n + m
+                d = int.from_bytes(squared[k * slot : (k + 1) * slot], "little")
+                term = (d * falling * mans[j - j_first]) << (exps[j - j_first] - e_min)
+                if k & 1:
+                    acc -= term
+                else:
+                    acc += term
+            denom = m_fact * perm(n, n - j0)  # m! n!/j0!
+            raws.append(
+                libmp.to_float(
+                    libmp.mpf_div(
+                        libmp.from_man_exp(acc, e_min),
+                        libmp.from_int(denom),
+                        53,
+                        libmp.round_down,
+                    )
+                )
             )
-            acc = libmp.mpf_add(acc, term, prec)
-        denom = libmp.mpf_mul(ladder.fact(n), ladder.fact(m), prec)
-        raw = libmp.to_float(libmp.mpf_div(acc, denom, prec))
-    if raw < -PROB_CONSISTENCY_BAND or raw > 1.0 + PROB_CONSISTENCY_BAND:
-        raise InternalConsistencyError(
-            f"p_{n} at level {m} evaluated to {raw!r}, outside [0, 1]"
-        )
-    return min(max(raw, 0.0), 1.0)
+            for i in range(m):
+                coeffs[i] += (i + 1) * coeffs[i + 1]
+    probs = []
+    for n, raw in enumerate(raws, n_lo):
+        if raw < -PROB_CONSISTENCY_BAND or raw > 1.0 + PROB_CONSISTENCY_BAND:
+            raise InternalConsistencyError(
+                f"p_{n} at level {m} evaluated to {raw!r}, outside [0, 1]"
+            )
+        probs.append(min(max(raw, 0.0), 1.0))
+    return probs
 
 
 def bernoulli_prob(n: int, m: int, radius: float) -> float:
@@ -430,7 +448,7 @@ def bernoulli_prob(n: int, m: int, radius: float) -> float:
             )
     ladder = _GammaLadder(radius, _working_prec(m, n + m))
     ladder.extend(n + m)
-    return _assemble_prob(n, m, ladder)
+    return _assemble_probs(m, ladder, n, n)[0]
 
 
 def _initial_truncation(radius: float, level: int) -> int:
@@ -460,7 +478,7 @@ def build_spectrum(m: int, radius: float, tail_tol: float = 1e-9) -> BernoulliSp
     n_top = _initial_truncation(radius, m)
     ladder = _GammaLadder(radius, _working_prec(m, n_top + 2 * m + 64))
     ladder.extend(n_top + m)
-    probs = [_assemble_prob(n, m, ladder) for n in range(n_top + 1)]
+    probs = _assemble_probs(m, ladder, 0, n_top)
     mean = ladder.mean_float()
     while True:
         tail = mean - math.fsum(probs)
@@ -475,10 +493,7 @@ def build_spectrum(m: int, radius: float, tail_tol: float = 1e-9) -> BernoulliSp
             )
         grow = max(64, math.ceil(radius))
         ladder.extend(n_top + grow + m)
-        probs.extend(
-            _assemble_prob(n, m, ladder)
-            for n in range(n_top + 1, n_top + grow + 1)
-        )
+        probs.extend(_assemble_probs(m, ladder, n_top + 1, n_top + grow))
         n_top += grow
     return BernoulliSpectrum(
         radius=radius,

@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+import heisenberg_dpp.analysis as analysis_mod
 import heisenberg_dpp.montecarlo as mc_mod
 from heisenberg_dpp import __version__, cli
+from heisenberg_dpp.exceptions import InternalConsistencyError
 
 
 def run_cli(capsys, argv):
@@ -298,6 +300,25 @@ class TestMc:
         )
         assert code == 3
         assert "budget" in err
+
+    def test_internal_consistency_exit_code(self, capsys, monkeypatch):
+        def broken_route(*args, **kwargs):
+            raise InternalConsistencyError("p_3 at level 1 evaluated to 1.5")
+
+        monkeypatch.setattr(analysis_mod, "polydisk_moments", broken_route)
+        code, out, err = run_cli(
+            capsys,
+            [
+                "stats",
+                "--dimension", "1",
+                "--window", "polydisk",
+                "--radius", "2.0",
+                "--route", "spectrum",
+            ],
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "internal consistency error: p_3 at level 1 evaluated to 1.5\n"
 
 
 class TestConstants:

@@ -68,6 +68,13 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(1, (-1,))
 
+    def test_non_integral_level_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            KernelSpec(1, (1.5,))
+        with pytest.raises(ValueError):
+            KernelSpec(2, (0, 0.25))
+        assert KernelSpec(2, (1.0, 2)).level == (1, 2)
+
 
 class TestHermitianInner:
     def test_matches_complex_arithmetic(self):

@@ -10,13 +10,16 @@ Frozen oracles (computed independently at high precision):
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from mpmath import libmp
 
 import heisenberg_dpp.window_stats as ws
 from heisenberg_dpp.exceptions import (
+    InternalConsistencyError,
     NumericalBudgetError,
     UnsupportedConfigurationError,
 )
@@ -234,6 +237,101 @@ class TestSpectrum:
             build_spectrum(0, 1.0, tail_tol=0.0)
         with pytest.raises(ValueError):
             BernoulliSpectrum(1.0, 2, np.array([0.1, 0.2]), 0.0)
+
+
+def legacy_squared_coeffs(n: int, m: int) -> list[int]:
+    """Coefficients of (m!)^2 [L_m^(n-m)]^2 as the per-term assembly built them."""
+    scaled = [
+        (-1) ** i * math.comb(n, m - i) * (math.factorial(m) // math.factorial(i))
+        for i in range(m + 1)
+    ]
+    out = []
+    for k in range(2 * m + 1):
+        lo = max(0, k - m)
+        hi = min(k, m)
+        out.append(sum(scaled[i] * scaled[k - i] for i in range(lo, hi + 1)))
+    return out
+
+
+def legacy_spectrum(m: int, radius: float, size: int) -> list[float]:
+    """The per-term libmp assembly the exact-integer one replaced.
+
+    Every product and partial sum is rounded at the ladder's precision and
+    the factorials come from a rounded running product, as they did.
+    """
+    prec = ws._working_prec(m, ws._initial_truncation(radius, m) + 2 * m + 64)
+    ladder = ws._GammaLadder(radius, prec)
+    ladder.extend(size - 1 + m)
+    fact = [libmp.fone]
+    for j in range(1, size + m):
+        fact.append(libmp.mpf_mul(fact[-1], libmp.from_int(j), prec))
+    out = []
+    for n in range(size):
+        if m == 0:
+            raw = libmp.to_float(ladder.reg_gamma(n))
+        else:
+            acc = libmp.fzero
+            alpha = n - m
+            for k, bk in enumerate(legacy_squared_coeffs(n, m)):
+                if bk == 0 or alpha + k < 0:
+                    continue
+                term = libmp.mpf_mul(
+                    libmp.mpf_mul(libmp.from_int(bk), fact[alpha + k], prec),
+                    ladder.reg_gamma(alpha + k),
+                    prec,
+                )
+                acc = libmp.mpf_add(acc, term, prec)
+            denom = libmp.mpf_mul(fact[n], fact[m], prec)
+            raw = libmp.to_float(libmp.mpf_div(acc, denom, prec))
+        out.append(min(max(raw, 0.0), 1.0))
+    return out
+
+
+def reference_prob(n: int, m: int, radius: float) -> mpmath.mpf:
+    """p_n at level m from exact binomials and mpmath's incomplete gamma."""
+    with mpmath.workprec(500):
+        x = mpmath.mpf(radius) ** 2
+        acc = mpmath.mpf(0)
+        for k, bk in enumerate(legacy_squared_coeffs(n, m)):
+            j = n - m + k
+            if bk and j >= 0:
+                acc += bk * math.factorial(j) * mpmath.gammainc(
+                    j + 1, 0, x, regularized=True
+                )
+        return acc / (math.factorial(n) * math.factorial(m))
+
+
+class TestExactAssembly:
+    SATURATED = {1.0, 1.0 - 2.0**-53}
+
+    @pytest.mark.parametrize("r", [1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("m", [0, 1, 2, 4, 8, 12, 16])
+    def test_matches_per_term_assembly(self, m, r):
+        # one exact sum and one rounding instead of a rounding per term: the
+        # two agree except where p_n sits within an ulp of 1
+        new = build_spectrum(m, r).probs.tolist()
+        old = legacy_spectrum(m, r, len(new))
+        for n, (a, b) in enumerate(zip(old, new)):
+            assert a == b or {a, b} <= self.SATURATED, (n, a, b)
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_within_one_ulp_of_reference(self, m):
+        # bulk, edge (n ~ R^2 = 400) and tail of the R = 20 spectrum
+        spec = build_spectrum(m, 20.0)
+        for n in (3, 150, 398, 405, 470, 560):
+            got = spec.probs[n]
+            ref = reference_prob(n, m, 20.0)
+            assert abs(mpmath.mpf(got) - ref) <= math.ulp(got), (n, got, ref)
+            assert got <= ref  # rounded toward zero
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_out_of_band_value_raises(self, monkeypatch, m):
+        # a negative band leaves no admissible value in [0, 1]
+        monkeypatch.setattr(ws, "PROB_CONSISTENCY_BAND", -2.0)
+        with pytest.raises(InternalConsistencyError):
+            build_spectrum(m, 1.3)
+        with pytest.raises(InternalConsistencyError):
+            bernoulli_prob(2, m, 1.3)
 
 
 class TestPolydiskMoments:
