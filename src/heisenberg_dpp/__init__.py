@@ -32,7 +32,6 @@ from .window_stats import (
     BernoulliSpectrum,
     MomentReport,
     Route,
-    Window,
     WindowKind,
     ball_moments,
     bernoulli_prob,
@@ -51,7 +50,7 @@ from .asymptotics import (
     ratio_asymptotic_from_bessel,
     ratio_series_eval,
 )
-from .montecarlo import McConfig, McEstimate, estimate_moments, sample_count
+from .montecarlo import McConfig, McEstimate, estimate_moments
 from .analysis import (
     ClassLabel,
     ClassReport,
@@ -81,7 +80,6 @@ __all__ = [
     "BernoulliSpectrum",
     "MomentReport",
     "Route",
-    "Window",
     "WindowKind",
     "ball_moments",
     "bernoulli_prob",
@@ -100,7 +98,6 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "estimate_moments",
-    "sample_count",
     "ClassLabel",
     "ClassReport",
     "SweepResult",

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 from .exceptions import UnsupportedConfigurationError
 from .kernels import KernelSpec
 from .montecarlo import McConfig, estimate_moments
+from .specfun import _check_radius
 from .window_stats import (
-    MomentReport,
     Route,
     WindowKind,
     ball_moments,
@@ -59,6 +59,9 @@ class SweepRow:
     variance: float
     ratio: float
     r_times_ratio: float
+    # standard errors of mean and variance; set on the Monte Carlo route only
+    se_mean: float | None = None
+    se_var: float | None = None
 
 
 @dataclass(frozen=True)
@@ -110,46 +113,45 @@ def default_r_grid(n: int = 16, lo: float = 1.0, hi: float = 50.0) -> tuple[floa
     return tuple(lo * step**k for k in range(n))
 
 
-def _moments_for(
+def _sweep_row(
     spec: KernelSpec,
     window_kind: WindowKind,
     radius: float,
     route: Route,
     tail_tol: float,
     mc: McConfig | None,
-) -> MomentReport:
+) -> SweepRow:
     level_zero = all(m == 0 for m in spec.level)
     if route in (Route.CLOSED_FORM, Route.INTEGRAL):
         # Closed forms exist for the ball at level zero; the disk is the
         # one window that is simultaneously a ball and a polydisk.
-        if window_kind == WindowKind.BALL and level_zero:
-            return ball_moments(spec.dimension, radius, route)
-        if window_kind == WindowKind.POLYDISK and spec.dimension == 1 and level_zero:
-            return ball_moments(1, radius, route)
-        raise UnsupportedConfigurationError(
-            f"route {route.value!r} needs the level-zero ball (or its D=1 "
-            f"disk alias); got window={window_kind.value}, "
-            f"dimension={spec.dimension}, level={spec.level}"
-        )
-    if route == Route.SPECTRUM or route == Route.MONTE_CARLO:
+        if not level_zero or (
+            window_kind == WindowKind.POLYDISK and spec.dimension != 1
+        ):
+            raise UnsupportedConfigurationError(
+                f"route {route.value!r} needs the level-zero ball (or its D=1 "
+                f"disk alias); got window={window_kind.value}, "
+                f"dimension={spec.dimension}, level={spec.level}"
+            )
+        rep = ball_moments(spec.dimension, radius, route)
+    else:
         if window_kind == WindowKind.BALL and spec.dimension != 1:
             raise UnsupportedConfigurationError(
                 "the spectrum representation covers polydisks; for balls it "
                 "applies only in dimension 1 where the two windows coincide"
             )
         if route == Route.SPECTRUM:
-            return polydisk_moments(spec, radius, tail_tol)
-        if mc is None:
-            raise ValueError("route 'mc' requires an McConfig")
-        est = estimate_moments(spec, radius, mc, tail_tol)
-        return MomentReport(
-            mean=est.mean_hat,
-            variance=est.var_hat,
-            ratio=est.var_hat / est.mean_hat if est.mean_hat else math.nan,
-            route=Route.MONTE_CARLO,
-            error_estimate=3.0 * max(est.se_mean, est.se_var),
-        )
-    raise UnsupportedConfigurationError(f"unknown route {route!r}")
+            rep = polydisk_moments(spec, radius, tail_tol)
+        else:
+            if mc is None:
+                raise ValueError("route 'mc' requires an McConfig")
+            est = estimate_moments(spec, radius, mc, tail_tol)
+            ratio = est.var_hat / est.mean_hat if est.mean_hat else math.nan
+            return SweepRow(
+                radius, est.mean_hat, est.var_hat, ratio, radius * ratio,
+                est.se_mean, est.se_var,
+            )
+    return SweepRow(radius, rep.mean, rep.variance, rep.ratio, radius * rep.ratio)
 
 
 def run_sweep(
@@ -163,30 +165,23 @@ def run_sweep(
     """One SweepRow per grid radius, all computed by the requested route."""
     window_kind = WindowKind(window_kind)
     route = Route(route)
-    radii = [float(r) for r in r_grid]
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("r_grid must be nonempty and positive")
+    radii = [_check_radius(r) for r in r_grid]
+    if not radii:
+        raise ValueError("r_grid must be nonempty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("r_grid must be strictly increasing")
-    rows = []
-    for r in radii:
-        rep = _moments_for(spec, window_kind, r, route, tail_tol, mc)
-        rows.append(
-            SweepRow(
-                r=r,
-                mean=rep.mean,
-                variance=rep.variance,
-                ratio=rep.ratio,
-                r_times_ratio=r * rep.ratio,
-            )
-        )
-    return SweepResult(
-        rows=tuple(rows), spec=spec, window_kind=window_kind, route=route
+    rows = tuple(
+        _sweep_row(spec, window_kind, r, route, tail_tol, mc) for r in radii
     )
+    return SweepResult(rows=rows, spec=spec, window_kind=window_kind, route=route)
 
 
 def poisson_control_sweep(dimension: int, r_grid) -> SweepResult:
-    """Synthetic non-hyperuniform control: variance pinned to the mean."""
+    """Synthetic non-hyperuniform control: variance pinned to the mean.
+
+    Labelled with the closed-form route: the rows are exact, so the
+    exact-route dispersion slack applies.
+    """
     rows = tuple(
         SweepRow(
             r=float(r),
@@ -201,7 +196,7 @@ def poisson_control_sweep(dimension: int, r_grid) -> SweepResult:
         rows=rows,
         spec=KernelSpec(dimension),
         window_kind=WindowKind.BALL,
-        route=Route.CONTROL,
+        route=Route.CLOSED_FORM,
     )
 
 

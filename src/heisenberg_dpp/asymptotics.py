@@ -20,7 +20,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .specfun import SpecFunResult
+from .specfun import (
+    SpecFunResult,
+    _check_dimension,
+    _check_index,
+    _check_positive,
+    _check_radius,
+)
 
 MAX_SERIES_ORDER = 8
 
@@ -32,15 +38,18 @@ def alpha_coefficient(k: int, dimension: int) -> int:
     integer: alpha_1(1) = 3, alpha_2(1) = -15 (the factor at l = -1 is
     negative for D = 1).
     """
-    if k != int(k) or k < 0:
-        raise ValueError(f"k must be an integer >= 0, got {k}")
-    if dimension != int(dimension) or dimension < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {dimension}")
-    k, dimension = int(k), int(dimension)
+    k, dimension = _check_index("k", k), _check_dimension(dimension)
     out = 1
     for l in range(-k + 1, k + 1):
         out *= 2 * dimension + 2 * l - 1
     return out
+
+
+def _check_order(order: int) -> int:
+    order = _check_index("order", order)
+    if order > MAX_SERIES_ORDER:
+        raise ValueError(f"order must be at most {MAX_SERIES_ORDER}, got {order}")
+    return order
 
 
 def series_coefficient(k: int, dimension: int) -> Fraction:
@@ -60,12 +69,8 @@ class AsymptoticSeries:
     def for_dimension(
         cls, dimension: int, order: int = MAX_SERIES_ORDER
     ) -> "AsymptoticSeries":
-        if order != int(order) or order < 0 or order > MAX_SERIES_ORDER:
-            raise ValueError(
-                f"order must be an integer in [0, {MAX_SERIES_ORDER}], got {order}"
-            )
         coeffs = tuple(
-            series_coefficient(k, dimension) for k in range(int(order) + 1)
+            series_coefficient(k, dimension) for k in range(_check_order(order) + 1)
         )
         return cls(dimension=dimension, coefficients=coeffs)
 
@@ -76,8 +81,7 @@ class AsymptoticSeries:
         bounds the error by the prefactor times the first term left out
         (the optimal-truncation rule for alternating asymptotic series).
         """
-        if not (radius > 0.0 and math.isfinite(radius)):
-            raise ValueError(f"radius must be positive, got {radius}")
+        radius = _check_radius(radius)
         prefactor = self.dimension / (math.sqrt(math.pi) * radius)
         rr = radius * radius
         terms = []
@@ -115,15 +119,8 @@ def bessel_asymptotic(nu: int, x: float, order: int = MAX_SERIES_ORDER) -> SpecF
     recurrence-based evaluation in specfun; used to re-derive the ratio
     expansion coefficients from the Bessel side.
     """
-    if nu != int(nu) or nu < 0:
-        raise ValueError(f"nu must be an integer >= 0, got {nu}")
-    if not (x > 0.0 and math.isfinite(x)):
-        raise ValueError(f"x must be positive, got {x}")
-    if order != int(order) or order < 0 or order > MAX_SERIES_ORDER:
-        raise ValueError(
-            f"order must be an integer in [0, {MAX_SERIES_ORDER}], got {order}"
-        )
-    nu, order = int(nu), int(order)
+    nu, order = _check_index("nu", nu), _check_order(order)
+    x = _check_positive("x", x)
     four_nu_sq = 4 * nu * nu
     prefactor = 1.0 / math.sqrt(2.0 * math.pi * x)
     term = 1.0
@@ -153,14 +150,11 @@ def ratio_asymptotic_from_bessel(
     this with ratio_series_eval to the order of the shared truncation is
     the coefficient-level consistency check between the two expansions.
     """
-    if dimension != int(dimension) or dimension < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {dimension}")
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise ValueError(f"radius must be positive, got {radius}")
+    dimension, radius = _check_dimension(dimension), _check_radius(radius)
     x = 2.0 * radius * radius
     total = 0.0
     bound = 0.0
-    for n in range(int(dimension)):
+    for n in range(dimension):
         lo = bessel_asymptotic(n, x, order)
         hi = bessel_asymptotic(n + 1, x, order)
         total += lo.value + hi.value
@@ -170,6 +164,5 @@ def ratio_asymptotic_from_bessel(
 
 def c_asymptote(m: int) -> float:
     """Large-level growth of the disk Class-I constant: (8 / pi^2) sqrt(m)."""
-    if m != int(m) or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m}")
+    m = _check_index("m", m, 1)
     return 8.0 / (math.pi * math.pi) * math.sqrt(float(m))

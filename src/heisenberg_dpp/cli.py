@@ -2,7 +2,8 @@
 
 Subcommands: kernel-eval, stats, sweep, classify, mc, constants, verify.
 All data-emitting commands share one JSON shape: a top-level object with
-``spec``, ``window``, ``rows`` and ``meta{version, seed, tolerances}``;
+``spec``, ``window``, ``rows`` and ``meta{version, seed, tolerances}``,
+plus ``meta.route`` for the moment commands (stats, sweep, classify, mc);
 CSV output mirrors ``rows`` with a header line.  Numbers are emitted with
 17 significant digits, which round-trips doubles exactly.  Output is
 deterministic for fixed inputs and seed.
@@ -21,6 +22,8 @@ import sys
 
 from . import __version__
 from .analysis import (
+    SweepResult,
+    SweepRow,
     classify,
     default_r_grid,
     run_sweep,
@@ -31,7 +34,7 @@ from .exceptions import (
     UnsupportedConfigurationError,
 )
 from .kernels import ComplexPoint, KernelSpec, hermitized_kernel, kernel_eval
-from .montecarlo import McConfig, estimate_moments
+from .montecarlo import McConfig
 from .verification import ToleranceProfile, run_checks
 from .window_stats import (
     Route,
@@ -41,6 +44,10 @@ from .window_stats import (
     polydisk_moments,
 )
 from .asymptotics import c_asymptote
+
+
+_ROW_FIELDS = ("r", "mean", "variance", "ratio", "r_times_ratio")
+_ROUTES = tuple(r.value for r in Route)
 
 
 def _num(x) -> str:
@@ -89,7 +96,7 @@ def emit_csv(rows: list[dict]) -> str:
     for row in rows:
         cells = []
         for k in header:
-            v = row[k]
+            v = row.get(k)
             if v is None:
                 cells.append("")
             elif isinstance(v, (int, float)):
@@ -100,20 +107,20 @@ def emit_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spec_dict(spec: KernelSpec) -> dict:
-    return {"dimension": spec.dimension, "level": list(spec.level)}
-
-
-def _document(spec, window, rows, seed=None, tolerances=None, extra=None) -> dict:
+def _document(
+    spec, window, rows, seed=None, tolerances=None, *, route=None, extra=None
+) -> dict:
+    meta = {"version": __version__, "seed": seed}
+    if route is not None:
+        meta["route"] = route
+    meta["tolerances"] = tolerances or {}
     doc = {
-        "spec": _spec_dict(spec) if spec is not None else None,
+        "spec": {"dimension": spec.dimension, "level": list(spec.level)}
+        if spec is not None
+        else None,
         "window": window,
         "rows": rows,
-        "meta": {
-            "version": __version__,
-            "seed": seed,
-            "tolerances": tolerances or {},
-        },
+        "meta": meta,
     }
     if extra:
         doc.update(extra)
@@ -174,18 +181,10 @@ def _parse_grid(text: str | None) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
-def _row_from_report(r: float, rep) -> dict:
-    return {
-        "r": r,
-        "mean": rep.mean,
-        "variance": rep.variance,
-        "ratio": rep.ratio,
-        "r_times_ratio": r * rep.ratio,
-    }
-
-
-def _add_common(p: argparse.ArgumentParser, *, window: bool = True) -> None:
-    p.add_argument("--dimension", type=int, required=True)
+def _add_common(
+    p: argparse.ArgumentParser, *, window: bool = True, required: bool = True
+) -> None:
+    p.add_argument("--dimension", type=int, required=required)
     p.add_argument("--level", type=str, default=None)
     if window:
         p.add_argument(
@@ -194,6 +193,17 @@ def _add_common(p: argparse.ArgumentParser, *, window: bool = True) -> None:
     p.add_argument("--tail-tol", type=float, default=1e-9)
     p.add_argument("--format", choices=["json", "csv"], default="json", dest="fmt")
     p.add_argument("--out", type=str, default=None)
+
+
+def _add_mc(p: argparse.ArgumentParser, *, route: bool = True) -> None:
+    """The Monte Carlo flags, and --route unless the command fixes it to mc."""
+    if route:
+        p.add_argument("--route", choices=_ROUTES, default="spectrum")
+    else:
+        p.set_defaults(route=Route.MONTE_CARLO.value)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--replicas", type=int, default=100_000)
+    p.add_argument("--cell-prob-floor", type=float, default=1e-12)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,53 +225,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="count moments at one radius")
     _add_common(p)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument(
-        "--route",
-        choices=["closed", "integral", "spectrum", "mc"],
-        default="spectrum",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicas", type=int, default=100_000)
-    p.add_argument("--cell-prob-floor", type=float, default=1e-12)
+    _add_mc(p)
 
     p = sub.add_parser("sweep", help="moments over a radius grid")
     _add_common(p)
     p.add_argument("--r-grid", type=str, default=None, help="'lo:hi:n' or 'r1,r2,...'")
-    p.add_argument(
-        "--route",
-        choices=["closed", "integral", "spectrum", "mc"],
-        default="spectrum",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicas", type=int, default=100_000)
-    p.add_argument("--cell-prob-floor", type=float, default=1e-12)
+    _add_mc(p)
 
     p = sub.add_parser("classify", help="hyperuniformity class of a sweep")
     p.add_argument("--in", dest="in_path", type=str, default=None,
                    help="JSON sweep produced by the sweep subcommand")
-    p.add_argument("--dimension", type=int, default=None)
-    p.add_argument("--level", type=str, default=None)
-    p.add_argument("--window", choices=["ball", "polydisk"], default="polydisk")
+    _add_common(p, required=False)
     p.add_argument("--r-grid", type=str, default=None)
-    p.add_argument(
-        "--route",
-        choices=["closed", "integral", "spectrum", "mc"],
-        default="spectrum",
-    )
-    p.add_argument("--tail-tol", type=float, default=1e-9)
     p.add_argument("--fit-window", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicas", type=int, default=100_000)
-    p.add_argument("--cell-prob-floor", type=float, default=1e-12)
-    p.add_argument("--format", choices=["json", "csv"], default="json", dest="fmt")
-    p.add_argument("--out", type=str, default=None)
+    _add_mc(p)
 
     p = sub.add_parser("mc", help="Monte Carlo moment estimate")
     _add_common(p)
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicas", type=int, default=100_000)
-    p.add_argument("--cell-prob-floor", type=float, default=1e-12)
+    _add_mc(p, route=False)
 
     p = sub.add_parser("constants", help="Class-I constants per level")
     _add_common(p)
@@ -273,14 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json", dest="fmt")
     p.add_argument("--out", type=str, default=None)
     return parser
-
-
-def _mc_config(args) -> McConfig:
-    return McConfig(
-        replicas=args.replicas,
-        seed=args.seed,
-        cell_prob_floor=args.cell_prob_floor,
-    )
 
 
 def _cmd_kernel_eval(args) -> int:
@@ -302,111 +276,98 @@ def _cmd_kernel_eval(args) -> int:
     return 0
 
 
-def _moment_rows(args, radii) -> tuple[KernelSpec, list[dict]]:
+def _moment_sweep(args, radii) -> tuple[SweepResult, list[dict], int | None]:
+    """Sweep rows of stats, sweep, classify and mc, and the seed to record."""
     spec = KernelSpec(args.dimension, _parse_level(args.level, args.dimension))
     route = Route(args.route)
-    mc = _mc_config(args) if route == Route.MONTE_CARLO else None
+    mc = None
+    if route == Route.MONTE_CARLO:
+        mc = McConfig(args.replicas, args.seed, args.cell_prob_floor)
     sweep = run_sweep(
         spec, WindowKind(args.window), radii, route, args.tail_tol, mc
     )
-    rows = [
-        {
-            "r": row.r,
-            "mean": row.mean,
-            "variance": row.variance,
-            "ratio": row.ratio,
-            "r_times_ratio": row.r_times_ratio,
-        }
-        for row in sweep.rows
-    ]
-    return spec, rows
+    rows = [{k: getattr(row, k) for k in _ROW_FIELDS} for row in sweep.rows]
+    return sweep, rows, None if mc is None else args.seed
 
 
-def _cmd_stats(args) -> int:
-    spec, rows = _moment_rows(args, (args.radius,))
+def _cmd_moments(args) -> int:
+    """stats, sweep and mc.  stats is a sweep with one radius; mc is stats
+    --route mc plus the standard errors and the exact polydisk moments."""
+    radii = _parse_grid(args.r_grid) if args.command == "sweep" else (args.radius,)
+    sweep, rows, seed = _moment_sweep(args, radii)
+    tolerances = {"tail_tol": args.tail_tol}
+    if args.command == "mc":
+        row = sweep.rows[0]
+        exact = polydisk_moments(sweep.spec, row.r, args.tail_tol)
+        rows[0].update(
+            se_mean=row.se_mean,
+            se_var=row.se_var,
+            exact_mean=exact.mean,
+            exact_variance=exact.variance,
+            replicas=args.replicas,
+        )
+        tolerances["cell_prob_floor"] = args.cell_prob_floor
     doc = _document(
-        spec,
-        args.window,
-        rows,
-        seed=args.seed if args.route == "mc" else None,
-        tolerances={"tail_tol": args.tail_tol},
+        sweep.spec, args.window, rows, seed, tolerances, route=args.route
     )
     _write_output(doc, args.fmt, args.out)
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    radii = _parse_grid(args.r_grid)
-    spec, rows = _moment_rows(args, radii)
-    doc = _document(
-        spec,
-        args.window,
-        rows,
-        seed=args.seed if args.route == "mc" else None,
-        tolerances={"tail_tol": args.tail_tol},
+def _need(ok: bool, name: str, want: str) -> None:
+    if not ok:
+        raise ValueError(f"--in document: {name} must be {want}")
+
+
+def _load_sweep(path: str) -> tuple[SweepResult, dict]:
+    """A sweep document for classify --in, checked field by field."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    _need(isinstance(doc, dict), "the document", "a JSON object")
+    spec, meta, rows = doc.get("spec"), doc.get("meta", {}), doc.get("rows")
+    _need(isinstance(spec, dict), "spec", "an object")
+    # type(...) is int: JSON booleans load as bool, a subclass of int
+    _need(type(spec.get("dimension")) is int, "spec.dimension", "an integer")
+    level = spec.get("level")
+    level_ok = isinstance(level, list) and all(type(m) is int for m in level)
+    _need(level_ok, "spec.level", "a list of integers")
+    _need(doc.get("window") in ("ball", "polydisk"), "window", "ball or polydisk")
+    _need(isinstance(meta, dict), "meta", "an object")
+    # documents written before meta.route existed came from the spectrum route
+    route = meta.get("route", Route.SPECTRUM.value)
+    _need(route in _ROUTES, "meta.route", "one of " + ", ".join(_ROUTES))
+    _need(isinstance(rows, list), "rows", "a list")
+    for i, row in enumerate(rows):
+        _need(isinstance(row, dict), f"rows[{i}]", "an object")
+        for key in _ROW_FIELDS:
+            v = row.get(key)
+            ok = type(v) in (int, float) and math.isfinite(v)
+            _need(ok, f"rows[{i}].{key}", "a finite number")
+    sweep = SweepResult(
+        rows=tuple(SweepRow(*(row[k] for k in _ROW_FIELDS)) for row in rows),
+        spec=KernelSpec(spec["dimension"], tuple(level)),
+        window_kind=WindowKind(doc["window"]),
+        route=Route(route),
     )
-    _write_output(doc, args.fmt, args.out)
-    return 0
+    return sweep, doc
 
 
 def _cmd_classify(args) -> int:
-    from .analysis import SweepResult, SweepRow
-
     if args.in_path:
-        with open(args.in_path) as fh:
-            loaded = json.load(fh)
-        spec = KernelSpec(
-            loaded["spec"]["dimension"], tuple(loaded["spec"]["level"])
-        )
-        window = WindowKind(loaded["window"])
-        rows = tuple(
-            SweepRow(
-                r=row["r"],
-                mean=row["mean"],
-                variance=row["variance"],
-                ratio=row["ratio"],
-                r_times_ratio=row["r_times_ratio"],
-            )
-            for row in loaded["rows"]
-        )
-        sweep = SweepResult(
-            rows=rows, spec=spec, window_kind=window, route=Route.SPECTRUM
-        )
-        out_rows = list(loaded["rows"])
-        seed = loaded.get("meta", {}).get("seed")
+        sweep, loaded = _load_sweep(args.in_path)
+        rows, seed = loaded["rows"], loaded.get("meta", {}).get("seed")
+    elif args.dimension is None:
+        raise ValueError("classify needs either --in or --dimension")
     else:
-        if args.dimension is None:
-            raise ValueError("classify needs either --in or --dimension")
-        spec = KernelSpec(args.dimension, _parse_level(args.level, args.dimension))
-        route = Route(args.route)
-        mc = _mc_config(args) if route == Route.MONTE_CARLO else None
-        sweep = run_sweep(
-            spec,
-            WindowKind(args.window),
-            _parse_grid(args.r_grid),
-            route,
-            args.tail_tol,
-            mc,
-        )
-        out_rows = [
-            {
-                "r": row.r,
-                "mean": row.mean,
-                "variance": row.variance,
-                "ratio": row.ratio,
-                "r_times_ratio": row.r_times_ratio,
-            }
-            for row in sweep.rows
-        ]
-        window = WindowKind(args.window)
-        seed = args.seed if args.route == "mc" else None
+        sweep, rows, seed = _moment_sweep(args, _parse_grid(args.r_grid))
     report = classify(sweep, fit_window=args.fit_window)
     doc = _document(
         sweep.spec,
-        window.value,
-        out_rows,
-        seed=seed,
-        tolerances={"fit_window": args.fit_window},
+        sweep.window_kind.value,
+        rows,
+        seed,
+        {"fit_window": args.fit_window},
+        route=sweep.route.value,
         extra={
             "classification": {
                 "fitted_slope": report.fitted_slope,
@@ -415,37 +376,6 @@ def _cmd_classify(args) -> int:
                 "class_label": report.class_label.value,
             }
         },
-    )
-    _write_output(doc, args.fmt, args.out)
-    return 0
-
-
-def _cmd_mc(args) -> int:
-    spec = KernelSpec(args.dimension, _parse_level(args.level, args.dimension))
-    est = estimate_moments(spec, args.radius, _mc_config(args), args.tail_tol)
-    exact = polydisk_moments(spec, args.radius, args.tail_tol)
-    rows = [
-        {
-            "r": args.radius,
-            "mean": est.mean_hat,
-            "variance": est.var_hat,
-            "ratio": est.var_hat / est.mean_hat if est.mean_hat else math.nan,
-            "r_times_ratio": args.radius * est.var_hat / est.mean_hat
-            if est.mean_hat
-            else math.nan,
-            "se_mean": est.se_mean,
-            "se_var": est.se_var,
-            "exact_mean": exact.mean,
-            "exact_variance": exact.variance,
-            "replicas": est.replicas,
-        }
-    ]
-    doc = _document(
-        spec,
-        args.window,
-        rows,
-        seed=args.seed,
-        tolerances={"tail_tol": args.tail_tol, "cell_prob_floor": args.cell_prob_floor},
     )
     _write_output(doc, args.fmt, args.out)
     return 0
@@ -498,10 +428,10 @@ def _cmd_verify(args) -> int:
 
 _COMMANDS = {
     "kernel-eval": _cmd_kernel_eval,
-    "stats": _cmd_stats,
-    "sweep": _cmd_sweep,
+    "stats": _cmd_moments,
+    "sweep": _cmd_moments,
     "classify": _cmd_classify,
-    "mc": _cmd_mc,
+    "mc": _cmd_moments,
     "constants": _cmd_constants,
     "verify": _cmd_verify,
 }

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import InternalConsistencyError
-from .specfun import laguerre, laguerre_log
+from .specfun import _check_dimension, _check_index, laguerre, laguerre_log
 
 MAX_CORRELATION_POINTS = 12
 
@@ -68,9 +68,7 @@ class KernelSpec:
     level: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.dimension != int(self.dimension) or self.dimension < 1:
-            raise ValueError(f"dimension must be an integer >= 1, got {self.dimension}")
-        object.__setattr__(self, "dimension", int(self.dimension))
+        object.__setattr__(self, "dimension", _check_dimension(self.dimension))
         level = self.level
         if level is None:
             level = (0,) * self.dimension
@@ -252,11 +250,7 @@ def kernel_series_partial(m: int, x: complex, y: complex, n_terms: int) -> compl
     Laguerre index so no negative powers appear; all magnitudes accumulate
     in log form so extreme arguments cannot overflow.
     """
-    if m != int(m) or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m}")
-    if n_terms != int(n_terms) or n_terms < 0:
-        raise ValueError(f"n_terms must be an integer >= 0, got {n_terms}")
-    m = int(m)
+    m, n_terms = _check_index("m", m), _check_index("n_terms", n_terms)
     x = complex(x)
     y = complex(y)
     w = x * y.conjugate()
@@ -267,7 +261,7 @@ def kernel_series_partial(m: int, x: complex, y: complex, n_terms: int) -> compl
     log_m_fact = math.lgamma(m + 1)
 
     total = 0.0 + 0.0j
-    for n in range(int(n_terms) + 1):
+    for n in range(n_terms + 1):
         k = n - m
         if k == 0:
             power_log, power_arg = 0.0, 0.0

@@ -26,6 +26,7 @@ import numpy as np
 
 from .exceptions import NumericalBudgetError
 from .kernels import KernelSpec
+from .specfun import _check_index, _check_radius
 from .window_stats import BernoulliSpectrum, _cached_spectrum
 
 # Per-replica work is one uniform per kept cell; past ~2e7 kept cells a
@@ -40,9 +41,7 @@ class McConfig:
     cell_prob_floor: float = 0.0
 
     def __post_init__(self):
-        if self.replicas != int(self.replicas) or self.replicas < 1:
-            raise ValueError(f"replicas must be an integer >= 1, got {self.replicas}")
-        object.__setattr__(self, "replicas", int(self.replicas))
+        object.__setattr__(self, "replicas", _check_index("replicas", self.replicas, 1))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         if not 0.0 <= self.cell_prob_floor < 1.0:
@@ -112,19 +111,6 @@ def _draw(model: _CellModel, rng: np.random.Generator) -> int:
     return hits
 
 
-def sample_count(
-    spectra: list[BernoulliSpectrum],
-    rng: np.random.Generator,
-    cell_prob_floor: float = 0.0,
-) -> int:
-    """One draw of the polydisk count: a Bernoulli per multi-index cell.
-
-    Cell n succeeds with probability prod_l p_{n_l}; the return value is
-    the number of successes.  Deterministic given the generator state.
-    """
-    return _draw(_build_cells(spectra, cell_prob_floor), rng)
-
-
 def _replica_rng(seed: int, index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(ss))
@@ -140,9 +126,7 @@ def estimate_moments(
     fixed (seed, replicas, spec, R, floor); replicas use disjoint
     counter-split generators, so evaluation order cannot matter.
     """
-    radius = float(radius)
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise ValueError(f"radius must be positive, got {radius}")
+    radius = _check_radius(radius)
     spectra = [_cached_spectrum(m, radius, tail_tol) for m in spec.level]
     model = _build_cells(spectra, cfg.cell_prob_floor)
     counts = np.empty(cfg.replicas, dtype=np.int64)

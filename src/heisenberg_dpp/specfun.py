@@ -52,13 +52,25 @@ def _check_real(name: str, value: float) -> float:
     return value
 
 
-def _check_index(name: str, value: int) -> int:
-    if value != int(value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+def _check_index(name: str, value: int, lo: int = 0) -> int:
+    if value != int(value) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value}")
+    return int(value)
+
+
+def _check_dimension(dimension: int) -> int:
+    return _check_index("dimension", dimension, 1)
+
+
+def _check_positive(name: str, value: float) -> float:
+    value = float(value)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def _check_radius(radius: float) -> float:
+    return _check_positive("radius", radius)
 
 
 def laguerre(n: int, alpha: float, x: float) -> float:
@@ -258,10 +270,8 @@ def regularized_lower_gamma(s: float, x: float) -> float:
     otherwise; both share the prefactor x^s e^(-x) / Gamma(s) evaluated in
     log form.  Monotone in both arguments, with values in [0, 1].
     """
-    s = _check_real("s", s)
+    s = _check_positive("s", s)
     x = _check_real("x", x)
-    if s <= 0.0:
-        raise ValueError(f"s must be > 0, got {s}")
     if x < 0.0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:
@@ -301,18 +311,6 @@ def regularized_lower_gamma(s: float, x: float) -> float:
             break
     upper = math.exp(log_pref) * h
     return min(max(1.0 - upper, 0.0), 1.0)
-
-
-def pochhammer(a: float, n: int) -> float:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1), with (a)_0 = 1."""
-    a = _check_real("a", a)
-    n = _check_index("n", n)
-    product = 1.0
-    for k in range(n):
-        product *= a + k
-    if not math.isfinite(product):
-        raise OverflowError(f"pochhammer({a}, {n}) overflows double range")
-    return product
 
 
 def hyp3f2_terminating(a1: float, a2: float, m: int, b1: float, b2: float) -> float:

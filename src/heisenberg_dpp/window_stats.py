@@ -40,7 +40,14 @@ from .exceptions import (
     UnsupportedConfigurationError,
 )
 from .kernels import KernelSpec
-from .specfun import SpecFunResult, bessel_i_scaled, bessel_j, hyp3f2_terminating
+from .specfun import (
+    _check_dimension,
+    _check_index,
+    _check_radius,
+    bessel_i_scaled,
+    bessel_j,
+    hyp3f2_terminating,
+)
 
 SPECTRUM_SIZE_CAP = 10_000_000
 PROB_CONSISTENCY_BAND = 1e-12
@@ -62,23 +69,6 @@ class Route(enum.Enum):
     INTEGRAL = "integral"
     SPECTRUM = "spectrum"
     MONTE_CARLO = "mc"
-    CONTROL = "control"  # synthetic reference rows, not a computation route
-
-
-@dataclass(frozen=True)
-class Window:
-    kind: WindowKind
-    radius: float
-    dimension: int
-
-    def __post_init__(self):
-        if not isinstance(self.kind, WindowKind):
-            object.__setattr__(self, "kind", WindowKind(self.kind))
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.dimension != int(self.dimension) or self.dimension < 1:
-            raise ValueError(f"dimension must be an integer >= 1, got {self.dimension}")
-        object.__setattr__(self, "dimension", int(self.dimension))
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,19 +108,6 @@ class MomentReport:
     ratio: float
     route: Route
     error_estimate: float
-
-
-def _check_dimension(dimension: int) -> int:
-    if dimension != int(dimension) or dimension < 1:
-        raise ValueError(f"dimension must be an integer >= 1, got {dimension}")
-    return int(dimension)
-
-
-def _check_radius(radius: float) -> float:
-    radius = float(radius)
-    if not (radius > 0.0 and math.isfinite(radius)):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-    return radius
 
 
 def mean_ball(dimension: int, radius: float) -> float:
@@ -431,11 +408,7 @@ def bernoulli_prob(n: int, m: int, radius: float) -> float:
     Clamped to [0, 1]; a value outside the 1e-12 consistency band raises
     InternalConsistencyError instead of being clamped silently.
     """
-    if n != int(n) or n < 0:
-        raise ValueError(f"n must be an integer >= 0, got {n}")
-    if m != int(m) or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m}")
-    n, m = int(n), int(m)
+    n, m = _check_index("n", n), _check_index("m", m)
     radius = _check_radius(radius)
     if m > EXACT_COEFF_MAX_LEVEL:
         # Exactness of the integer convolution is only claimed through
@@ -464,9 +437,7 @@ def build_spectrum(m: int, radius: float, tail_tol: float = 1e-9) -> BernoulliSp
     bound is R^2 minus the partial sum, extended until it drops below
     tail_tol.  Raises NumericalBudgetError at the size cap.
     """
-    if m != int(m) or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m}")
-    m = int(m)
+    m = _check_index("m", m)
     radius = _check_radius(radius)
     if not tail_tol > 0.0:
         raise ValueError(f"tail_tol must be positive, got {tail_tol}")
@@ -589,9 +560,7 @@ def c_constant(m: int) -> float:
     the limit of R * Var/mean as R -> inf.  The gamma ratio runs through
     log-gamma so large m cannot overflow.
     """
-    if m != int(m) or m < 0:
-        raise ValueError(f"m must be an integer >= 0, got {m}")
-    m = int(m)
+    m = _check_index("m", m)
     prefactor = 2.0 * math.exp(math.lgamma(m + 1.5) - math.lgamma(m + 1.0)) / math.pi
     return prefactor * hyp3f2_terminating(-0.5, -0.5, m, 1.0, -0.5 - m)
 

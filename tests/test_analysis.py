@@ -39,7 +39,7 @@ def synthetic_sweep(dimension: int, variance_law, n=12, lo=8.0, hi=50.0):
         rows=tuple(rows),
         spec=KernelSpec(dimension),
         window_kind=WindowKind.BALL,
-        route=Route.CONTROL,
+        route=Route.CLOSED_FORM,
     )
 
 

@@ -1,20 +1,62 @@
 """Command-line interface: schema, formatting, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heisenberg_dpp.analysis as analysis_mod
 import heisenberg_dpp.montecarlo as mc_mod
 from heisenberg_dpp import __version__, cli
 from heisenberg_dpp.exceptions import InternalConsistencyError
+from heisenberg_dpp.kernels import KernelSpec
 
 
 def run_cli(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+DROP = object()
+
+
+def replace(doc, path, value):
+    """Set the node at path (a tuple of keys and indices), or delete it for DROP."""
+    *parents, key = path
+    for step in parents:
+        doc = doc[step]
+    if value is DROP:
+        del doc[key]
+    else:
+        doc[key] = value
+
+
+def sweep_document() -> dict:
+    """A valid six-row sweep document of the D=1 ball, without meta.route."""
+    sweep = analysis_mod.run_sweep(
+        KernelSpec(1), "ball", (2.0, 4.0, 8.0, 16.0, 32.0, 64.0), "closed"
+    )
+    return {
+        "spec": {"dimension": 1, "level": [0]},
+        "window": "ball",
+        "rows": [
+            {"r": row.r, "mean": row.mean, "variance": row.variance,
+             "ratio": row.ratio, "r_times_ratio": row.r_times_ratio}
+            for row in sweep.rows
+        ],
+        "meta": {"version": __version__, "seed": None, "tolerances": {}},
+    }
+
+
+def classify_document(capsys, tmp_path, doc):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    return run_cli(capsys, ["classify", "--in", str(path)])
 
 
 class TestEmitters:
@@ -41,6 +83,10 @@ class TestEmitters:
 
     def test_csv_empty(self):
         assert cli.emit_csv([]) == ""
+
+    def test_csv_missing_key_as_empty(self):
+        # classify --in passes rows through, and they need not share keys
+        assert cli.emit_csv([{"a": 1, "b": 2}, {"a": 3}]) == "a,b\n1,2\n3,\n"
 
 
 class TestKernelEval:
@@ -240,6 +286,57 @@ class TestClassify:
         assert code == 2
         assert "error" in err
 
+    def test_documents_record_their_route(self, capsys):
+        common = ["--dimension", "1", "--window", "ball"]
+        for argv, route in [
+            (["stats", *common, "--radius", "1.5", "--route", "closed"], "closed"),
+            (["sweep", *common, "--r-grid", "1,2", "--route", "integral"], "integral"),
+            (["classify", *common, "--route", "closed"], "closed"),
+            (["mc", *common, "--radius", "1.5", "--replicas", "20"], "mc"),
+        ]:
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            assert json.loads(out)["meta"]["route"] == route
+
+    def test_reloaded_sweep_keeps_its_route(self, capsys, tmp_path):
+        # One Monte Carlo row is over-dispersed by 1%: sampling noise the
+        # mc route allows, but more than the exact routes' rounding slack.
+        doc = sweep_document()
+        doc["rows"][2]["variance"] = 1.01 * doc["rows"][2]["mean"]
+        doc["meta"]["route"] = "mc"
+        code, out, err = classify_document(capsys, tmp_path, doc)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["meta"]["route"] == "mc"
+        # a document from before meta.route existed reads as a spectrum sweep
+        del doc["meta"]["route"]
+        code, _, err = classify_document(capsys, tmp_path, doc)
+        assert code == 2
+        assert "exceeds mean" in err
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("spec", "dimension"), "2", "spec.dimension must be an integer"),
+            (("spec", "level"), "0", "spec.level must be a list of integers"),
+            (("window",), "disk", "window must be ball or polydisk"),
+            (("meta",), [], "meta must be an object"),
+            (("meta", "route"), "exact",
+             "meta.route must be one of closed, integral, spectrum, mc"),
+            (("rows",), {"r": 1.0}, "rows must be a list"),
+            (("rows", 1), 1.0, "rows[1] must be an object"),
+            (("rows", 1, "variance"), DROP, "rows[1].variance must be a finite number"),
+            (("rows", 1, "r"), "2.0", "rows[1].r must be a finite number"),
+        ],
+        ids=["dimension", "level", "window", "meta", "route", "rows", "row",
+             "missing-field", "string-field"],
+    )
+    def test_malformed_input_names_the_field(self, capsys, tmp_path, path, value, message):
+        doc = sweep_document()
+        replace(doc, path, value)
+        code, out, err = classify_document(capsys, tmp_path, doc)
+        assert (code, out) == (2, "")
+        assert err == f"error: --in document: {message}\n"
+
 
 class TestMc:
     def test_estimate_against_exact(self, capsys):
@@ -285,6 +382,42 @@ class TestMc:
         _, out_a, _ = run_cli(capsys, base + ["--seed", "1"])
         _, out_b, _ = run_cli(capsys, base + ["--seed", "2"])
         assert out_a != out_b
+
+    def test_matches_stats_route_mc(self, capsys):
+        # same draws, same row formula: the shared columns agree bit for bit
+        draw = ["--dimension", "1", "--radius", "1.5", "--seed", "7", "--replicas", "500"]
+        _, mc_out, _ = run_cli(capsys, ["mc", *draw])
+        _, stats_out, _ = run_cli(capsys, ["stats", "--route", "mc", *draw])
+        mc_row = json.loads(mc_out)["rows"][0]
+        stats_row = json.loads(stats_out)["rows"][0]
+        assert {k: mc_row[k] for k in stats_row} == stats_row
+        assert list(stats_row) == ["r", "mean", "variance", "ratio", "r_times_ratio"]
+
+    def test_draws_replicas_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return mc_mod.estimate_moments(*args, **kwargs)
+
+        monkeypatch.setattr(analysis_mod, "estimate_moments", counted)
+        code, _, _ = run_cli(
+            capsys, ["mc", "--dimension", "1", "--radius", "1.5", "--replicas", "50"]
+        )
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_ball_window_needs_dimension_one(self, capsys):
+        draw = ["--window", "ball", "--radius", "2", "--replicas", "10"]
+        code, out, err = run_cli(capsys, ["mc", "--dimension", "2", *draw])
+        assert (code, out) == (2, "")
+        stats = run_cli(capsys, ["stats", "--route", "mc", "--dimension", "2", *draw])
+        assert stats == (2, "", err)
+        assert "covers polydisks" in err
+        # the disk is both a ball and a polydisk
+        code, out, _ = run_cli(capsys, ["mc", "--dimension", "1", *draw])
+        assert code == 0
+        assert json.loads(out)["window"] == "ball"
 
     def test_budget_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(mc_mod, "KEPT_CELL_CAP", 1)
@@ -420,3 +553,52 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["stats", "--radius", "1.0"])
         assert exc_info.value.code == 2
+
+
+def _paths(node, prefix=()):
+    """Every key or index path below node, parents before children."""
+    children = (
+        node.items() if isinstance(node, dict)
+        else enumerate(node) if isinstance(node, list)
+        else ()
+    )
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    st.text(max_size=4),
+    st.just([]),
+    st.just({}),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid sweep document after a few drops, retypes, empties or shuffles."""
+    doc = sweep_document()
+    ops = st.sampled_from(["drop", "retype", "empty", "reorder"])
+    for op in draw(st.lists(ops, max_size=4)):
+        paths = list(_paths(doc))
+        if op in ("drop", "retype") and paths:
+            value = DROP if op == "drop" else draw(_JUNK)
+            replace(doc, draw(st.sampled_from(paths)), value)
+        elif isinstance(doc.get("rows"), list):
+            doc["rows"] = [] if op == "empty" else draw(st.permutations(doc["rows"]))
+    return doc
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=mutated_documents(), fmt=st.sampled_from(["json", "csv"]))
+def test_classify_input_fuzz_ends_in_documented_exit(tmp_path_factory, doc, fmt):
+    path = tmp_path_factory.mktemp("fuzz") / "sweep.json"
+    path.write_text(json.dumps(doc))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = cli.main(["classify", "--in", str(path), "--format", fmt])
+    assert code in (0, 2)

@@ -8,17 +8,17 @@ import pytest
 import heisenberg_dpp.montecarlo as mc
 from heisenberg_dpp.exceptions import NumericalBudgetError
 from heisenberg_dpp.kernels import KernelSpec
-from heisenberg_dpp.montecarlo import (
-    McConfig,
-    McEstimate,
-    estimate_moments,
-    sample_count,
-)
+from heisenberg_dpp.montecarlo import McConfig, McEstimate, estimate_moments
 from heisenberg_dpp.window_stats import (
     BernoulliSpectrum,
     build_spectrum,
     polydisk_moments,
 )
+
+
+def draw_count(spectra, rng) -> int:
+    """One draw of the polydisk count from the sampler's unpooled cell grid."""
+    return mc._draw(mc._build_cells(spectra, 0.0), rng)
 
 
 def toy_spectrum(probs, radius=1.0, level=0) -> BernoulliSpectrum:
@@ -50,23 +50,23 @@ class TestSampleCount:
     def test_all_zero_probs_give_zero(self):
         spec = toy_spectrum([0.0, 0.0, 0.0])
         rng = np.random.default_rng(5)
-        assert all(sample_count([spec], rng) == 0 for _ in range(20))
+        assert all(draw_count([spec], rng) == 0 for _ in range(20))
 
     def test_sure_cells_always_fire(self):
         spec = toy_spectrum([1.0, 0.0, 1.0])
         rng = np.random.default_rng(5)
-        assert all(sample_count([spec], rng) == 2 for _ in range(20))
+        assert all(draw_count([spec], rng) == 2 for _ in range(20))
 
     def test_count_bounded_by_cells(self):
         spec = toy_spectrum([0.5, 0.5])
         rng = np.random.default_rng(0)
-        draws = [sample_count([spec, spec], rng) for _ in range(200)]
+        draws = [draw_count([spec, spec], rng) for _ in range(200)]
         assert all(0 <= d <= 4 for d in draws)
         assert len(set(draws)) > 1  # actually random
 
     def test_empty_spectra_rejected(self):
         with pytest.raises(ValueError):
-            sample_count([], np.random.default_rng(0))
+            draw_count([], np.random.default_rng(0))
 
 
 class TestCellModel:
@@ -157,7 +157,7 @@ class TestEstimates:
         est = estimate_moments(spec, 1.5, cfg)
         spectra = [build_spectrum(0, 1.5, 1e-9)]
         counts = [
-            sample_count(spectra, mc._replica_rng(31415, i)) for i in range(16)
+            draw_count(spectra, mc._replica_rng(31415, i)) for i in range(16)
         ]
         assert est.mean_hat == pytest.approx(np.mean(counts), rel=1e-15)
         assert est.var_hat == pytest.approx(np.var(counts, ddof=1), rel=1e-12)

@@ -19,7 +19,6 @@ from heisenberg_dpp.specfun import (
     hyp3f2_terminating,
     laguerre,
     laguerre_log,
-    pochhammer,
     regularized_lower_gamma,
 )
 
@@ -234,17 +233,6 @@ class TestHyp3F2:
     def test_zero_denominator_raises(self):
         with pytest.raises(ValueError):
             hyp3f2_terminating(-0.5, -0.5, 3, -1.0, -3.5)
-
-
-class TestPochhammer:
-    def test_values(self):
-        assert pochhammer(3.0, 0) == 1.0
-        assert pochhammer(3.0, 4) == 3.0 * 4.0 * 5.0 * 6.0
-        assert pochhammer(-2.0, 4) == 0.0  # hits zero factor
-
-    def test_overflow(self):
-        with pytest.raises(OverflowError):
-            pochhammer(1e300, 3)
 
 
 class TestSpecFunResult:

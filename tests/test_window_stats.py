@@ -27,7 +27,6 @@ from heisenberg_dpp.kernels import KernelSpec
 from heisenberg_dpp.window_stats import (
     BernoulliSpectrum,
     Route,
-    Window,
     WindowKind,
     ball_moments,
     bernoulli_prob,
@@ -40,20 +39,6 @@ from heisenberg_dpp.window_stats import (
     variance_ball_integral,
     variance_ratio_ball,
 )
-
-
-class TestWindow:
-    def test_kind_coercion(self):
-        w = Window("ball", 2.0, 3)
-        assert w.kind is WindowKind.BALL
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Window(WindowKind.BALL, 0.0, 1)
-        with pytest.raises(ValueError):
-            Window(WindowKind.BALL, math.nan, 1)
-        with pytest.raises(ValueError):
-            Window(WindowKind.POLYDISK, 1.0, 0)
 
 
 class TestBallClosedForm:
