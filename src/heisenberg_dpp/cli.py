@@ -5,7 +5,9 @@ All data-emitting commands share one JSON shape: a top-level object with
 ``spec``, ``window``, ``rows`` and ``meta{version, seed, tolerances}``,
 plus ``meta.route`` for the moment commands (stats, sweep, classify, mc);
 CSV output mirrors ``rows`` with a header line.  Numbers are emitted with
-17 significant digits, which round-trips doubles exactly.  Output is
+17 significant digits, which round-trips doubles exactly; a non-finite
+value (NaN from an Inconclusive fit or an all-zero Monte Carlo sample)
+is written as JSON ``null`` or an empty CSV cell.  Output is
 deterministic for fixed inputs and seed.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error,
@@ -57,16 +59,19 @@ def _num(x) -> str:
     if isinstance(x, int):
         return str(x)
     if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite value {x!r} in output")
         return f"{x:.17g}"
     raise TypeError(f"not a number: {x!r}")
+
+
+def _missing(x) -> bool:
+    """None or a non-finite float: JSON null, an empty CSV cell."""
+    return x is None or (isinstance(x, float) and not math.isfinite(x))
 
 
 def emit_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
-    if obj is None:
+    if _missing(obj):
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -97,7 +102,7 @@ def emit_csv(rows: list[dict]) -> str:
         cells = []
         for k in header:
             v = row.get(k)
-            if v is None:
+            if _missing(v):
                 cells.append("")
             elif isinstance(v, (int, float)):
                 cells.append(_num(v))

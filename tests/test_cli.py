@@ -67,11 +67,12 @@ class TestEmitters:
     def test_floats_round_trip(self, x):
         assert json.loads(cli.emit_json(x)) == x
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            cli.emit_json(math.nan)
-        with pytest.raises(ValueError):
-            cli.emit_json(math.inf)
+    def test_non_finite_written_as_null(self):
+        assert cli.emit_json(math.nan) == "null"
+        assert json.loads(cli.emit_json({"a": [math.inf, -math.inf, 1.5]})) == {
+            "a": [None, None, 1.5]
+        }
+        assert cli.emit_csv([{"a": math.nan, "b": 2.0, "c": -math.inf}]) == "a,b,c\n,2,\n"
 
     def test_nested_structure(self):
         doc = {"a": [1, 2.5], "b": {"c": None, "d": "text"}, "e": []}
@@ -337,8 +338,37 @@ class TestClassify:
         assert (code, out) == (2, "")
         assert err == f"error: --in document: {message}\n"
 
+    def test_inconclusive_result_is_written(self, capsys, tmp_path):
+        # a nonpositive variance in the fit window gives NaN slope and constant
+        doc = sweep_document()
+        doc["rows"][-1].update(variance=0.0, ratio=0.0, r_times_ratio=0.0)
+        code, out, err = classify_document(capsys, tmp_path, doc)
+        assert (code, err) == (0, "")
+        report = json.loads(out)["classification"]
+        assert report["class_label"] == "Inconclusive"
+        assert report["fitted_slope"] is None and report["leading_constant"] is None
+
+    def test_null_row_field_is_rejected(self, capsys, tmp_path):
+        doc = sweep_document()
+        doc["rows"][3]["ratio"] = None  # how a NaN ratio is written
+        code, out, err = classify_document(capsys, tmp_path, doc)
+        assert (code, out) == (2, "")
+        assert err == "error: --in document: rows[3].ratio must be a finite number\n"
+
 
 class TestMc:
+    def test_all_zero_sample_writes_null_ratio(self, capsys):
+        argv = ["stats", "--route", "mc", "--dimension", "1", "--radius", "0.01",
+                "--replicas", "20"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        row = json.loads(out)["rows"][0]
+        assert (row["mean"], row["variance"]) == (0, 0)
+        assert row["ratio"] is None and row["r_times_ratio"] is None
+        code, out, err = run_cli(capsys, argv + ["--format", "csv"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "0.01,0,0,,"
+
     def test_estimate_against_exact(self, capsys):
         code, out, _ = run_cli(
             capsys,
