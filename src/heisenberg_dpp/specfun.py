@@ -1,4 +1,4 @@
-"""Scalar special functions used throughout the package.
+"""Special functions used throughout the package.
 
 Everything downstream (kernel evaluation, window statistics, asymptotic
 series) reduces to the functions in this module, so their accuracy budget
@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Crossover between the ascending series and the normalized backward
 # (Miller) recurrence for the scaled modified Bessel function.  The series
@@ -49,6 +51,22 @@ def _check_real(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _check_nonnegative(name: str, value):
+    """A finite value >= 0, or a 1-D float array whose elements all are."""
+    if not isinstance(value, np.ndarray):
+        value = _check_real(name, value)
+        if value < 0.0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+        return value
+    if value.ndim != 1:
+        raise ValueError(f"{name} must be a float or a 1-D array")
+    value = value.astype(float)
+    bad = value[~(np.isfinite(value) & (value >= 0.0))]
+    if bad.size:
+        _check_nonnegative(name, float(bad[0]))  # raises, with the float wording
     return value
 
 
@@ -134,9 +152,7 @@ def bessel_i_scaled(nu: int, x: float) -> float:
     recurrence normalized with e^(-x) [I_0 + 2 sum_{k>=1} I_k] = 1.
     """
     nu = _check_index("nu", nu)
-    x = _check_real("x", x)
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    x = _check_nonnegative("x", x)
     if x == 0.0:
         return 1.0 if nu == 0 else 0.0
     if x < BESSEL_I_SERIES_CUTOFF:
@@ -176,91 +192,140 @@ def bessel_i_scaled(nu: int, x: float) -> float:
     return saved / norm
 
 
-def _bessel_j_series(nu: int, x: float) -> float:
+def _bessel_j_series(nu: int, x: np.ndarray) -> np.ndarray:
     half = 0.5 * x
-    term = math.exp(nu * math.log(half) - math.lgamma(nu + 1)) if nu else 1.0
+    if nu:
+        lg = math.lgamma(nu + 1)
+        term = np.array([math.exp(nu * math.log(h) - lg) for h in half.tolist()])
+    else:
+        term = np.ones_like(x)
     total = term
+    out = np.empty_like(x)
+    live = np.arange(x.size)
     k = 0
-    while True:
+    while live.size:
         k += 1
-        term *= -half * half / (k * (nu + k))
-        total += term
-        if abs(term) < abs(total) * 1e-18 + 1e-300:
-            break
-    return total
+        term = term * (-half * half / (k * (nu + k)))
+        total = total + term
+        done = np.abs(term) < np.abs(total) * 1e-18 + 1e-300
+        if done.any():
+            out[live[done]] = total[done]
+            keep = ~done
+            live, half, term, total = live[keep], half[keep], term[keep], total[keep]
+    return out
 
 
-def _bessel_j_miller(nu: int, x: float) -> float:
-    start = int(x + 18.0 * x ** (1.0 / 3.0)) + nu + 24
-    if start % 2:
-        start += 1
-    f_next = 0.0
-    f_cur = 1e-255
-    norm = 0.0
-    saved = 0.0
-    for k in range(start, 0, -1):
-        f_prev = (2.0 * k / x) * f_cur - f_next
+def _bessel_j_miller(nu: int, x: np.ndarray) -> np.ndarray:
+    starts = [int(v + 18.0 * v ** (1.0 / 3.0)) + nu + 24 for v in x.tolist()]
+    starts = [s + s % 2 for s in starts]
+    # Descending start order: at step k the running elements, those whose
+    # own recurrence has begun (start >= k), are a prefix of the arrays.
+    order = sorted(range(x.size), key=starts.__getitem__, reverse=True)
+    starts = [starts[i] for i in order]
+    xs = x[order]
+    f_next = np.empty_like(xs)
+    f_cur = np.empty_like(xs)
+    norm = np.zeros_like(xs)
+    saved = np.zeros_like(xs)
+    # |f| grows by at most a factor 2k/x + 1 per step, so unless that bound
+    # can carry 1e-255 past the rescale threshold (only at high orders) the
+    # rescale cannot fire and its test is skipped.
+    top = starts[0]
+    may_rescale = top * math.log10(2.0 * top / float(xs.min()) + 1.0) > 500.0
+    n = 0
+    for k in range(top, 0, -1):
+        if n < xs.size and starts[n] >= k:
+            began = n
+            while n < xs.size and starts[n] >= k:
+                n += 1
+            f_next[began:n] = 0.0
+            f_cur[began:n] = 1e-255
         if k % 2 == 0:
-            norm += 2.0 * f_cur
+            norm[:n] += 2.0 * f_cur[:n]
         if k == nu:
-            saved = f_cur
-        f_next, f_cur = f_cur, f_prev
-        if abs(f_cur) > _RESCALE_THRESHOLD:
-            f_next *= _RESCALE_FACTOR
-            f_cur *= _RESCALE_FACTOR
-            norm *= _RESCALE_FACTOR
-            saved *= _RESCALE_FACTOR
+            saved[:n] = f_cur[:n]
+        # f_prev overwrites f_next, then the two buffers swap roles
+        f_prev = f_next[:n]
+        np.subtract((2.0 * k / xs[:n]) * f_cur[:n], f_prev, out=f_prev)
+        f_next, f_cur = f_cur, f_next
+        if may_rescale and np.abs(f_prev).max() > _RESCALE_THRESHOLD:
+            big = np.flatnonzero(np.abs(f_prev) > _RESCALE_THRESHOLD)
+            f_next[big] *= _RESCALE_FACTOR
+            f_cur[big] *= _RESCALE_FACTOR
+            norm[big] *= _RESCALE_FACTOR
+            saved[big] *= _RESCALE_FACTOR
     if nu == 0:
         saved = f_cur
     norm += f_cur  # J_0 enters the even-order normalization once
-    return saved / norm
+    out = np.empty_like(x)
+    out[order] = saved / norm
+    return out
 
 
-def _bessel_j_asymptotic(nu: int, x: float) -> float:
+def _bessel_j_asymptotic(nu: int, x: np.ndarray) -> np.ndarray:
     mu = 4.0 * nu * nu
-    p_sum = 1.0
-    q_sum = 0.0
-    coeff = 1.0
+    p_sum = np.ones_like(x)
+    q_sum = np.zeros_like(x)
+    coeff = np.ones_like(x)
+    prev_mag = np.full_like(x, math.inf)
+    p_out = np.empty_like(x)
+    q_out = np.empty_like(x)
+    live = np.arange(x.size)
+    xs = x
     k = 0
-    prev_mag = math.inf
-    while True:
+    while live.size:
         k += 1
-        coeff *= (mu - (2 * k - 1) ** 2) / (k * 8.0 * x)
-        mag = abs(coeff)
-        if mag >= prev_mag or mag < 1e-18:
-            break
+        coeff = coeff * ((mu - (2 * k - 1) ** 2) / (k * 8.0 * xs))
+        mag = np.abs(coeff)
+        done = (mag >= prev_mag) | (mag < 1e-18)
+        if done.any():
+            p_out[live[done]] = p_sum[done]
+            q_out[live[done]] = q_sum[done]
+            keep = ~done
+            live, xs, coeff, mag = live[keep], xs[keep], coeff[keep], mag[keep]
+            p_sum, q_sum = p_sum[keep], q_sum[keep]
         if k % 2 == 0:
-            p_sum += coeff * (-1.0) ** (k // 2)
+            p_sum = p_sum + coeff * (-1.0) ** (k // 2)
         else:
-            q_sum += coeff * (-1.0) ** ((k - 1) // 2)
+            q_sum = q_sum + coeff * (-1.0) ** ((k - 1) // 2)
         prev_mag = mag
         if k > 60:
+            p_out[live] = p_sum
+            q_out[live] = q_sum
             break
-    omega = x - nu * math.pi / 2.0 - math.pi / 4.0
-    return math.sqrt(2.0 / (math.pi * x)) * (
-        p_sum * math.cos(omega) - q_sum * math.sin(omega)
-    )
+    omega = (x - nu * math.pi / 2.0 - math.pi / 4.0).tolist()
+    cos = np.array([math.cos(w) for w in omega])
+    sin = np.array([math.sin(w) for w in omega])
+    return np.sqrt(2.0 / (math.pi * x)) * (p_out * cos - q_out * sin)
 
 
-def bessel_j(nu: int, x: float) -> float:
+def bessel_j(nu: int, x):
     """Bessel function of the first kind J_nu(x) for integer nu >= 0, x >= 0.
 
-    Three regimes: ascending series for small x, normalized backward
-    recurrence in the middle, and the Hankel (P, Q) asymptotic expansion
-    for large x, where the optimally truncated error is ~e^(-2x).
+    ``x`` is a float or a 1-D float array; the result is of the same kind,
+    and each element is bit-identical to the value of that element passed
+    alone.  Three regimes: ascending series for small x, normalized
+    backward recurrence in the middle, and the Hankel (P, Q) asymptotic
+    expansion for large x, where the optimally truncated error is ~e^(-2x).
     Accurate to ~1e-10 relative through x = 1e4 away from zeros.
     """
     nu = _check_index("nu", nu)
-    x = _check_real("x", x)
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    if x == 0.0:
-        return 1.0 if nu == 0 else 0.0
-    if x <= BESSEL_J_SERIES_CUTOFF:
-        return _bessel_j_series(nu, x)
-    if x < BESSEL_J_ASYMPTOTIC_CUTOFF:
-        return _bessel_j_miller(nu, x)
-    return _bessel_j_asymptotic(nu, x)
+    scalar = not isinstance(x, np.ndarray)
+    x = np.atleast_1d(_check_nonnegative("x", x))
+    out = np.zeros_like(x)
+    if nu == 0:
+        out[x == 0.0] = 1.0
+    series = x <= BESSEL_J_SERIES_CUTOFF
+    hankel = x >= BESSEL_J_ASYMPTOTIC_CUTOFF
+    regimes = (
+        (_bessel_j_series, series & (x > 0.0)),
+        (_bessel_j_miller, ~series & ~hankel),
+        (_bessel_j_asymptotic, hankel),
+    )
+    for regime, mask in regimes:
+        if mask.any():
+            out[mask] = regime(nu, x[mask])
+    return float(out[0]) if scalar else out
 
 
 def regularized_lower_gamma(s: float, x: float) -> float:
@@ -271,9 +336,7 @@ def regularized_lower_gamma(s: float, x: float) -> float:
     log form.  Monotone in both arguments, with values in [0, 1].
     """
     s = _check_positive("s", s)
-    x = _check_real("x", x)
-    if x < 0.0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    x = _check_nonnegative("x", x)
     if x == 0.0:
         return 0.0
     log_pref = s * math.log(x) - x - math.lgamma(s)

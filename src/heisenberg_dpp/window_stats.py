@@ -149,28 +149,66 @@ def variance_ratio_ball(dimension: int, radius: float) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _panel_gl(f, a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * math.fsum(
-        w * f(mid + half * t) for t, w in zip(_GL_NODES, _GL_WEIGHTS)
-    )
+def _panels(f, lo, hi) -> list[float]:
+    """12-point Gauss-Legendre values of f over the panels [lo[i], hi[i]].
+
+    All nodes go to f in one call; f maps a 1-D array of nodes to values.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes = mid[:, None] + half[:, None] * _GL_NODES
+    weighted = _GL_WEIGHTS * f(nodes.ravel()).reshape(nodes.shape)
+    return [h * math.fsum(row) for h, row in zip(half.tolist(), weighted.tolist())]
 
 
-def _adaptive_panel(f, a, b, tol, depth=0, nodes=None):
-    if nodes is None:
-        nodes = [ADAPTIVE_NODE_BUDGET]  # cap on bisection nodes per call
-    nodes[0] -= 1
-    whole = _panel_gl(f, a, b)
-    mid = 0.5 * (a + b)
-    left = _panel_gl(f, a, mid)
-    right = _panel_gl(f, mid, b)
-    err = abs(left + right - whole)
-    if err < tol or depth >= 48 or nodes[0] <= 0:
-        return left + right, err
-    lv, le = _adaptive_panel(f, a, mid, 0.5 * tol, depth + 1, nodes)
-    rv, re_ = _adaptive_panel(f, mid, b, 0.5 * tol, depth + 1, nodes)
-    return lv + rv, le + re_
+def _adaptive_panel(f, a, b, tol):
+    """Adaptive bisection of [a, b] until each panel's halves agree to its tol.
+
+    Breadth-first, one call of f per tree level; a child's whole-panel
+    value is its parent's half-panel value.  Leaves report the sum of their
+    halves and its disagreement with the whole, folded up the tree in
+    order.  Bisection stops at depth 48 and once ADAPTIVE_NODE_BUDGET nodes
+    exist; the budget is per call.
+    """
+    level = [(a, b, tol)]
+    wholes = _panels(f, [a], [b])
+    used = 1
+    # Per level, each node's entry: its (value, error) if it is a leaf, else
+    # the index of its left child in the next level.
+    tree = []
+    for depth in range(49):
+        mids = [0.5 * (lo + hi) for lo, hi, _ in level]
+        halves = _panels(
+            f,
+            [lo for lo, _, _ in level] + mids,
+            mids + [hi for _, hi, _ in level],
+        )
+        children, child_wholes, entries = [], [], []
+        for (lo, hi, t), mid, whole, left, right in zip(
+            level, mids, wholes, halves, halves[len(level):]
+        ):
+            err = abs(left + right - whole)
+            if err < t or depth >= 48 or used + 2 > ADAPTIVE_NODE_BUDGET:
+                entries.append((left + right, err))
+                continue
+            entries.append(len(children))
+            children += [(lo, mid, 0.5 * t), (mid, hi, 0.5 * t)]
+            child_wholes += [left, right]
+            used += 2
+        tree.append(entries)
+        if not children:
+            break
+        level, wholes = children, child_wholes
+    below: list[tuple[float, float]] = []
+    for entries in reversed(tree):
+        below = [
+            e if isinstance(e, tuple)
+            else (below[e][0] + below[e + 1][0], below[e][1] + below[e + 1][1])
+            for e in entries
+        ]
+    return below[0]
 
 
 def _neville_at_zero(xs, ys):
@@ -186,6 +224,14 @@ def _neville_at_zero(xs, ys):
         correction = abs(tableau[0] - last)
         last = tableau[0]
     return tableau[0], correction
+
+
+def _averaged(values: list[float], i: int) -> float:
+    """Entry i of values after three rounds of adjacent averaging."""
+    window = values[i : i + 4]
+    for _ in range(3):
+        window = [0.5 * (a + b) for a, b in zip(window, window[1:])]
+    return window[0]
 
 
 def _oscillatory_tail(f, k0: float, radius: float, order: int, tol: float):
@@ -209,27 +255,26 @@ def _oscillatory_tail(f, k0: float, radius: float, order: int, tol: float):
     edge = first_edge
     best = None
     for block in range(600):
+        block_edges = [edge]
         for _ in range(16):
-            nxt = edge + h
-            acc += _panel_gl(f, edge, nxt)
-            edge = nxt
+            block_edges.append(block_edges[-1] + h)
+        for value in _panels(f, block_edges[:-1], block_edges[1:]):
+            acc += value
             partial_sums.append(acc)
-            edges.append(edge)
+        edges += block_edges[1:]
+        edge = block_edges[-1]
         if len(partial_sums) < 48 or edges[-1] < 24.0:
             continue
-        sums = partial_sums
-        mids = edges
-        for _ in range(3):  # adjacent averaging kills the alternating part
-            sums = [0.5 * (a + b) for a, b in zip(sums, sums[1:])]
-            mids = [0.5 * (a + b) for a, b in zip(mids, mids[1:])]
+        # Three rounds of adjacent averaging kill the alternating part; the
+        # thrice-averaged sequence is read only at the Neville anchors.
         anchors = []
-        idx = len(sums) - 1
+        idx = len(partial_sums) - 4
         while idx >= 0 and len(anchors) < 9:
             anchors.append(idx)
             idx = int(idx / 1.45) - 4
         anchors = anchors[::-1]
-        xs = [1.0 / mids[i] for i in anchors]
-        ys = [sums[i] for i in anchors]
+        xs = [1.0 / _averaged(edges, i) for i in anchors]
+        ys = [_averaged(partial_sums, i) for i in anchors]
         value, err = _neville_at_zero(xs, ys)
         best = (stub + value, stub_err + err)
         if best[1] <= tol:
@@ -241,6 +286,12 @@ def _oscillatory_tail(f, k0: float, radius: float, order: int, tol: float):
         best_estimate=best[0],
         achieved_error=best[1],
     )
+
+
+def _integral_tol(dimension: int, radius: float) -> float:
+    """Default absolute error target of the integral-route variance."""
+    scale = mean_ball(dimension, radius) * min(1.0, dimension / radius)
+    return max(1e-13, 1e-9 * scale)
 
 
 def variance_ball_integral(
@@ -258,18 +309,20 @@ def variance_ball_integral(
     dimension = _check_dimension(dimension)
     radius = _check_radius(radius)
     if tol is None:
-        scale = mean_ball(dimension, radius) * min(1.0, dimension / radius)
-        tol = max(1e-13, 1e-9 * scale)
+        tol = _integral_tol(dimension, radius)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
 
     prefactor = 2.0 * radius ** (2 * dimension) / factorial(dimension - 1)
 
-    def integrand(kappa: float) -> float:
-        if kappa <= 0.0:
-            return 0.0
-        j = bessel_j(dimension, kappa * radius)
-        return j * j / kappa * -math.expm1(-0.25 * kappa * kappa)
+    def integrand(kappa: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(kappa)
+        pos = kappa > 0.0
+        k = kappa[pos]
+        j = bessel_j(dimension, k * radius)
+        damp = [-math.expm1(v) for v in (-0.25 * k * k).tolist()]
+        out[pos] = j * j / k * damp
+        return out
 
     k0 = 40.0 / radius * max(1, dimension)
     budget = tol / prefactor
@@ -435,7 +488,10 @@ def build_spectrum(m: int, radius: float, tail_tol: float = 1e-9) -> BernoulliSp
     The mean constraint sum_n p_n = R^2 (all levels share unit intensity
     over pi) plus monotone partial sums certify the truncation: the tail
     bound is R^2 minus the partial sum, extended until it drops below
-    tail_tol.  Raises NumericalBudgetError at the size cap.
+    tail_tol.  Raises NumericalBudgetError at the size cap (before any
+    assembly when the initial truncation is already past it) and when an
+    extension no longer shrinks the bound: a tail_tol below the rounding
+    of the sum cannot be certified.
     """
     m = _check_index("m", m)
     radius = _check_radius(radius)
@@ -447,21 +503,32 @@ def build_spectrum(m: int, radius: float, tail_tol: float = 1e-9) -> BernoulliSp
         )
 
     n_top = _initial_truncation(radius, m)
+    if n_top > SPECTRUM_SIZE_CAP:
+        raise NumericalBudgetError(
+            f"spectrum needs {n_top} indices at radius {radius:g}, "
+            f"past the size cap {SPECTRUM_SIZE_CAP}",
+            best_estimate=None,
+            achieved_error=radius * radius,
+        )
     ladder = _GammaLadder(radius, _working_prec(m, n_top + 2 * m + 64))
     ladder.extend(n_top + m)
     probs = _assemble_probs(m, ladder, 0, n_top)
     mean = ladder.mean_float()
+    previous = math.inf
     while True:
         tail = mean - math.fsum(probs)
         if tail <= tail_tol:
             break
-        if len(probs) > SPECTRUM_SIZE_CAP:
+        # The p_n decay past the bulk, so an extension that leaves the
+        # rounded sum unchanged means no later one can reach tail_tol.
+        if len(probs) > SPECTRUM_SIZE_CAP or tail >= previous:
             raise NumericalBudgetError(
-                f"spectrum size cap hit at tail bound {tail:.3e} "
-                f"(target {tail_tol:.3e})",
+                f"spectrum tail bound {tail:.3e} stuck above the target "
+                f"{tail_tol:.3e} at {len(probs)} indices",
                 best_estimate=None,
                 achieved_error=tail,
             )
+        previous = tail
         grow = max(64, math.ceil(radius))
         ladder.extend(n_top + grow + m)
         probs.extend(_assemble_probs(m, ladder, n_top + 1, n_top + grow))
@@ -532,8 +599,8 @@ def ball_moments(
         variance = variance_ball_closed(dimension, radius)
         err = 1e-12 * variance
     elif route == Route.INTEGRAL:
-        variance = variance_ball_integral(dimension, radius, tol)
-        err = tol if tol is not None else 1e-9 * variance
+        err = _integral_tol(dimension, radius) if tol is None else tol
+        variance = variance_ball_integral(dimension, radius, err)
     else:
         raise UnsupportedConfigurationError(
             f"route {route.value!r} does not apply to the ball closed forms"

@@ -632,3 +632,81 @@ def test_classify_input_fuzz_ends_in_documented_exit(tmp_path_factory, doc, fmt)
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = cli.main(["classify", "--in", str(path), "--format", fmt])
     assert code in (0, 2)
+
+
+# Values for the argv fuzz: valid ones, malformed ones and out-of-range
+# ones.  Radii, grids and replica counts stay small so that every example
+# is cheap; a radius of 1e4 reaches the spectrum size cap and the block
+# budget of the integral route's tail, 1e-30 an unreachable tail target.
+_FLAG_VALUES = {
+    "--dimension": ["1", "2", "3", "0", "-1", "x", ""],
+    "--level": ["0", "1", "2,0", "0,1,2", "17", "-1", "1.5", "a,b", ""],
+    "--window": ["ball", "polydisk", "disk"],
+    "--tail-tol": ["1e-9", "1e-3", "1e-30", "0", "-1", "nan", "x"],
+    "--format": ["json", "csv", "xml"],
+    "--radius": ["0.5", "2.5", "1e4", "0", "-1", "nan", "inf", "x"],
+    "--r-grid": ["0.5:2.5:6", "0.5,1,2", "1:2", "2:1:4", "1:2:1", "1:2:x",
+                 "1,nan", "a", ""],
+    "--route": ["closed", "integral", "spectrum", "mc", "x"],
+    "--seed": ["0", "7", "-1", "x"],
+    "--replicas": ["40", "1", "0", "-5", "x"],
+    "--cell-prob-floor": ["1e-12", "0", "0.5", "-1", "nan", "x"],
+    "--fit-window": ["0.5", "0", "1", "2", "nan", "x"],
+    "--x": ["0,0", "0.3,-0.2", "1,1;0,0", "1", "a,b", "nan,0", "1e300,0"],
+    "--y": ["0,0", "-0.5,0.1", "0,0;1,1", "inf,0"],
+    "--check": ["alpha-coefficients", "kernel-series-identity", "nope"],
+    "--tolerance-scale": ["1", "0", "-1", "nan", "x"],
+    "--bogus": ["1"],
+    "--help": [],
+}
+_COMMON = ["--dimension", "--level", "--tail-tol", "--format"]
+_MC = ["--route", "--seed", "--replicas", "--cell-prob-floor"]
+# Each command starts from a valid argv; the fuzz appends flags to it, and
+# a repeated flag overrides the earlier value.  The replica count, the
+# verify check and the radius grid are always given, so no example falls
+# back on an expensive default (100k replicas, the full verify suite, the
+# 16-radius grid up to R = 50).
+_COMMANDS = {
+    "kernel-eval": (["--dimension", "1", "--x", "0.3,-0.2", "--y", "0,0"],
+                    _COMMON + ["--x", "--y"]),
+    "stats": (["--dimension", "1", "--radius", "2.5", "--replicas", "40"],
+              _COMMON + ["--window", "--radius"] + _MC),
+    "sweep": (["--dimension", "1", "--r-grid", "0.5:2.5:6", "--replicas", "40"],
+              _COMMON + ["--window", "--r-grid"] + _MC),
+    "classify": (["--dimension", "1", "--r-grid", "0.5:2.5:6", "--replicas", "40"],
+                 _COMMON + ["--window", "--r-grid", "--fit-window", "--in"] + _MC),
+    "mc": (["--dimension", "1", "--radius", "2.5", "--replicas", "40"],
+           _COMMON + ["--window", "--radius", "--seed", "--replicas",
+                      "--cell-prob-floor"]),
+    "constants": (["--dimension", "1"], _COMMON + ["--window"]),
+    "verify": (["--check", "alpha-coefficients"],
+               ["--check", "--tolerance-scale", "--format"]),
+}
+
+
+@st.composite
+def fuzzed_argv(draw, missing_path):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv, flags = _COMMANDS[command]
+    argv = [command, *argv]
+    for flag in draw(st.lists(st.sampled_from([*flags, "--bogus", "--help"]),
+                              max_size=4)):
+        values = [missing_path, ""] if flag == "--in" else _FLAG_VALUES[flag]
+        argv += [flag, draw(st.sampled_from(values))] if values else [flag]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_argv_fuzz_ends_in_documented_exit(tmp_path_factory, data):
+    missing = str(tmp_path_factory.getbasetemp() / "absent" / "sweep.json")
+    argv = data.draw(fuzzed_argv(missing))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: usage errors exit 2, --help 0
+            code = exc.code
+    # every documented exit code: 1 is a failed verify check (a tolerance
+    # scale of 0), 3 a numerical budget (radius 1e4, tail target 1e-30)
+    assert code in (0, 1, 2, 3, 4), (argv, code)

@@ -1,8 +1,9 @@
 """Special-function floor: recurrences, scaled Bessel, incomplete gamma.
 
 Oracles: exact rational Laguerre coefficients (Fraction arithmetic),
-scipy.special (independent implementations), and values frozen from
-high-precision side computations.
+scipy.special (independent implementations), values frozen from
+high-precision side computations, and the scalar Bessel J code that the
+array implementation must reproduce bit for bit.
 """
 
 import math
@@ -131,13 +132,121 @@ class TestBesselIScaled:
         big = bessel_i_scaled(0, 1e4)
         assert big == pytest.approx(1.0 / math.sqrt(2 * math.pi * 1e4), rel=1e-3)
 
+    def test_invalid(self):
+        with pytest.raises(ValueError, match="x must be >= 0, got -2.0"):
+            bessel_i_scaled(0, -2.0)
+        with pytest.raises(ValueError, match="x must be finite"):
+            bessel_i_scaled(0, math.nan)
+
     def test_monotone_in_order(self):
         x = 7.5
         values = [bessel_i_scaled(nu, x) for nu in range(10)]
         assert all(a > b > 0.0 for a, b in zip(values, values[1:]))
 
 
+def scalar_bessel_j(nu: int, x: float) -> float:
+    """The one-float-at-a-time J_nu(x) that bessel_j's arrays must reproduce."""
+    if x == 0.0:
+        return 1.0 if nu == 0 else 0.0
+    if x <= 10.0:
+        half = 0.5 * x
+        term = math.exp(nu * math.log(half) - math.lgamma(nu + 1)) if nu else 1.0
+        total = term
+        k = 0
+        while True:
+            k += 1
+            term *= -half * half / (k * (nu + k))
+            total += term
+            if abs(term) < abs(total) * 1e-18 + 1e-300:
+                return total
+    if x < 30.0:
+        start = int(x + 18.0 * x ** (1.0 / 3.0)) + nu + 24
+        if start % 2:
+            start += 1
+        f_next, f_cur, norm, saved = 0.0, 1e-255, 0.0, 0.0
+        for k in range(start, 0, -1):
+            f_prev = (2.0 * k / x) * f_cur - f_next
+            if k % 2 == 0:
+                norm += 2.0 * f_cur
+            if k == nu:
+                saved = f_cur
+            f_next, f_cur = f_cur, f_prev
+            if abs(f_cur) > 1e250:
+                f_next *= 1e-250
+                f_cur *= 1e-250
+                norm *= 1e-250
+                saved *= 1e-250
+        if nu == 0:
+            saved = f_cur
+        norm += f_cur
+        return saved / norm
+    mu = 4.0 * nu * nu
+    p_sum, q_sum, coeff = 1.0, 0.0, 1.0
+    k = 0
+    prev_mag = math.inf
+    while True:
+        k += 1
+        coeff *= (mu - (2 * k - 1) ** 2) / (k * 8.0 * x)
+        mag = abs(coeff)
+        if mag >= prev_mag or mag < 1e-18:
+            break
+        if k % 2 == 0:
+            p_sum += coeff * (-1.0) ** (k // 2)
+        else:
+            q_sum += coeff * (-1.0) ** ((k - 1) // 2)
+        prev_mag = mag
+        if k > 60:
+            break
+    omega = x - nu * math.pi / 2.0 - math.pi / 4.0
+    return math.sqrt(2.0 / (math.pi * x)) * (
+        p_sum * math.cos(omega) - q_sum * math.sin(omega)
+    )
+
+
+def bessel_points() -> np.ndarray:
+    """Random points in every regime, plus zero, a tiny x and both sides of
+    each regime cutoff."""
+    edges = [np.nextafter(c, d) for c in (10.0, 30.0) for d in (0.0, math.inf)]
+    return np.concatenate([
+        RNG.uniform(0.0, 10.0, 200),
+        RNG.uniform(10.0, 30.0, 200),
+        RNG.uniform(30.0, 500.0, 200),
+        10.0 ** RNG.uniform(-300.0, 4.0, 60),
+        [0.0, 1e-300, 10.0, 30.0, *edges],
+    ])
+
+
 class TestBesselJ:
+    # nu = 90 skips the Miller rescale test (the growth bound rules it
+    # out); at nu = 300 the rescaling fires for x in (10, ~13.2)
+    @pytest.mark.parametrize("nu", [*range(9), 90, 300])
+    def test_bit_identical_to_scalar_oracle(self, nu):
+        xs = bessel_points()
+        want = [scalar_bessel_j(nu, x).hex() for x in xs.tolist()]
+        got = bessel_j(nu, xs)
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert [v.hex() for v in got.tolist()] == want
+        assert [bessel_j(nu, x).hex() for x in xs.tolist()] == want
+        assert all(type(bessel_j(nu, x)) is float for x in xs[:5].tolist())
+
+    def test_order_of_elements_is_irrelevant(self):
+        xs = bessel_points()
+        perm = RNG.permutation(xs.size)
+        assert np.array_equal(bessel_j(3, xs)[perm], bessel_j(3, xs[perm]))
+
+    def test_array_validation(self):
+        assert bessel_j(2, np.array([])).shape == (0,)
+        with pytest.raises(ValueError, match="x must be >= 0, got -1.0"):
+            bessel_j(0, np.array([2.0, -1.0, -3.0]))
+        with pytest.raises(ValueError, match="x must be finite"):
+            bessel_j(0, np.array([2.0, math.nan]))
+        with pytest.raises(ValueError, match="x must be finite"):
+            bessel_j(0, np.array([math.inf]))
+        with pytest.raises(ValueError):
+            bessel_j(0, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            bessel_j(1, -0.5)
+
     def test_frozen_value(self):
         assert bessel_j(2, 1.0) == pytest.approx(0.11490348493190048, abs=2e-16)
 
@@ -194,8 +303,10 @@ class TestRegularizedLowerGamma:
     def test_invalid(self):
         with pytest.raises(ValueError):
             regularized_lower_gamma(0.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="x must be >= 0, got -0.5"):
             regularized_lower_gamma(1.0, -0.5)
+        with pytest.raises(ValueError, match="x must be finite"):
+            regularized_lower_gamma(1.0, math.inf)
 
 
 class TestHyp3F2:

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import libmp
 
 import heisenberg_dpp.window_stats as ws
@@ -98,6 +100,43 @@ class TestIntegralRoute:
         want = variance_ball_closed(dim, r)
         got = variance_ball_integral(dim, r)
         assert got == pytest.approx(want, rel=3e-9)
+
+    # float.hex of the values from the one-node-at-a-time quadrature: the
+    # verify cross-check's 15 (D, R) pairs and one long oscillatory tail
+    FROZEN_HEX = {
+        (1, 0.5): "0x1.9a587352dde3ap-3",
+        (1, 1.0): "0x1.0c2c944220b42p-1",
+        (1, 2.0): "0x1.1c3c6e47e440ap+0",
+        (1, 5.0): "0x1.682cda052fc57p+1",
+        (1, 10.0): "0x1.68dafe788376fp+2",
+        (2, 0.5): "0x1.f45759d500cb8p-6",
+        (2, 1.0): "0x1.aa2161c9f47adp-2",
+        (2, 2.0): "0x1.0b10d97d0ecbbp+2",
+        (2, 5.0): "0x1.1696540f62286p+6",
+        (2, 10.0): "0x1.1936e330780f2p+9",
+        (3, 0.5): "0x1.54b6c3efb5d87p-9",
+        (3, 1.0): "0x1.45bd6bcf2cef9p-3",
+        (3, 2.0): "0x1.e52c70546a053p+2",
+        (3, 5.0): "0x1.ac2d043af48bdp+9",
+        (3, 10.0): "0x1.b5934c784376ep+14",
+        (1, 50.0): "0x1.c357235119482p+4",
+    }
+
+    @pytest.mark.parametrize("dim, r", sorted(FROZEN_HEX))
+    def test_bit_identical_to_frozen_values(self, dim, r):
+        assert variance_ball_integral(dim, r).hex() == self.FROZEN_HEX[(dim, r)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.sampled_from([1, 2, 3]), r=st.floats(0.3, 30.0))
+    def test_default_tolerance_holds(self, dim, r):
+        gap = abs(variance_ball_integral(dim, r) - variance_ball_closed(dim, r))
+        assert gap <= ws._integral_tol(dim, r)
+
+    def test_reported_error_is_the_tolerance_held(self):
+        for dim, r in ((1, 10.0), (3, 10.0)):
+            report = ball_moments(dim, r, Route.INTEGRAL)
+            assert report.error_estimate == ws._integral_tol(dim, r)
+            assert ball_moments(dim, r, Route.INTEGRAL, tol=1e-6).error_estimate == 1e-6
 
     def test_explicit_tolerance_is_honored(self):
         want = variance_ball_closed(2, 3.0)
@@ -212,6 +251,17 @@ class TestSpectrum:
         monkeypatch.setattr(ws, "_initial_truncation", lambda r, m: 1)
         with pytest.raises(NumericalBudgetError):
             build_spectrum(0, 3.0)
+
+    def test_size_cap_checked_before_assembly(self, monkeypatch):
+        monkeypatch.setattr(ws, "SPECTRUM_SIZE_CAP", 100)
+        monkeypatch.setattr(ws, "_GammaLadder", None)  # must not be reached
+        with pytest.raises(NumericalBudgetError, match="past the size cap"):
+            build_spectrum(0, 20.0)
+
+    def test_unreachable_tail_target_raises(self):
+        # below the rounding of sum p_n ~ R^2, so no extension can certify it
+        with pytest.raises(NumericalBudgetError, match="stuck above the target"):
+            build_spectrum(0, 2.5, tail_tol=1e-30)
 
     def test_level_beyond_range_raises(self):
         with pytest.raises(UnsupportedConfigurationError):
