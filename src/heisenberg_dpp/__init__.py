@@ -5,7 +5,7 @@ The family is indexed by a dimension D and a multivariate level m; the
 D=1, m=0 member is the infinite Ginibre ensemble.  The package computes
 count means, number variances, variance-to-mean ratios, and Class-I
 constants for ball and polydisk windows through independent routes
-(closed forms, oscillatory integrals, exact Bernoulli spectra, Monte
+(closed forms, Bessel integrals, exact Bernoulli spectra, Monte
 Carlo), and ships a verification suite that cross-checks every quantity
 between at least two of them.
 """

@@ -421,6 +421,9 @@ def _cmd_verify(args) -> int:
             "max_delta": r.max_delta if math.isfinite(r.max_delta) else 1e308,
             "tolerance": r.tolerance,
             "detail": r.detail,
+            "sub_case": r.sub_case,
+            "raw_delta": r.raw_delta,
+            "raw_tolerance": r.raw_tolerance,
         }
         for r in results
     ]

@@ -49,6 +49,8 @@ from .window_stats import BernoulliSpectrum, _cached_spectrum
 # Bounds the memory of the kept-cell array and of the thinning plan built
 # from it (a few doubles per cell): at the cap the kept grid alone is 160 MB.
 KEPT_CELL_CAP = 20_000_000
+# Cells of the multi-index outer product formed at a time (8 MB of doubles).
+_OUTER_CHUNK_CELLS = 1 << 20
 
 # Replicas drawn from one generator, and the thinning candidates handled
 # per vectorised step (~0.2 MB of temporaries; a step holds at least one
@@ -134,15 +136,24 @@ def _build_cells(spectra: list[BernoulliSpectrum], floor: float) -> _CellModel:
         total_cells *= len(sp.probs)
         # A prefix product below the floor can only shrink further, so
         # pruning progressively never drops a cell that should be kept.
-        out = np.multiply.outer(kept, sp.probs).ravel()
-        kept = out[out >= floor] if floor > 0.0 else out
-        if kept.size > KEPT_CELL_CAP:
-            raise NumericalBudgetError(
-                f"multi-index grid has {kept.size} cells above the floor "
-                f"{floor:g}; raise the floor or shrink the radius",
-                best_estimate=None,
-                achieved_error=float(kept.size),
-            )
+        # Row chunks of the outer product keep the grid in row-major order
+        # and stop at the cap before the whole product is ever formed.
+        rows = max(1, _OUTER_CHUNK_CELLS // len(sp.probs))
+        pieces = []
+        size = 0
+        # (an empty grid still makes one, empty, chunk)
+        for r0 in range(0, max(kept.size, 1), rows):
+            out = np.multiply.outer(kept[r0 : r0 + rows], sp.probs).ravel()
+            pieces.append(out[out >= floor] if floor > 0.0 else out)
+            size += pieces[-1].size
+            if size > KEPT_CELL_CAP:
+                raise NumericalBudgetError(
+                    f"multi-index grid has more than {KEPT_CELL_CAP} cells above "
+                    f"the floor {floor:g}; raise the floor or shrink the radius",
+                    best_estimate=None,
+                    achieved_error=float(size),
+                )
+        kept = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
     total_mass = math.prod(sp.prob_sum for sp in spectra)
     kept_mass = float(np.sum(kept))
     pooled_mass = max(total_mass - kept_mass, 0.0)

@@ -9,7 +9,9 @@ reference oracles.
 
 Each check reports a worst observed delta normalized by its tolerance,
 so ``max_delta <= tolerance`` (tolerance = profile scale) is the pass
-condition uniformly; the detail string carries the raw numbers.  A zero
+condition uniformly; the detail string carries the raw numbers, which
+the result also holds as fields (the worst sub-case, its raw delta and
+its raw tolerance) for machine-readable output.  A zero
 tolerance scale therefore fails every check with nonzero error, which is
 the intended way to demonstrate that reported deltas are real.
 """
@@ -58,11 +60,21 @@ MC_GATE_REPLICAS = 100_000
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict.
+
+    ``detail`` is the human summary of the worst sub-check; ``sub_case``,
+    ``raw_delta`` and ``raw_tolerance`` are its parts (the raw pair is None
+    when the check failed outright rather than by a delta).
+    """
+
     name: str
     passed: bool
     max_delta: float
     tolerance: float
     detail: str
+    sub_case: str | None = None
+    raw_delta: float | None = None
+    raw_tolerance: float | None = None
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -87,16 +99,21 @@ class _Worst:
     def __init__(self):
         self.delta = 0.0
         self.note = "all sub-checks at zero deviation"
+        self.sub_case = None
+        self.raw = None
+        self.raw_tol = None
 
     def add(self, raw: float, tol: float, note: str) -> None:
         normalized = math.inf if tol == 0.0 and raw != 0.0 else (raw / tol if tol else 0.0)
         if normalized >= self.delta:
             self.delta = normalized
             self.note = f"{note}: raw {raw:.3e} vs {tol:.3e}"
+            self.sub_case, self.raw, self.raw_tol = note, raw, tol
 
     def fail(self, note: str) -> None:
         self.delta = math.inf
         self.note = note
+        self.sub_case, self.raw, self.raw_tol = note, None, None
 
     def result(self, name: str, scale: float) -> CheckResult:
         return CheckResult(
@@ -105,6 +122,9 @@ class _Worst:
             max_delta=self.delta,
             tolerance=scale,
             detail=self.note,
+            sub_case=self.sub_case,
+            raw_delta=self.raw,
+            raw_tolerance=self.raw_tol,
         )
 
 

@@ -3,7 +3,7 @@
 Three independent routes compute the count mean and variance:
 
 * ``closed``   - scaled-Bessel closed form for balls (level zero),
-* ``integral`` - oscillatory Bessel integral for balls (level zero),
+* ``integral`` - Gaussian-damped Bessel integral for balls (level zero),
 * ``spectrum`` - exact Bernoulli spectrum for polydisks (any level),
   based on the fact that the count in a polydisk equals, in distribution,
   an independent sum of Bernoulli variables indexed by the multi-index
@@ -51,7 +51,9 @@ from .specfun import (
 
 SPECTRUM_SIZE_CAP = 10_000_000
 PROB_CONSISTENCY_BAND = 1e-12
-ADAPTIVE_NODE_BUDGET = 200_000
+# Most Gauss-Legendre panels the integral route uses on [0, 13]: width
+# pi/R holds through R ~ 16k, and wider panels answer to the error estimate.
+INTEGRAL_PANEL_CAP = 1 << 16
 
 # Highest level the spectrum route evaluates.  build_spectrum raises
 # UnsupportedConfigurationError beyond it; bernoulli_prob swaps (n, m) when
@@ -163,131 +165,6 @@ def _panels(f, lo, hi) -> list[float]:
     return [h * math.fsum(row) for h, row in zip(half.tolist(), weighted.tolist())]
 
 
-def _adaptive_panel(f, a, b, tol):
-    """Adaptive bisection of [a, b] until each panel's halves agree to its tol.
-
-    Breadth-first, one call of f per tree level; a child's whole-panel
-    value is its parent's half-panel value.  Leaves report the sum of their
-    halves and its disagreement with the whole, folded up the tree in
-    order.  Bisection stops at depth 48 and once ADAPTIVE_NODE_BUDGET nodes
-    exist; the budget is per call.
-    """
-    level = [(a, b, tol)]
-    wholes = _panels(f, [a], [b])
-    used = 1
-    # Per level, each node's entry: its (value, error) if it is a leaf, else
-    # the index of its left child in the next level.
-    tree = []
-    for depth in range(49):
-        mids = [0.5 * (lo + hi) for lo, hi, _ in level]
-        halves = _panels(
-            f,
-            [lo for lo, _, _ in level] + mids,
-            mids + [hi for _, hi, _ in level],
-        )
-        children, child_wholes, entries = [], [], []
-        for (lo, hi, t), mid, whole, left, right in zip(
-            level, mids, wholes, halves, halves[len(level):]
-        ):
-            err = abs(left + right - whole)
-            if err < t or depth >= 48 or used + 2 > ADAPTIVE_NODE_BUDGET:
-                entries.append((left + right, err))
-                continue
-            entries.append(len(children))
-            children += [(lo, mid, 0.5 * t), (mid, hi, 0.5 * t)]
-            child_wholes += [left, right]
-            used += 2
-        tree.append(entries)
-        if not children:
-            break
-        level, wholes = children, child_wholes
-    below: list[tuple[float, float]] = []
-    for entries in reversed(tree):
-        below = [
-            e if isinstance(e, tuple)
-            else (below[e][0] + below[e + 1][0], below[e][1] + below[e + 1][1])
-            for e in entries
-        ]
-    return below[0]
-
-
-def _neville_at_zero(xs, ys):
-    """Polynomial extrapolation of (xs, ys) to x = 0 with an error estimate."""
-    n = len(xs)
-    tableau = list(ys)
-    last = tableau[-1]
-    for level in range(1, n):
-        for i in range(n - level):
-            tableau[i] = (
-                tableau[i + 1] * xs[i] - tableau[i] * xs[i + level]
-            ) / (xs[i] - xs[i + level])
-        correction = abs(tableau[0] - last)
-        last = tableau[0]
-    return tableau[0], correction
-
-
-def _averaged(values: list[float], i: int) -> float:
-    """Entry i of values after three rounds of adjacent averaging."""
-    window = values[i : i + 4]
-    for _ in range(3):
-        window = [0.5 * (a + b) for a, b in zip(window, window[1:])]
-    return window[0]
-
-
-def _oscillatory_tail(f, k0: float, radius: float, order: int, tol: float):
-    """Integral of f over [k0, inf) for an integrand oscillating like J(kR)^2.
-
-    Integrates panel-by-panel between consecutive (asymptotic) zeros of
-    J_order(k R), then removes the remaining tail by averaging partial
-    sums over adjacent panels (damping the alternating component) and
-    extrapolating the averaged sums to 1/k -> 0 with a Neville tableau.
-    """
-    h = math.pi / radius
-    # Align panel boundaries with the McMahon zeros of J_order(kR).
-    offset = 0.5 * order - 0.25
-    j0 = max(1, math.ceil(k0 * radius / math.pi - offset + 1e-9))
-    first_edge = (j0 + offset) * math.pi / radius
-    stub, stub_err = _adaptive_panel(f, k0, first_edge, 0.1 * tol)
-
-    partial_sums: list[float] = []
-    edges: list[float] = []
-    acc = 0.0
-    edge = first_edge
-    best = None
-    for block in range(600):
-        block_edges = [edge]
-        for _ in range(16):
-            block_edges.append(block_edges[-1] + h)
-        for value in _panels(f, block_edges[:-1], block_edges[1:]):
-            acc += value
-            partial_sums.append(acc)
-        edges += block_edges[1:]
-        edge = block_edges[-1]
-        if len(partial_sums) < 48 or edges[-1] < 24.0:
-            continue
-        # Three rounds of adjacent averaging kill the alternating part; the
-        # thrice-averaged sequence is read only at the Neville anchors.
-        anchors = []
-        idx = len(partial_sums) - 4
-        while idx >= 0 and len(anchors) < 9:
-            anchors.append(idx)
-            idx = int(idx / 1.45) - 4
-        anchors = anchors[::-1]
-        xs = [1.0 / _averaged(edges, i) for i in anchors]
-        ys = [_averaged(partial_sums, i) for i in anchors]
-        value, err = _neville_at_zero(xs, ys)
-        best = (stub + value, stub_err + err)
-        if best[1] <= tol:
-            return best
-    if best is None:
-        best = (stub + partial_sums[-1], abs(partial_sums[-1]))
-    raise NumericalBudgetError(
-        f"oscillatory tail stalled at error {best[1]:.3e} (target {tol:.3e})",
-        best_estimate=best[0],
-        achieved_error=best[1],
-    )
-
-
 def _integral_tol(dimension: int, radius: float) -> float:
     """Default absolute error target of the integral-route variance."""
     scale = mean_ball(dimension, radius) * min(1.0, dimension / radius)
@@ -297,14 +174,26 @@ def _integral_tol(dimension: int, radius: float) -> float:
 def variance_ball_integral(
     dimension: int, radius: float, tol: float | None = None
 ) -> float:
-    """Count variance in the ball via the oscillatory Bessel integral.
+    """Count variance in the ball via the Gaussian-damped Bessel integral.
 
-    Var = (2 R^(2D)/(D-1)!) * int_0^inf J_D(kR)^2 / k * (1 - e^(-k^2/4)) dk.
+    The structure-factor integral
+    Var = P * int_0^inf J_D(kR)^2 / k * (1 - e^(-k^2/4)) dk, P = 2 R^(2D)/(D-1)!,
+    has an undamped part P * int_0^inf J_D(kR)^2 / k dk = P/(2D) = mean
+    (Weber-Schafheitlin, DLMF 10.22), so
+    Var = mean - P * int_0^inf J_D(kR)^2 / k * e^(-k^2/4) dk.
+    The remaining integrand decays like a Gaussian: cut at k = 13, where
+    |J_D| <= 1 bounds the discarded part by e^(-169/4) * 2/169.  On [0, 13]
+    it runs through equal 12-point Gauss-Legendre panels, ceil(13 R/pi) of
+    them (one per half-period of J_D(kR)^2) but at least 16 (the Gaussian's
+    own scale, at small R).  The error estimate is the gap to the same rule
+    on half as many panels, plus the cutoff bound.  At most
+    INTEGRAL_PANEL_CAP panels bound time and memory at large R; past it the
+    panels widen and the error estimate decides.
 
     ``tol`` is the absolute error target for the returned variance; if the
-    panel budget cannot meet it, NumericalBudgetError carries the best
-    estimate and the error actually achieved.  Fully independent of the
-    closed form: different special functions, different representation.
+    estimate does not meet it, NumericalBudgetError carries the best
+    estimate and the error estimate.  Independent of the closed form: J
+    rather than I Bessel functions, quadrature rather than a finite sum.
     """
     dimension = _check_dimension(dimension)
     radius = _check_radius(radius)
@@ -316,22 +205,25 @@ def variance_ball_integral(
     prefactor = 2.0 * radius ** (2 * dimension) / factorial(dimension - 1)
 
     def integrand(kappa: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(kappa)
-        pos = kappa > 0.0
-        k = kappa[pos]
-        j = bessel_j(dimension, k * radius)
-        damp = [-math.expm1(v) for v in (-0.25 * k * k).tolist()]
-        out[pos] = j * j / k * damp
-        return out
+        j = bessel_j(dimension, kappa * radius)
+        damp = np.array([math.exp(v) for v in (-0.25 * kappa * kappa).tolist()])
+        return j * j / kappa * damp
 
-    k0 = 40.0 / radius * max(1, dimension)
-    budget = tol / prefactor
-    core, core_err = _adaptive_panel(integrand, 0.0, k0, 0.4 * budget)
-    tail, tail_err = _oscillatory_tail(
-        integrand, k0, radius, dimension, 0.5 * budget
+    cutoff = 13.0
+    count = min(max(math.ceil(cutoff * radius / math.pi), 16), INTEGRAL_PANEL_CAP)
+    # Both rules' panels, fine then coarse, in one batch of nodes.
+    fine_edges = np.linspace(0.0, cutoff, count + 1)
+    coarse_edges = np.linspace(0.0, cutoff, count // 2 + 1)
+    values = _panels(
+        integrand,
+        np.concatenate((fine_edges[:-1], coarse_edges[:-1])),
+        np.concatenate((fine_edges[1:], coarse_edges[1:])),
     )
-    achieved = prefactor * (core_err + tail_err)
-    value = prefactor * (core + tail)
+    fine = math.fsum(values[:count])
+    coarse = math.fsum(values[count:])
+    cutoff_bound = math.exp(-0.25 * cutoff**2) * 2.0 / cutoff**2
+    achieved = prefactor * (abs(fine - coarse) + cutoff_bound)
+    value = mean_ball(dimension, radius) - prefactor * fine
     if achieved > tol:
         raise NumericalBudgetError(
             f"variance integral achieved {achieved:.3e} (target {tol:.3e})",
@@ -353,25 +245,59 @@ def _working_prec(level: int, max_index: int) -> int:
 class _GammaLadder:
     """P(j+1, R^2) for j = 0..N at fixed binary precision.
 
-    Uses forward recurrence P(j+1) = P(j) - r^j e^(-r)/j!, whose terms are
-    all positive, so absolute error stays ~N ulps of the working precision.
+    With t_j = r^j e^(-r)/j!, the forward recurrence P(j+1) = P(j) - t_j
+    runs while P >= 1/2, where a subtraction cannot lose relative accuracy.
+    Below 1/2 it would keep only an absolute error of the working precision,
+    which swamps the tail, so there each extension sums the positive terms
+    P(j+1) = t_(j+1) + P(j+2) backward from a series for the remainder past
+    its top.  Every value is then good to ~N ulps of its own size.
     """
 
     def __init__(self, radius: float, prec: int):
         self.prec = prec
         rf = libmp.from_float(float(radius))
         self.rsq = libmp.mpf_mul(rf, rf, prec)  # exact: 106 bits < prec
-        exp_neg = libmp.mpf_exp(libmp.mpf_neg(self.rsq), prec)
-        self._term = exp_neg  # r^j e^-r / j!
-        self._p = [libmp.mpf_sub(libmp.fone, exp_neg, prec)]
+        self._term = libmp.mpf_exp(libmp.mpf_neg(self.rsq), prec)  # t_(len(_p))
+        self._p = []
 
     def extend(self, j_max: int) -> None:
-        prec = self.prec
-        for j in range(len(self._p), j_max + 1):
-            self._term = libmp.mpf_div(
-                libmp.mpf_mul(self._term, self.rsq, prec), libmp.from_int(j), prec
-            )
-            self._p.append(libmp.mpf_sub(self._p[-1], self._term, prec))
+        prec, rsq, p = self.prec, self.rsq, self._p
+        mul, div, from_int = libmp.mpf_mul, libmp.mpf_div, libmp.from_int
+        term = self._term
+        last = p[-1] if p else libmp.fone
+        while len(p) <= j_max:
+            last = libmp.mpf_sub(last, term, prec)
+            # stop below 1/2: a normalized (sign, man, exp, bc) lies in
+            # [2^(exp+bc-1), 2^(exp+bc))
+            if last[0] or not last[1] or last[2] + last[3] < 0:
+                break
+            p.append(last)
+            term = div(mul(term, rsq, prec), from_int(len(p)), prec)
+        terms = []  # t_(j+1) .. t_(j_max+1), j = len(p)
+        for k in range(len(p) + 1, j_max + 2):
+            term = div(mul(term, rsq, prec), from_int(k), prec)
+            terms.append(term)
+        self._term = term
+        if not terms:
+            return
+        # sum_(k > K) t_k = t_K sum_(i >= 1) prod_(l <= i) r^2/(K + l) with
+        # K = j_max + 1, the sum in integers with prec + 16 fraction bits;
+        # a product falls below one unit only past the Poisson peak, where
+        # every later one is smaller still.
+        _, x_man, x_exp, _ = rsq
+        num, den = (x_man << x_exp, 1) if x_exp >= 0 else (x_man, 1 << -x_exp)
+        scale = prec + 16
+        frac, total, k = 1 << scale, 0, j_max + 1
+        while frac:
+            k += 1
+            frac = frac * num // (den * k)
+            total += frac
+        acc = mul(term, libmp.from_man_exp(total, -scale), prec)
+        block = []
+        for term in reversed(terms):
+            acc = libmp.mpf_add(acc, term, prec)
+            block.append(acc)
+        p.extend(reversed(block))
 
     def reg_gamma(self, j: int):
         return self._p[j]
@@ -487,8 +413,8 @@ def build_spectrum(m: int, radius: float, tail_tol: float = 1e-9) -> BernoulliSp
 
     The mean constraint sum_n p_n = R^2 (all levels share unit intensity
     over pi) plus monotone partial sums certify the truncation: the tail
-    bound is R^2 minus the partial sum, extended until it drops below
-    tail_tol.  Raises NumericalBudgetError at the size cap (before any
+    bound is R^2 minus the partial sum, rounded up, extended until it drops
+    below tail_tol.  Raises NumericalBudgetError at the size cap (before any
     assembly when the initial truncation is already past it) and when an
     extension no longer shrinks the bound: a tail_tol below the rounding
     of the sum cannot be certified.
@@ -514,9 +440,12 @@ def build_spectrum(m: int, radius: float, tail_tol: float = 1e-9) -> BernoulliSp
     ladder.extend(n_top + m)
     probs = _assemble_probs(m, ladder, 0, n_top)
     mean = ladder.mean_float()
+    # R^2 - sum p_n exceeds mean - fsum(probs) by less than the roundings of
+    # R^2 (down), of the sum and of the difference: two ulps of the mean.
+    slack = 2.0 * math.ulp(mean)
     previous = math.inf
     while True:
-        tail = mean - math.fsum(probs)
+        tail = mean - math.fsum(probs) + slack
         if tail <= tail_tol:
             break
         # The p_n decay past the bulk, so an extension that leaves the

@@ -6,7 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 The thirteen checks, in order:
 
- 1. ball-route-cross-check      closed form vs oscillatory integral
+ 1. ball-route-cross-check      closed form vs damped Bessel integral
  2. ginibre-constant            D=1 ball ratio limit 1/sqrt(pi)
  3. heisenberg-constant         D in {2,3} ball ratio limit D/sqrt(pi)
  4. asymptotic-expansion        truncated series vs exact ratio

@@ -158,6 +158,21 @@ class TestStats:
         assert row["mean"] == pytest.approx(16.0, rel=1e-8)
         assert row["variance"] < row["mean"]
 
+    def test_integral_route_at_large_radius(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            [
+                "stats",
+                "--dimension", "1",
+                "--window", "ball",
+                "--radius", "2000",
+                "--route", "integral",
+            ],
+        )
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["variance"] == pytest.approx(2000.0 / math.sqrt(math.pi), rel=1e-3)
+
     def test_level_length_mismatch(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -464,6 +479,23 @@ class TestMc:
         assert code == 3
         assert "budget" in err
 
+    def test_cell_grid_past_the_cap_exits_3(self, capsys):
+        # 691^3 cells at floor 0: the cap stops the grid at ~20M cells
+        # (160 MB) instead of a 2.46 GiB outer product
+        code, out, err = run_cli(
+            capsys,
+            [
+                "stats",
+                "--dimension", "3",
+                "--radius", "20",
+                "--route", "mc",
+                "--replicas", "10",
+                "--cell-prob-floor", "0",
+            ],
+        )
+        assert (code, out) == (3, "")
+        assert "budget" in err and "Traceback" not in err
+
     def test_internal_consistency_exit_code(self, capsys, monkeypatch):
         def broken_route(*args, **kwargs):
             raise InternalConsistencyError("p_3 at level 1 evaluated to 1.5")
@@ -562,6 +594,35 @@ class TestVerify:
         assert doc["rows"][0]["name"] == "alpha-coefficients"
         assert doc["rows"][0]["passed"] is True
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_machine_output_structured_fields(self, capsys, tmp_path, fmt):
+        out_path = tmp_path / f"verify.{fmt}"
+        code, _, _ = run_cli(
+            capsys,
+            [
+                "verify",
+                "--check", "ginibre-constant",
+                "--format", fmt,
+                "--out", str(out_path),
+            ],
+        )
+        assert code == 0
+        text = out_path.read_text()
+        if fmt == "json":
+            row = json.loads(text)["rows"][0]
+        else:
+            header, values = text.strip().split("\n")
+            row = dict(zip(header.split(","), values.split(",")))
+            for key in ("max_delta", "raw_delta", "raw_tolerance"):
+                row[key] = float(row[key])
+        keys = list(row)
+        assert keys[keys.index("detail") + 1 :] == ["sub_case", "raw_delta", "raw_tolerance"]
+        assert row["sub_case"] == "D=1 R=50 vs 1/sqrt(pi)"
+        assert row["detail"].startswith(row["sub_case"] + ": raw ")
+        assert row["raw_tolerance"] == 0.02
+        assert 0.0 < row["raw_delta"] <= row["raw_tolerance"]
+        assert row["max_delta"] == row["raw_delta"] / row["raw_tolerance"]
+
     def test_unknown_check_rejected(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "--check", "no-such-check"])
         assert code == 2
@@ -636,8 +697,8 @@ def test_classify_input_fuzz_ends_in_documented_exit(tmp_path_factory, doc, fmt)
 
 # Values for the argv fuzz: valid ones, malformed ones and out-of-range
 # ones.  Radii, grids and replica counts stay small so that every example
-# is cheap; a radius of 1e4 reaches the spectrum size cap and the block
-# budget of the integral route's tail, 1e-30 an unreachable tail target.
+# is cheap; a radius of 1e4 reaches the spectrum size cap and ~41k panels
+# of the integral route, 1e-30 an unreachable tail target.
 _FLAG_VALUES = {
     "--dimension": ["1", "2", "3", "0", "-1", "x", ""],
     "--level": ["0", "1", "2,0", "0,1,2", "17", "-1", "1.5", "a,b", ""],

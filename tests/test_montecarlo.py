@@ -164,6 +164,31 @@ class TestCellModel:
         with pytest.raises(NumericalBudgetError):
             mc._build_cells([spec, spec], floor=0.0)
 
+    @pytest.mark.parametrize("floor", [0.0, 1e-3])
+    def test_row_chunks_keep_the_grid(self, monkeypatch, floor):
+        spectra = [toy_spectrum(np.linspace(0.9, 1e-4, n)) for n in (7, 5, 6)]
+        whole = mc._build_cells(spectra, floor)
+        # a chunk smaller than a row: one row of the outer product at a time
+        monkeypatch.setattr(mc, "_OUTER_CHUNK_CELLS", 2)
+        chunked = mc._build_cells(spectra, floor)
+        assert chunked.kept.tobytes() == whole.kept.tobytes()
+        assert chunked.pooled_count == whole.pooled_count
+        assert np.array_equal(block_counts(chunked, 50, 3), block_counts(whole, 50, 3))
+
+    def test_floor_can_empty_the_grid(self):
+        model = mc._build_cells([toy_spectrum([0.0]), toy_spectrum([0.5])], floor=1e-3)
+        assert model.kept.size == 0
+        assert model.pooled_count == 1
+
+    def test_cell_cap_stops_before_the_full_product(self, monkeypatch):
+        monkeypatch.setattr(mc, "KEPT_CELL_CAP", 20)
+        monkeypatch.setattr(mc, "_OUTER_CHUNK_CELLS", 4)
+        spec = toy_spectrum([0.5] * 4)
+        with pytest.raises(NumericalBudgetError) as exc_info:
+            mc._build_cells([spec, spec, spec], floor=0.0)
+        # 16 cells pass; the third factor raises after six 4-cell chunks of 64
+        assert exc_info.value.achieved_error == 24.0
+
 
 class TestDeterminism:
     def test_bit_for_bit_repeatable(self):

@@ -9,6 +9,7 @@ Frozen oracles (computed independently at high precision):
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -101,30 +102,37 @@ class TestIntegralRoute:
         got = variance_ball_integral(dim, r)
         assert got == pytest.approx(want, rel=3e-9)
 
-    # float.hex of the values from the one-node-at-a-time quadrature: the
-    # verify cross-check's 15 (D, R) pairs and one long oscillatory tail
+    # float.hex of the values from the fixed-panel damped quadrature: the
+    # verify cross-check's 15 (D, R) pairs and one many-panel radius
     FROZEN_HEX = {
-        (1, 0.5): "0x1.9a587352dde3ap-3",
-        (1, 1.0): "0x1.0c2c944220b42p-1",
-        (1, 2.0): "0x1.1c3c6e47e440ap+0",
-        (1, 5.0): "0x1.682cda052fc57p+1",
-        (1, 10.0): "0x1.68dafe788376fp+2",
-        (2, 0.5): "0x1.f45759d500cb8p-6",
-        (2, 1.0): "0x1.aa2161c9f47adp-2",
-        (2, 2.0): "0x1.0b10d97d0ecbbp+2",
-        (2, 5.0): "0x1.1696540f62286p+6",
-        (2, 10.0): "0x1.1936e330780f2p+9",
-        (3, 0.5): "0x1.54b6c3efb5d87p-9",
-        (3, 1.0): "0x1.45bd6bcf2cef9p-3",
-        (3, 2.0): "0x1.e52c70546a053p+2",
-        (3, 5.0): "0x1.ac2d043af48bdp+9",
-        (3, 10.0): "0x1.b5934c784376ep+14",
-        (1, 50.0): "0x1.c357235119482p+4",
+        (1, 0.5): "0x1.9a587352e09c2p-3",
+        (1, 1.0): "0x1.0c2c9442236cap-1",
+        (1, 2.0): "0x1.1c3c6e47e9b1ap+0",
+        (1, 5.0): "0x1.682cda0540c50p+1",
+        (1, 10.0): "0x1.68dafe7845df0p+2",
+        (2, 0.5): "0x1.f45759d502996p-6",
+        (2, 1.0): "0x1.aa2161c9f648cp-2",
+        (2, 2.0): "0x1.0b10d97d1099ap+2",
+        (2, 5.0): "0x1.1696540f668ecp+6",
+        (2, 10.0): "0x1.1936e3307b560p+9",
+        (3, 0.5): "0x1.54b6c3efb69c7p-9",
+        (3, 1.0): "0x1.45bd6bcf2db39p-3",
+        (3, 2.0): "0x1.e52c70546b8d4p+2",
+        (3, 5.0): "0x1.ac2d043af7772p+9",
+        (3, 10.0): "0x1.b5934c7849508p+14",
+        (1, 50.0): "0x1.c3572350cb980p+4",
     }
 
     @pytest.mark.parametrize("dim, r", sorted(FROZEN_HEX))
     def test_bit_identical_to_frozen_values(self, dim, r):
         assert variance_ball_integral(dim, r).hex() == self.FROZEN_HEX[(dim, r)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_large_radius_within_default_tolerance(self, dim):
+        # the earlier oscillatory-tail route ran out of budget at every
+        # R above ~1260; the damped integrand needs only ceil(13 R/pi) panels
+        gap = abs(variance_ball_integral(dim, 2000.0) - variance_ball_closed(dim, 2000.0))
+        assert gap <= ws._integral_tol(dim, 2000.0)
 
     @settings(max_examples=25, deadline=None)
     @given(dim=st.sampled_from([1, 2, 3]), r=st.floats(0.3, 30.0))
@@ -144,7 +152,8 @@ class TestIntegralRoute:
         assert abs(got - want) <= 1e-8
 
     def test_budget_exhaustion_raises(self, monkeypatch):
-        monkeypatch.setattr(ws, "ADAPTIVE_NODE_BUDGET", 8)
+        # one panel on [0, 13], and no coarser rule to compare it with
+        monkeypatch.setattr(ws, "INTEGRAL_PANEL_CAP", 1)
         with pytest.raises(NumericalBudgetError) as exc_info:
             variance_ball_integral(1, 1.0, tol=1e-16)
         err = exc_info.value
@@ -446,3 +455,42 @@ class TestClassOneConstants:
             c_constant(-1)
         with pytest.raises(ValueError):
             c_constant(1.5)
+
+
+class TestProperties:
+    """Invariants of the exact routes over random arguments."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 16), m=st.integers(0, 16), r=st.floats(0.1, 8.0))
+    def test_bernoulli_prob_is_symmetric(self, n, m, r):
+        assert bernoulli_prob(n, m, r) == bernoulli_prob(m, n, r)
+
+    @settings(max_examples=15, deadline=None)
+    @given(m=st.integers(0, 6), r=st.floats(0.1, 12.0))
+    def test_spectrum_mass_within_tail_bound(self, m, r):
+        # exact rationals: R^2 - sum p_n is the mass past the truncation plus
+        # the downward roundings of the p_n, and tail_bound must cover it
+        spec = build_spectrum(m, r)
+        gap = Fraction(r) ** 2 - sum(map(Fraction, spec.probs.tolist()))
+        assert 0 <= gap <= spec.tail_bound
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2, 3]),
+        r=st.floats(0.05, 30.0),
+        route=st.sampled_from([Route.CLOSED_FORM, Route.INTEGRAL]),
+    )
+    def test_ball_routes_are_underdispersed(self, dim, r, route):
+        rep = ball_moments(dim, r, route)
+        assert 0.0 <= rep.ratio < 1.0
+        assert rep.variance <= rep.mean
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        level=st.lists(st.integers(0, 4), min_size=1, max_size=3),
+        r=st.floats(0.1, 6.0),
+    )
+    def test_spectrum_route_is_underdispersed(self, level, r):
+        rep = polydisk_moments(KernelSpec(len(level), tuple(level)), r)
+        assert 0.0 <= rep.ratio < 1.0
+        assert rep.variance <= rep.mean
