@@ -61,7 +61,7 @@ from .analysis import (
     poisson_control_sweep,
     run_sweep,
 )
-from .verification import CheckResult, ToleranceProfile, run_checks, verify_all
+from .verification import CheckResult, ToleranceProfile, run_checks
 
 __all__ = [
     "__version__",
@@ -109,5 +109,4 @@ __all__ = [
     "CheckResult",
     "ToleranceProfile",
     "run_checks",
-    "verify_all",
 ]

@@ -8,16 +8,17 @@ the sweep and labels the growth class; a synthetic Poisson control
 
 Class labels, with d = 2D the real dimension and s the fitted slope:
 
-* ClassI          |s - (d-1)| <= class_one_band, no systematic curvature
+* ClassI          |s - (d-1)| <= CLASS_ONE_BAND, no systematic curvature
 * ClassII         same slope band, but adding a log log-term improves the
-                  fit by more than curvature_improvement (with magnitude
-                  and residual guards, so exact power laws stay ClassI)
+                  fit by more than CURVATURE_IMPROVEMENT (with magnitude
+                  and residual guards CURVATURE_COEFF_MIN and SSR_FLOOR, so
+                  exact power laws stay ClassI)
                   and explains the curvature better than a decaying 1/R
                   correction does (so Class-I processes observed at finite
                   radius, whose ratio approaches its limit from below, are
                   not mistaken for log-enhanced growth)
-* ClassIII        s in (d-1+band, d-margin)
-* NotHyperuniform s >= d-margin
+* ClassIII        s in (d-1+CLASS_ONE_BAND, d-NOT_HYPER_MARGIN)
+* NotHyperuniform s >= d-NOT_HYPER_MARGIN
 * Inconclusive    anything else, or a degenerate fit
 
 The leading constant lim R * Var/mean is recovered by two-point
@@ -31,6 +32,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .exceptions import UnsupportedConfigurationError
 from .kernels import KernelSpec
 from .montecarlo import McConfig, estimate_moments
@@ -42,6 +45,13 @@ from .window_stats import (
     mean_ball,
     polydisk_moments,
 )
+
+
+CLASS_ONE_BAND = 0.1
+NOT_HYPER_MARGIN = 0.1
+CURVATURE_IMPROVEMENT = 10.0
+CURVATURE_COEFF_MIN = 0.25
+SSR_FLOOR = 1e-9
 
 
 class ClassLabel(enum.Enum):
@@ -85,15 +95,6 @@ class SweepResult:
                 raise ValueError(
                     f"row R={row.r}: variance {row.variance} exceeds mean {row.mean}"
                 )
-
-
-@dataclass(frozen=True)
-class ClassificationThresholds:
-    class_one_band: float = 0.1
-    not_hyper_margin: float = 0.1
-    curvature_improvement: float = 10.0
-    curvature_coeff_min: float = 0.25
-    ssr_floor: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -213,43 +214,24 @@ def _ols(xs: list[float], ys: list[float]):
     return slope, intercept, stderr, ssr
 
 
-def _two_regressor_ssr(x1, x2, ys):
-    """SSR of least squares on [1, x1, x2], via the normal equations."""
-    n = len(ys)
-    cols = [[1.0] * n, x1, x2]
-    ata = [[math.fsum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
-    aty = [math.fsum(a * y for a, y in zip(ci, ys)) for ci in cols]
-    # 3x3 Gaussian elimination with partial pivoting
-    m = [row[:] + [v] for row, v in zip(ata, aty)]
-    for col in range(3):
-        piv = max(range(col, 3), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) < 1e-300:
-            return None, math.inf
-        m[col], m[piv] = m[piv], m[col]
-        for r in range(3):
-            if r != col:
-                factor = m[r][col] / m[col][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    beta = [m[i][3] / m[i][i] for i in range(3)]
-    fit = [beta[0] + beta[1] * a + beta[2] * b for a, b in zip(x1, x2)]
-    ssr = math.fsum((y - f) ** 2 for y, f in zip(ys, fit))
-    return beta, ssr
+def _two_regressor_fit(x1, x2, ys):
+    """Coefficients and SSR of least squares on [1, x1, x2]."""
+    a = np.column_stack([np.ones(len(ys)), x1, x2])
+    beta = np.linalg.lstsq(a, ys, rcond=None)[0]
+    return beta, math.fsum(((a @ beta - ys) ** 2).tolist())
 
 
-def classify(
-    sweep: SweepResult,
-    fit_window: float = 0.5,
-    thresholds: ClassificationThresholds | None = None,
-) -> ClassReport:
+def classify(sweep: SweepResult, fit_window: float = 0.5) -> ClassReport:
     """Label the variance growth class from the large-R end of a sweep.
 
     fit_window is the fraction of largest-R rows used for the fit (at
     least 6 rows).  Degenerate inputs (nonpositive variances) come back
-    Inconclusive rather than raising.
+    Inconclusive rather than raising.  The thresholds are the module
+    constants CLASS_ONE_BAND, NOT_HYPER_MARGIN, CURVATURE_IMPROVEMENT,
+    CURVATURE_COEFF_MIN and SSR_FLOOR, whose roles the module docstring gives.
     """
     if not 0.0 < fit_window <= 1.0:
         raise ValueError(f"fit_window must lie in (0, 1], got {fit_window}")
-    th = thresholds or ClassificationThresholds()
     n_fit = max(6, math.ceil(fit_window * len(sweep.rows)))
     if len(sweep.rows) < 6:
         raise ValueError("classification needs at least 6 rows in the fit window")
@@ -274,36 +256,34 @@ def classify(
 
     d = 2 * sweep.spec.dimension
     target = d - 1
-    label = None
     detail = {"ssr_power_law": ssr1, "d": d}
-    if abs(slope - target) <= th.class_one_band:
+    if abs(slope - target) <= CLASS_ONE_BAND:
         label = ClassLabel.CLASS_I
         # log-curvature test distinguishes a clean power law from one
         # carrying an extra log factor; only meaningful where log R > 0
         curve_rows = [row for row in rows if row.r > 1.0 + 1e-9]
-        if len(curve_rows) >= 6 and ssr1 > th.ssr_floor:
+        if len(curve_rows) >= 6 and ssr1 > SSR_FLOOR:
             cx1 = [math.log(row.r) for row in curve_rows]
             cx2 = [math.log(math.log(row.r)) for row in curve_rows]
             cx_inv = [1.0 / row.r for row in curve_rows]
             cys = [math.log(row.variance) for row in curve_rows]
             _, _, _, ssr_sub = _ols(cx1, cys)
-            beta, ssr2 = _two_regressor_ssr(cx1, cx2, cys)
-            _, ssr_inv = _two_regressor_ssr(cx1, cx_inv, cys)
+            beta, ssr2 = _two_regressor_fit(cx1, cx2, cys)
+            _, ssr_inv = _two_regressor_fit(cx1, cx_inv, cys)
             detail["ssr_with_log_term"] = ssr2
             detail["ssr_with_inverse_r"] = ssr_inv
             if (
-                beta is not None
-                and ssr2 > 0.0
-                and ssr_sub / ssr2 > th.curvature_improvement
-                and abs(beta[2]) > th.curvature_coeff_min
+                ssr2 > 0.0
+                and ssr_sub / ssr2 > CURVATURE_IMPROVEMENT
+                and abs(beta[2]) > CURVATURE_COEFF_MIN
                 # a vanishing correction that fits at least as well means
                 # the curvature is a finite-size effect, not a log factor
                 and ssr2 < ssr_inv
             ):
                 label = ClassLabel.CLASS_II
-    elif target + th.class_one_band < slope < d - th.not_hyper_margin:
+    elif target + CLASS_ONE_BAND < slope < d - NOT_HYPER_MARGIN:
         label = ClassLabel.CLASS_III
-    elif slope >= d - th.not_hyper_margin:
+    elif slope >= d - NOT_HYPER_MARGIN:
         label = ClassLabel.NOT_HYPERUNIFORM
     else:
         label = ClassLabel.INCONCLUSIVE

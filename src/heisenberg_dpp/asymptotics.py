@@ -17,7 +17,6 @@ smallest term and reports the first omitted term as the error bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .specfun import (
@@ -58,57 +57,38 @@ def series_coefficient(k: int, dimension: int) -> Fraction:
     return Fraction(num, (2 * k + 1) * math.factorial(k) * 16**k)
 
 
-@dataclass(frozen=True)
-class AsymptoticSeries:
-    """Truncated ratio expansion for one dimension, coefficients exact."""
-
-    dimension: int
-    coefficients: tuple[Fraction, ...]
-
-    @classmethod
-    def for_dimension(
-        cls, dimension: int, order: int = MAX_SERIES_ORDER
-    ) -> "AsymptoticSeries":
-        coeffs = tuple(
-            series_coefficient(k, dimension) for k in range(_check_order(order) + 1)
-        )
-        return cls(dimension=dimension, coefficients=coeffs)
-
-    def evaluate(self, radius: float) -> SpecFunResult:
-        """Evaluate at radius with truncation at the smallest term.
-
-        Returns the partial sum times the (D / sqrt(pi) R) prefactor and
-        bounds the error by the prefactor times the first term left out
-        (the optimal-truncation rule for alternating asymptotic series).
-        """
-        radius = _check_radius(radius)
-        prefactor = self.dimension / (math.sqrt(math.pi) * radius)
-        rr = radius * radius
-        terms = []
-        scale = 1.0
-        for c in self.coefficients:
-            terms.append(float(c) * scale)
-            scale /= rr
-        acc = terms[0]
-        omitted = 0.0
-        for k in range(1, len(terms)):
-            if abs(terms[k]) >= abs(terms[k - 1]):
-                omitted = abs(terms[k])  # series started diverging
-                break
-            acc += terms[k]
-        else:
-            # all terms retained: the first omitted term is the next
-            # coefficient of the exact product formula, scale = R^-2(K+1)
-            nxt = series_coefficient(len(self.coefficients), self.dimension)
-            omitted = abs(float(nxt)) * scale
-        return SpecFunResult(prefactor * acc, prefactor * omitted)
-
-
 def ratio_series_eval(
     dimension: int, radius: float, order: int = MAX_SERIES_ORDER
 ) -> SpecFunResult:
-    """Asymptotic Var/mean for the level-zero ball at large radius."""
-    return AsymptoticSeries.for_dimension(dimension, order).evaluate(radius)
+    """Asymptotic Var/mean for the level-zero ball at large radius.
+
+    Sums c_0..c_order, truncated at the smallest term, times the
+    (D / sqrt(pi) R) prefactor, and bounds the error by the prefactor times
+    the first term left out (the optimal-truncation rule for alternating
+    asymptotic series).
+    """
+    order = _check_order(order)
+    coefficients = [series_coefficient(k, dimension) for k in range(order + 1)]
+    radius = _check_radius(radius)
+    prefactor = dimension / (math.sqrt(math.pi) * radius)
+    rr = radius * radius
+    terms = []
+    scale = 1.0
+    for c in coefficients:
+        terms.append(float(c) * scale)
+        scale /= rr
+    acc = terms[0]
+    omitted = 0.0
+    for k in range(1, len(terms)):
+        if abs(terms[k]) >= abs(terms[k - 1]):
+            omitted = abs(terms[k])  # series started diverging
+            break
+        acc += terms[k]
+    else:
+        # all terms retained: the first omitted term is the next
+        # coefficient of the exact product formula, scale = R^-2(K+1)
+        omitted = abs(float(series_coefficient(order + 1, dimension))) * scale
+    return SpecFunResult(prefactor * acc, prefactor * omitted)
 
 
 def bessel_asymptotic(nu: int, x: float, order: int = MAX_SERIES_ORDER) -> SpecFunResult:

@@ -18,6 +18,7 @@ usage problem).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -93,23 +94,27 @@ def emit_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _csv_cell(v) -> str:
+    """Empty when missing; RFC 4180-quoted when it holds a comma, a quote, \\r
+    or \\n (csv.writer with a "\\n" terminator would leave a \\r bare)."""
+    if _missing(v):
+        return ""
+    if isinstance(v, (int, float)):
+        return _num(v)
+    text = str(v)
+    if any(c in text for c in ',"\r\n'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def emit_csv(rows: list[dict]) -> str:
     if not rows:
         return ""
     header = list(rows[0])
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for k in header:
-            v = row.get(k)
-            if _missing(v):
-                cells.append("")
-            elif isinstance(v, (int, float)):
-                cells.append(_num(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    lines = [",".join(map(_csv_cell, header))]
+    lines += [",".join(_csv_cell(row.get(k)) for k in header) for row in rows]
+    # a lone empty cell is quoted, or a reader would skip its line as blank
+    return "".join((line or '""') + "\n" for line in lines)
 
 
 def _document(
@@ -196,6 +201,10 @@ def _add_common(
             "--window", choices=["ball", "polydisk"], default="polydisk"
         )
     p.add_argument("--tail-tol", type=float, default=1e-9)
+    _add_output(p)
+
+
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv"], default="json", dest="fmt")
     p.add_argument("--out", type=str, default=None)
 
@@ -257,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="append", default=None,
                    help="run only this check (repeatable)")
     p.add_argument("--tolerance-scale", type=float, default=1.0)
-    p.add_argument("--format", choices=["json", "csv"], default="json", dest="fmt")
-    p.add_argument("--out", type=str, default=None)
+    _add_output(p)
     return parser
 
 
@@ -365,7 +373,9 @@ def _cmd_classify(args) -> int:
         raise ValueError("classify needs either --in or --dimension")
     else:
         sweep, rows, seed = _moment_sweep(args, _parse_grid(args.r_grid))
-    report = classify(sweep, fit_window=args.fit_window)
+    report = dataclasses.asdict(classify(sweep, fit_window=args.fit_window))
+    del report["detail"]
+    report["class_label"] = report["class_label"].value
     doc = _document(
         sweep.spec,
         sweep.window_kind.value,
@@ -373,14 +383,7 @@ def _cmd_classify(args) -> int:
         seed,
         {"fit_window": args.fit_window},
         route=sweep.route.value,
-        extra={
-            "classification": {
-                "fitted_slope": report.fitted_slope,
-                "slope_stderr": report.slope_stderr,
-                "leading_constant": report.leading_constant,
-                "class_label": report.class_label.value,
-            }
-        },
+        extra={"classification": report},
     )
     _write_output(doc, args.fmt, args.out)
     return 0
@@ -414,19 +417,10 @@ def _cmd_constants(args) -> int:
 def _cmd_verify(args) -> int:
     profile = ToleranceProfile(scale=args.tolerance_scale)
     results = run_checks(args.check, profile)
-    rows = [
-        {
-            "name": r.name,
-            "passed": r.passed,
-            "max_delta": r.max_delta if math.isfinite(r.max_delta) else 1e308,
-            "tolerance": r.tolerance,
-            "detail": r.detail,
-            "sub_case": r.sub_case,
-            "raw_delta": r.raw_delta,
-            "raw_tolerance": r.raw_tolerance,
-        }
-        for r in results
-    ]
+    rows = [dataclasses.asdict(r) for r in results]
+    for row in rows:
+        if not math.isfinite(row["max_delta"]):  # a check that failed outright
+            row["max_delta"] = 1e308
     for r in results:
         print(r.line())
     if args.out:

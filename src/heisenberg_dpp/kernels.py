@@ -104,6 +104,15 @@ def hermitian_inner(x: ComplexPoint, y: ComplexPoint) -> complex:
     return complex(re, im)
 
 
+def _laguerre_factors(spec: KernelSpec, x, y, value: complex) -> complex:
+    """value * prod_l L_{m_l}(|x_l - y_l|^2), multiplied in coordinate order."""
+    for l, m in enumerate(spec.level):
+        dr = x.re[l] - y.re[l]
+        di = x.im[l] - y.im[l]
+        value *= laguerre(m, 0.0, dr * dr + di * di)
+    return value
+
+
 def kernel_eval(spec: KernelSpec, x, y) -> complex:
     """Raw kernel exp(x . conj(y)) * prod_l L_{m_l}(|x_l - y_l|^2).
 
@@ -118,11 +127,7 @@ def kernel_eval(spec: KernelSpec, x, y) -> complex:
         raise OverflowError(
             f"exp({inner.real:.6g}) overflows; use hermitized_kernel instead"
         )
-    value = cmath.exp(inner)
-    for l, m in enumerate(spec.level):
-        dr = x.re[l] - y.re[l]
-        di = x.im[l] - y.im[l]
-        value *= laguerre(m, 0.0, dr * dr + di * di)
+    value = _laguerre_factors(spec, x, y, cmath.exp(inner))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise OverflowError("kernel_eval overflows double range")
     return value
@@ -145,11 +150,7 @@ def hermitized_kernel(spec: KernelSpec, x, y) -> complex:
     if exponent.real < _EXP_UNDERFLOW_CUTOFF:
         return 0.0 + 0.0j
     value = cmath.exp(exponent) / math.pi ** spec.dimension
-    for l, m in enumerate(spec.level):
-        dr = x.re[l] - y.re[l]
-        di = x.im[l] - y.im[l]
-        value *= laguerre(m, 0.0, dr * dr + di * di)
-    return value
+    return _laguerre_factors(spec, x, y, value)
 
 
 def gauge_transform(

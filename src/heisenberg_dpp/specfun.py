@@ -91,56 +91,53 @@ def _check_radius(radius: float) -> float:
     return _check_positive("radius", radius)
 
 
-def laguerre(n: int, alpha: float, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^(alpha)(x).
+def _laguerre_scaled(n: int, alpha: float, x: float) -> tuple[float, int]:
+    """(value, shift) with L_n^(alpha)(x) = value * 2**shift.
 
-    Evaluated by the upward three-term recurrence
-
-        (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1},
-
-    which is forward-stable for the degrees used here.  L_0 = 1 and
-    L_1 = 1 + alpha - x.
+    The upward recurrence (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha)
+    L_{k-1} from L_0 = 1, L_1 = 1 + alpha - x is forward-stable for the
+    degrees used here; both iterates are scaled by 2**-512 whenever one
+    grows past 2**512, so they stay representable far past the double range.
     """
     n = _check_index("n", n)
     alpha = _check_real("alpha", alpha)
     x = _check_real("x", x)
     if n == 0:
-        return 1.0
-    prev = 1.0
-    cur = 1.0 + alpha - x
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-    if not math.isfinite(cur):
-        raise OverflowError(f"laguerre({n}, {alpha}, {x}) overflows double range")
-    return cur
-
-
-def laguerre_log(n: int, alpha: float, x: float) -> tuple[float, float]:
-    """(log |L_n^(alpha)(x)|, sign), overflow-free.
-
-    Runs the same recurrence as :func:`laguerre` but rescales the iterates
-    whenever they grow past 2**512, so values far outside the double range
-    remain representable as a log-magnitude plus sign.  sign is 0.0 when
-    the value is exactly zero (log-magnitude -inf).
-    """
-    n = _check_index("n", n)
-    alpha = _check_real("alpha", alpha)
-    x = _check_real("x", x)
-    if n == 0:
-        return 0.0, 1.0
+        return 1.0, 0
     prev = 1.0
     cur = 1.0 + alpha - x
     shift = 0
-    scale = math.ldexp(1.0, -512)
+    big, scale = math.ldexp(1.0, 512), math.ldexp(1.0, -512)
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-        if max(abs(prev), abs(cur)) > math.ldexp(1.0, 512):
+        if abs(cur) > big or abs(prev) > big:
             prev *= scale
             cur *= scale
             shift += 512
-    if cur == 0.0:
+    return cur, shift
+
+
+def laguerre(n: int, alpha: float, x: float) -> float:
+    """Generalized Laguerre polynomial L_n^(alpha)(x), by the rescaled
+    recurrence shared with :func:`laguerre_log`: any value that fits in a
+    double is returned, however large the iterates grew on the way.
+    """
+    value, shift = _laguerre_scaled(n, alpha, x)
+    # |value| < 2**e, so value * 2**shift is finite exactly when e + shift <= 1024
+    if math.isfinite(value) and math.frexp(value)[1] + shift <= 1024:
+        return math.ldexp(value, shift)
+    raise OverflowError(f"laguerre({n}, {alpha}, {x}) overflows double range")
+
+
+def laguerre_log(n: int, alpha: float, x: float) -> tuple[float, float]:
+    """(log |L_n^(alpha)(x)|, sign) by the rescaled recurrence shared with
+    :func:`laguerre`, so values far outside the double range stay usable.
+    sign is 0.0 when the value is exactly zero (log-magnitude -inf).
+    """
+    value, shift = _laguerre_scaled(n, alpha, x)
+    if value == 0.0:
         return -math.inf, 0.0
-    return math.log(abs(cur)) + shift * math.log(2.0), math.copysign(1.0, cur)
+    return math.log(abs(value)) + shift * math.log(2.0), math.copysign(1.0, value)
 
 
 def bessel_i_scaled(nu: int, x: float) -> float:

@@ -409,8 +409,3 @@ def run_checks(
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; known: {sorted(ALL_CHECKS)}")
     return [ALL_CHECKS[name](profile) for name in selected]
-
-
-def verify_all(profile: ToleranceProfile | None = None) -> tuple[list[CheckResult], bool]:
-    results = run_checks(None, profile)
-    return results, all(r.passed for r in results)

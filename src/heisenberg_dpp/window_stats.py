@@ -482,7 +482,7 @@ def polydisk_moments(
 
     With S_l = sum_n p_n and Q_l = sum_n p_n^2 per coordinate,
     mean = prod S_l, variance = prod S_l - prod Q_l, and the ratio uses
-    the cancellation-free form 1 - prod(Q_l / S_l).
+    the cancellation-free form 1 - prod(Q_l / S_l), NaN if some S_l is 0.
     """
     radius = _check_radius(radius)
     spectra = [_cached_spectrum(m, radius, tail_tol) for m in spec.level]
@@ -490,7 +490,7 @@ def polydisk_moments(
     sq_sums = [s.prob_sq_sum for s in spectra]
     mean = math.prod(sums)
     variance = mean - math.prod(sq_sums)
-    ratio = 1.0 - math.prod(q / s for q, s in zip(sq_sums, sums))
+    ratio = 1.0 - math.prod(q / s if s else math.nan for q, s in zip(sq_sums, sums))
     tail_err = sum(
         spectra[l].tail_bound * math.prod(sums[:l] + sums[l + 1 :])
         for l in range(len(spectra))
@@ -520,7 +520,8 @@ def ball_moments(
     route: Route = Route.CLOSED_FORM,
     tol: float | None = None,
 ) -> MomentReport:
-    """Mean/variance/ratio for the ball window of the level-zero process."""
+    """Mean/variance/ratio for the ball window of the level-zero process;
+    the ratio is NaN when the mean underflows to 0."""
     dimension = _check_dimension(dimension)
     radius = _check_radius(radius)
     mean = mean_ball(dimension, radius)
@@ -537,7 +538,7 @@ def ball_moments(
     report = MomentReport(
         mean=mean,
         variance=variance,
-        ratio=variance / mean,
+        ratio=variance / mean if mean else math.nan,
         route=route,
         error_estimate=err,
     )

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from heisenberg_dpp.analysis import (
-    ClassificationThresholds,
+    CLASS_ONE_BAND,
     ClassLabel,
     SweepResult,
     SweepRow,
@@ -240,12 +240,12 @@ class TestClassifySyntheticLaws:
         assert math.isnan(report.fitted_slope)
 
     def test_threshold_override(self):
+        # the Class-I band is the fixed constant CLASS_ONE_BAND; slope 1.15
+        # sits just above it around d - 1 = 1
         sweep = synthetic_sweep(1, lambda r: 0.3 * r**1.15)
         default_report = classify(sweep)
         assert default_report.class_label is ClassLabel.CLASS_III
-        wide = ClassificationThresholds(class_one_band=0.2)
-        wide_report = classify(sweep, thresholds=wide)
-        assert wide_report.class_label is ClassLabel.CLASS_I
+        assert default_report.fitted_slope - 1.0 > CLASS_ONE_BAND
 
 
 class TestClassifyValidation:

@@ -11,7 +11,6 @@ import pytest
 
 from heisenberg_dpp.asymptotics import (
     MAX_SERIES_ORDER,
-    AsymptoticSeries,
     alpha_coefficient,
     bessel_asymptotic,
     c_asymptote,
@@ -115,11 +114,10 @@ class TestSeriesEvaluation:
         assert got.abs_error_bound > 0.1 * abs(exact)
 
     def test_evaluate_validation(self):
-        series = AsymptoticSeries.for_dimension(1)
         with pytest.raises(ValueError):
-            series.evaluate(0.0)
+            ratio_series_eval(1, 0.0)
         with pytest.raises(ValueError):
-            AsymptoticSeries.for_dimension(1, order=MAX_SERIES_ORDER + 1)
+            ratio_series_eval(1, 5.0, order=MAX_SERIES_ORDER + 1)
         with pytest.raises(ValueError):
             ratio_series_eval(0, 5.0)
 

@@ -1,6 +1,7 @@
 """Command-line interface: schema, formatting, exit codes, determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -88,6 +89,43 @@ class TestEmitters:
     def test_csv_missing_key_as_empty(self):
         # classify --in passes rows through, and they need not share keys
         assert cli.emit_csv([{"a": 1, "b": 2}, {"a": 3}]) == "a,b\n1,2\n3,\n"
+
+    def test_csv_quotes_commas_and_quotes(self):
+        text = cli.emit_csv([{"a": "x, y", "b": 'say "hi"', "c": 1.5}])
+        assert text == 'a,b,c\n"x, y","say ""hi""",1.5\n'
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text() | st.floats(),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+        max_leaves=12,
+    ))
+    def test_json_round_trip(self, doc):
+        def expected(node):
+            if isinstance(node, float) and not math.isfinite(node):
+                return None
+            if isinstance(node, list):
+                return [expected(v) for v in node]
+            if isinstance(node, dict):
+                return {k: expected(v) for k, v in node.items()}
+            return node
+
+        assert json.loads(cli.emit_json(doc)) == expected(doc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.lists(st.sampled_from(["name", "detail", "sub_case", "note"]),
+                      min_size=1, max_size=4, unique=True),
+        data=st.data(),
+    )
+    def test_csv_string_cells_read_back_intact(self, keys, data):
+        rows = data.draw(st.lists(
+            st.fixed_dictionaries({k: st.text(max_size=12) for k in keys}),
+            min_size=1, max_size=4,
+        ))
+        got = list(csv.DictReader(io.StringIO(cli.emit_csv(rows))))
+        assert got == rows
 
 
 class TestKernelEval:
@@ -384,6 +422,22 @@ class TestMc:
         assert (code, err) == (0, "")
         assert out.splitlines()[1] == "0.01,0,0,,"
 
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--dimension", "1", "--radius", "1e-200", "--route", "spectrum"],
+        ["mc", "--dimension", "1", "--radius", "1e-200", "--replicas", "5"],
+        ["stats", "--dimension", "2", "--window", "ball", "--route", "integral",
+         "--radius", "1e-170"],
+        ["sweep", "--dimension", "1", "--window", "ball", "--route", "closed",
+         "--r-grid", "1e-320,1e-310"],
+    ])
+    def test_zero_mean_writes_null_ratio(self, capsys, argv):
+        # the mean underflows to 0, so Var/mean is undefined, not an error
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        for row in json.loads(out)["rows"]:
+            assert row["mean"] == 0
+            assert row["ratio"] is None and row["r_times_ratio"] is None
+
     def test_estimate_against_exact(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -626,6 +680,20 @@ class TestVerify:
     def test_unknown_check_rejected(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "--check", "no-such-check"])
         assert code == 2
+
+    def test_csv_details_with_commas_keep_their_columns(self, capsys, tmp_path):
+        # polydisk-limit's detail and sub_case read "D=3 level=(0, 1, 2)..."
+        out_path = tmp_path / "verify.csv"
+        argv = ["verify", "--check", "polydisk-limit", "--check",
+                "alpha-coefficients", "--format", "csv", "--out", str(out_path)]
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        with open(out_path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert len(reader.fieldnames) == 8
+        assert [list(row) for row in rows] == [reader.fieldnames] * 2
+        assert rows[0]["sub_case"] == "D=3 level=(0, 1, 2)"
 
 
 class TestParserBasics:

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisenberg_dpp.exceptions import InternalConsistencyError
 from heisenberg_dpp.kernels import (
@@ -206,6 +208,35 @@ class TestGaugeInvariance:
             plain = correlation_det(base, pts)
             gauged = correlation_det(gauge_transform(base, f), pts, imag_tol=1e-6)
             assert gauged == pytest.approx(plain, rel=1e-9, abs=1e-300)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        level=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        n_pts=st.integers(1, 6),
+        coeffs=st.lists(st.floats(-0.8, 0.8), min_size=7, max_size=7),
+    )
+    def test_random_gauges(self, level, seed, n_pts, coeffs):
+        dim = len(level)
+        spec = KernelSpec(dim, tuple(level))
+        rng = np.random.default_rng(seed)
+        pts = [
+            ComplexPoint(tuple(rng.uniform(-1.5, 1.5, dim)),
+                         tuple(rng.uniform(-1.5, 1.5, dim)))
+            for _ in range(n_pts)
+        ]
+
+        def f(p: ComplexPoint) -> complex:
+            s = coeffs[-1] + sum(
+                a * r + b * i
+                for a, b, r, i in zip(coeffs[0::2], coeffs[1::2], p.re, p.im)
+            )
+            return cmath.exp(complex(s, 0.3 * s))
+
+        base = lambda a, b: hermitized_kernel(spec, a, b)
+        plain = correlation_det(base, pts)
+        gauged = correlation_det(gauge_transform(base, f), pts, imag_tol=1e-6)
+        assert gauged == pytest.approx(plain, rel=1e-9, abs=1e-300)
 
     def test_raw_and_hermitized_agree_on_correlations(self):
         # the two kernel gauges must produce identical determinants

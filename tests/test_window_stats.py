@@ -405,6 +405,12 @@ class TestPolydiskMoments:
         rep = polydisk_moments(KernelSpec(3, (0, 2, 1)), 2.5, tail_tol=1e-12)
         assert rep.ratio == pytest.approx(rep.variance / rep.mean, rel=1e-12)
 
+    def test_zero_mean_gives_nan_ratio(self):
+        # at R = 1e-200 every p_n underflows, so S_l = 0 and Var/mean is 0/0
+        rep = polydisk_moments(KernelSpec(1), 1e-200)
+        assert (rep.mean, rep.variance) == (0.0, 0.0)
+        assert math.isnan(rep.ratio)
+
     def test_higher_levels_fluctuate_more(self):
         # Var grows with level at fixed radius (flatter one-coordinate profile)
         reps = [
@@ -425,6 +431,15 @@ class TestBallMoments:
     def test_rejected_route(self):
         with pytest.raises(UnsupportedConfigurationError):
             ball_moments(1, 1.0, route=Route.SPECTRUM)
+
+    @pytest.mark.parametrize(
+        "dim, r, route",
+        [(2, 1e-170, Route.INTEGRAL), (1, 1e-320, Route.CLOSED_FORM)],
+    )
+    def test_zero_mean_gives_nan_ratio(self, dim, r, route):
+        rep = ball_moments(dim, r, route=route)
+        assert rep.mean == 0.0
+        assert math.isnan(rep.ratio)
 
 
 class TestClassOneConstants:
