@@ -51,6 +51,21 @@ def _check_order(order: int) -> int:
     return order
 
 
+def _truncate(terms: list[float]) -> tuple[float, float]:
+    """Optimal truncation of an asymptotic series: (sum, error bound).
+
+    Sums terms[:-1] up to the smallest one and bounds the error by the
+    first term left out; terms[-1] is the term past the requested order,
+    the bound when every earlier term is kept.
+    """
+    acc = terms[0]
+    for k in range(1, len(terms) - 1):
+        if abs(terms[k]) >= abs(terms[k - 1]):
+            return acc, abs(terms[k])  # the series started diverging
+        acc += terms[k]
+    return acc, abs(terms[-1])
+
+
 def series_coefficient(k: int, dimension: int) -> Fraction:
     """Signed coefficient c_k = (-1)^k alpha_k(D) / ((2k+1) k! 16^k), exact."""
     num = (-1) ** k * alpha_coefficient(k, dimension)
@@ -68,7 +83,8 @@ def ratio_series_eval(
     asymptotic series).
     """
     order = _check_order(order)
-    coefficients = [series_coefficient(k, dimension) for k in range(order + 1)]
+    # one coefficient past the order: the first omitted term if all are kept
+    coefficients = [series_coefficient(k, dimension) for k in range(order + 2)]
     radius = _check_radius(radius)
     prefactor = dimension / (math.sqrt(math.pi) * radius)
     rr = radius * radius
@@ -77,17 +93,7 @@ def ratio_series_eval(
     for c in coefficients:
         terms.append(float(c) * scale)
         scale /= rr
-    acc = terms[0]
-    omitted = 0.0
-    for k in range(1, len(terms)):
-        if abs(terms[k]) >= abs(terms[k - 1]):
-            omitted = abs(terms[k])  # series started diverging
-            break
-        acc += terms[k]
-    else:
-        # all terms retained: the first omitted term is the next
-        # coefficient of the exact product formula, scale = R^-2(K+1)
-        omitted = abs(float(series_coefficient(order + 1, dimension))) * scale
+    acc, omitted = _truncate(terms)
     return SpecFunResult(prefactor * acc, prefactor * omitted)
 
 
@@ -103,20 +109,10 @@ def bessel_asymptotic(nu: int, x: float, order: int = MAX_SERIES_ORDER) -> SpecF
     x = _check_positive("x", x)
     four_nu_sq = 4 * nu * nu
     prefactor = 1.0 / math.sqrt(2.0 * math.pi * x)
-    term = 1.0
-    acc = term
-    omitted = None
-    prev = abs(term)
-    for k in range(1, order + 1):
-        term *= -(four_nu_sq - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(term) >= prev:
-            omitted = abs(term)
-            break
-        acc += term
-        prev = abs(term)
-    if omitted is None:
-        k = order + 1
-        omitted = abs(term * (four_nu_sq - (2 * k - 1) ** 2) / (8.0 * k * x))
+    terms = [1.0]
+    for k in range(1, order + 2):
+        terms.append(terms[-1] * (-(four_nu_sq - (2 * k - 1) ** 2) / (8.0 * k * x)))
+    acc, omitted = _truncate(terms)
     return SpecFunResult(prefactor * acc, prefactor * omitted)
 
 

@@ -191,16 +191,9 @@ def _parse_grid(text: str | None) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
-def _add_common(
-    p: argparse.ArgumentParser, *, window: bool = True, required: bool = True
-) -> None:
+def _add_common(p: argparse.ArgumentParser, *, required: bool = True) -> None:
     p.add_argument("--dimension", type=int, required=required)
     p.add_argument("--level", type=str, default=None)
-    if window:
-        p.add_argument(
-            "--window", choices=["ball", "polydisk"], default="polydisk"
-        )
-    p.add_argument("--tail-tol", type=float, default=1e-9)
     _add_output(p)
 
 
@@ -210,7 +203,10 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 
 
 def _add_mc(p: argparse.ArgumentParser, *, route: bool = True) -> None:
-    """The Monte Carlo flags, and --route unless the command fixes it to mc."""
+    """The window, tail and Monte Carlo flags of the moment commands, and
+    --route unless the command fixes it to mc."""
+    p.add_argument("--window", choices=["ball", "polydisk"], default="polydisk")
+    p.add_argument("--tail-tol", type=float, default=1e-9)
     if route:
         p.add_argument("--route", choices=_ROUTES, default="spectrum")
     else:
@@ -232,21 +228,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernel-eval", help="evaluate the correlation kernel")
-    _add_common(p, window=False)
+    p.set_defaults(handler=_cmd_kernel_eval)
+    _add_common(p)
     p.add_argument("--x", type=str, required=True, help="point as 're,im[;re,im...]'")
     p.add_argument("--y", type=str, required=True)
 
     p = sub.add_parser("stats", help="count moments at one radius")
+    p.set_defaults(handler=_cmd_moments)
     _add_common(p)
     p.add_argument("--radius", type=float, required=True)
     _add_mc(p)
 
     p = sub.add_parser("sweep", help="moments over a radius grid")
+    p.set_defaults(handler=_cmd_moments)
     _add_common(p)
     p.add_argument("--r-grid", type=str, default=None, help="'lo:hi:n' or 'r1,r2,...'")
     _add_mc(p)
 
     p = sub.add_parser("classify", help="hyperuniformity class of a sweep")
+    p.set_defaults(handler=_cmd_classify)
     p.add_argument("--in", dest="in_path", type=str, default=None,
                    help="JSON sweep produced by the sweep subcommand")
     _add_common(p, required=False)
@@ -255,14 +255,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mc(p)
 
     p = sub.add_parser("mc", help="Monte Carlo moment estimate")
+    p.set_defaults(handler=_cmd_moments)
     _add_common(p)
     p.add_argument("--radius", type=float, required=True)
     _add_mc(p, route=False)
 
     p = sub.add_parser("constants", help="Class-I constants per level")
+    p.set_defaults(handler=_cmd_constants)
     _add_common(p)
 
     p = sub.add_parser("verify", help="cross-route verification suite")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--check", action="append", default=None,
                    help="run only this check (repeatable)")
     p.add_argument("--tolerance-scale", type=float, default=1.0)
@@ -354,10 +357,17 @@ def _load_sweep(path: str) -> tuple[SweepResult, dict]:
         _need(isinstance(row, dict), f"rows[{i}]", "an object")
         for key in _ROW_FIELDS:
             v = row.get(key)
+            # a zero mean has no ratio: sweep writes both ratio fields as null
+            if key in ("ratio", "r_times_ratio") and row["mean"] == 0:
+                if key in row and v is None:
+                    continue
             ok = type(v) in (int, float) and math.isfinite(v)
             _need(ok, f"rows[{i}].{key}", "a finite number")
     sweep = SweepResult(
-        rows=tuple(SweepRow(*(row[k] for k in _ROW_FIELDS)) for row in rows),
+        rows=tuple(
+            SweepRow(*(math.nan if row[k] is None else row[k] for k in _ROW_FIELDS))
+            for row in rows
+        ),
         spec=KernelSpec(spec["dimension"], tuple(level)),
         window_kind=WindowKind(doc["window"]),
         route=Route(route),
@@ -428,22 +438,11 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-_COMMANDS = {
-    "kernel-eval": _cmd_kernel_eval,
-    "stats": _cmd_moments,
-    "sweep": _cmd_moments,
-    "classify": _cmd_classify,
-    "mc": _cmd_moments,
-    "constants": _cmd_constants,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except NumericalBudgetError as exc:
         print(f"numerical budget exhausted: {exc}", file=sys.stderr)
         return 3

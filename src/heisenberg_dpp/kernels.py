@@ -224,23 +224,20 @@ def correlation_matrix(spec: KernelSpec, points: Sequence) -> CorrelationMatrix:
     return CorrelationMatrix(entries=entries, dimension=spec.dimension)
 
 
-def correlation_function(
-    spec: KernelSpec,
-    points: Sequence,
-    max_points: int = MAX_CORRELATION_POINTS,
-    imag_tol: float = 1e-8,
-) -> float:
+def correlation_function(spec: KernelSpec, points: Sequence) -> float:
     """n-point correlation rho_n(x_1..x_n) = det of the hermitized kernel matrix.
 
-    Capped at a small n because the determinant route loses accuracy and
-    meaning well before large point counts become interesting.
+    Capped at MAX_CORRELATION_POINTS because the determinant route loses
+    accuracy and meaning well before large point counts become interesting.
     """
     if not points:
         raise ValueError("need at least one point")
-    if len(points) > max_points:
-        raise ValueError(f"n = {len(points)} exceeds the cap of {max_points}")
+    if len(points) > MAX_CORRELATION_POINTS:
+        raise ValueError(
+            f"n = {len(points)} exceeds the cap of {MAX_CORRELATION_POINTS}"
+        )
     matrix = correlation_matrix(spec, points)
-    return _det_with_check(matrix.entries, imag_tol)
+    return _det_with_check(matrix.entries, 1e-8)
 
 
 def kernel_series_partial(m: int, x: complex, y: complex, n_terms: int) -> complex:

@@ -98,6 +98,8 @@ def _laguerre_scaled(n: int, alpha: float, x: float) -> tuple[float, int]:
     L_{k-1} from L_0 = 1, L_1 = 1 + alpha - x is forward-stable for the
     degrees used here; both iterates are scaled by 2**-512 whenever one
     grows past 2**512, so they stay representable far past the double range.
+    A step that would still overflow (|x| near the double range) is redone
+    after scaling both iterates below 1 by an exact power of two.
     """
     n = _check_index("n", n)
     alpha = _check_real("alpha", alpha)
@@ -109,11 +111,15 @@ def _laguerre_scaled(n: int, alpha: float, x: float) -> tuple[float, int]:
     shift = 0
     big, scale = math.ldexp(1.0, 512), math.ldexp(1.0, -512)
     for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-        if abs(cur) > big or abs(prev) > big:
-            prev *= scale
-            cur *= scale
-            shift += 512
+        step = ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+        if not abs(step) <= big or abs(cur) > big:  # also true for NaN
+            if not math.isfinite(step):
+                e = max(math.frexp(cur)[1], math.frexp(prev)[1])
+                prev, cur, shift = math.ldexp(prev, -e), math.ldexp(cur, -e), shift + e
+                step = ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+            if abs(step) > big or abs(cur) > big:
+                cur, step, shift = cur * scale, step * scale, shift + 512
+        prev, cur = cur, step
     return cur, shift
 
 

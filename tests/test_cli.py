@@ -401,6 +401,20 @@ class TestClassify:
         assert report["class_label"] == "Inconclusive"
         assert report["fitted_slope"] is None and report["leading_constant"] is None
 
+    def test_zero_mean_rows_round_trip(self, capsys, tmp_path):
+        # the three smallest radii have a zero mean and a null ratio
+        path = tmp_path / "sweep.json"
+        argv = ["sweep", "--dimension", "1", "--window", "ball", "--route",
+                "closed", "--r-grid", "1e-320,1e-300,1e-200,1e-100,1,2",
+                "--out", str(path)]
+        assert run_cli(capsys, argv) == (0, "", "")
+        code, out, err = run_cli(capsys, ["classify", "--in", str(path)])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["rows"] == json.loads(path.read_text())["rows"]
+        assert doc["rows"][0]["ratio"] is None
+        assert doc["classification"]["class_label"] == "Inconclusive"
+
     def test_null_row_field_is_rejected(self, capsys, tmp_path):
         doc = sweep_document()
         doc["rows"][3]["ratio"] = None  # how a NaN ratio is written
@@ -712,6 +726,22 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["stats", "--radius", "1.0"])
         assert exc_info.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["constants", "--dimension", "1", "--window", "ball"],
+            ["constants", "--dimension", "1", "--tail-tol", "5"],
+            ["kernel-eval", "--dimension", "1", "--x", "0,0", "--y", "0,0",
+             "--tail-tol", "1e-3"],
+        ],
+        ids=["constants-window", "constants-tail-tol", "kernel-eval-tail-tol"],
+    )
+    def test_flags_the_command_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(argv)
+        assert exc_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def _paths(node, prefix=()):

@@ -12,6 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisenberg_dpp.specfun import (
     SpecFunResult,
@@ -86,6 +88,33 @@ class TestLaguerre:
         log_abs, sign = laguerre_log(400, 3.0, 1200.0)
         assert math.isfinite(log_abs)
         assert sign in (-1.0, 1.0)
+
+    @pytest.mark.parametrize("n, alpha, x", [(3, 0.0, 1e300), (400, 3.0, 1e200)])
+    def test_log_form_at_huge_arguments(self, n, alpha, x):
+        # a single recurrence step passes the double range here;
+        # at x >> n(n + alpha), L_n^(alpha)(x) ~ (-x)^n / n!
+        log_abs, sign = laguerre_log(n, alpha, x)
+        assert log_abs == pytest.approx(n * math.log(x) - math.lgamma(n + 1), rel=1e-14)
+        assert sign == (-1.0) ** n
+        with pytest.raises(OverflowError):
+            laguerre(n, alpha, x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 400),
+        alpha=st.floats(-1.0, 40.0),
+        x=st.one_of(st.floats(0.0, 2000.0), st.floats(0.0, 1e300)),
+    )
+    def test_log_form_is_never_inf_or_nan(self, n, alpha, x):
+        log_abs, sign = laguerre_log(n, alpha, x)
+        assert math.isfinite(log_abs) or (log_abs, sign) == (-math.inf, 0.0)
+        try:
+            direct = laguerre(n, alpha, x)
+        except OverflowError:
+            return
+        assert sign == (math.copysign(1.0, direct) if direct else 0.0)
+        if direct:
+            assert log_abs == pytest.approx(math.log(abs(direct)), abs=1e-9)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -144,18 +144,13 @@ class TestIntegralRoute:
         for dim, r in ((1, 10.0), (3, 10.0)):
             report = ball_moments(dim, r, Route.INTEGRAL)
             assert report.error_estimate == ws._integral_tol(dim, r)
-            assert ball_moments(dim, r, Route.INTEGRAL, tol=1e-6).error_estimate == 1e-6
-
-    def test_explicit_tolerance_is_honored(self):
-        want = variance_ball_closed(2, 3.0)
-        got = variance_ball_integral(2, 3.0, tol=1e-8)
-        assert abs(got - want) <= 1e-8
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         # one panel on [0, 13], and no coarser rule to compare it with
         monkeypatch.setattr(ws, "INTEGRAL_PANEL_CAP", 1)
+        monkeypatch.setattr(ws, "_integral_tol", lambda dimension, radius: 1e-16)
         with pytest.raises(NumericalBudgetError) as exc_info:
-            variance_ball_integral(1, 1.0, tol=1e-16)
+            variance_ball_integral(1, 1.0)
         err = exc_info.value
         assert err.best_estimate is not None
         assert err.achieved_error > 1e-16
@@ -165,8 +160,6 @@ class TestIntegralRoute:
         )
 
     def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            variance_ball_integral(1, 1.0, tol=0.0)
         with pytest.raises(ValueError):
             variance_ball_integral(-2, 1.0)
 
@@ -367,6 +360,15 @@ class TestExactAssembly:
             ref = reference_prob(n, m, 20.0)
             assert abs(mpmath.mpf(got) - ref) <= math.ulp(got), (n, got, ref)
             assert got <= ref  # rounded toward zero
+
+    @pytest.mark.parametrize("r", [1.0, 5.0, 20.0])
+    @pytest.mark.parametrize("n, m", [(3, 20), (16, 40)])
+    def test_swapped_index_within_one_ulp_of_reference(self, n, m, r):
+        # past EXACT_COEFF_MAX_LEVEL, bernoulli_prob assembles p_m at level n
+        got = bernoulli_prob(n, m, r)
+        ref = reference_prob(n, m, r)
+        assert abs(mpmath.mpf(got) - ref) <= math.ulp(got), (got, ref)
+        assert got <= ref  # rounded toward zero
 
     @pytest.mark.parametrize("m", [0, 3])
     def test_out_of_band_value_raises(self, monkeypatch, m):
