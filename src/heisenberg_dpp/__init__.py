@@ -61,7 +61,7 @@ from .analysis import (
     poisson_control_sweep,
     run_sweep,
 )
-from .verification import CheckResult, ToleranceProfile, run_checks
+from .verification import CheckResult, run_checks
 
 __all__ = [
     "__version__",
@@ -107,6 +107,5 @@ __all__ = [
     "poisson_control_sweep",
     "run_sweep",
     "CheckResult",
-    "ToleranceProfile",
     "run_checks",
 ]

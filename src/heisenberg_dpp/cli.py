@@ -38,7 +38,7 @@ from .exceptions import (
 )
 from .kernels import ComplexPoint, KernelSpec, hermitized_kernel, kernel_eval
 from .montecarlo import McConfig
-from .verification import ToleranceProfile, run_checks
+from .verification import run_checks
 from .window_stats import (
     Route,
     WindowKind,
@@ -51,6 +51,12 @@ from .asymptotics import c_asymptote
 
 _ROW_FIELDS = ("r", "mean", "variance", "ratio", "r_times_ratio")
 _ROUTES = tuple(r.value for r in Route)
+# The flags that build a moment sweep default to None, so that a given one
+# can be told from an unset one; unset ones take these values.  The last
+# three apply to --route mc only.
+_SWEEP_DEFAULTS = {"window": "polydisk", "tail_tol": 1e-9, "route": "spectrum",
+                   "seed": 0, "replicas": 100_000, "cell_prob_floor": 1e-12}
+_MC_ONLY = ("seed", "replicas", "cell_prob_floor")
 
 
 def _num(x) -> str:
@@ -205,15 +211,15 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 def _add_mc(p: argparse.ArgumentParser, *, route: bool = True) -> None:
     """The window, tail and Monte Carlo flags of the moment commands, and
     --route unless the command fixes it to mc."""
-    p.add_argument("--window", choices=["ball", "polydisk"], default="polydisk")
-    p.add_argument("--tail-tol", type=float, default=1e-9)
+    p.add_argument("--window", choices=["ball", "polydisk"])
+    p.add_argument("--tail-tol", type=float)
     if route:
-        p.add_argument("--route", choices=_ROUTES, default="spectrum")
+        p.add_argument("--route", choices=_ROUTES)
     else:
         p.set_defaults(route=Route.MONTE_CARLO.value)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicas", type=int, default=100_000)
-    p.add_argument("--cell-prob-floor", type=float, default=1e-12)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--replicas", type=int)
+    p.add_argument("--cell-prob-floor", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,8 +298,20 @@ def _cmd_kernel_eval(args) -> int:
     return 0
 
 
+def _given(args, dests) -> list[str]:
+    """The flags among the argparse dests that the command line set."""
+    return ["--" + d.replace("_", "-") for d in dests if getattr(args, d) is not None]
+
+
 def _moment_sweep(args, radii) -> tuple[SweepResult, list[dict], int | None]:
-    """Sweep rows of stats, sweep, classify and mc, and the seed to record."""
+    """Sweep rows of stats, sweep, classify and mc, and the seed to record.
+    Sets each unset sweep flag on args to its default."""
+    if args.route != Route.MONTE_CARLO.value and (given := _given(args, _MC_ONLY)):
+        route = args.route or _SWEEP_DEFAULTS["route"]
+        raise ValueError(f"--route {route} reads no {', '.join(given)}")
+    for dest, default in _SWEEP_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     spec = KernelSpec(args.dimension, _parse_level(args.level, args.dimension))
     route = Route(args.route)
     mc = None
@@ -376,7 +394,9 @@ def _load_sweep(path: str) -> tuple[SweepResult, dict]:
 
 
 def _cmd_classify(args) -> int:
-    if args.in_path:
+    if args.in_path is not None:
+        if given := _given(args, ["dimension", "level", "r_grid", *_SWEEP_DEFAULTS]):
+            raise ValueError(f"classify --in reads no {', '.join(given)}")
         sweep, loaded = _load_sweep(args.in_path)
         rows, seed = loaded["rows"], loaded.get("meta", {}).get("seed")
     elif args.dimension is None:
@@ -425,8 +445,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    profile = ToleranceProfile(scale=args.tolerance_scale)
-    results = run_checks(args.check, profile)
+    results = run_checks(args.check, args.tolerance_scale)
     rows = [dataclasses.asdict(r) for r in results]
     for row in rows:
         if not math.isfinite(row["max_delta"]):  # a check that failed outright

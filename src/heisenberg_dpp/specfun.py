@@ -99,7 +99,8 @@ def _laguerre_scaled(n: int, alpha: float, x: float) -> tuple[float, int]:
     degrees used here; both iterates are scaled by 2**-512 whenever one
     grows past 2**512, so they stay representable far past the double range.
     A step that would still overflow (|x| near the double range) is redone
-    after scaling both iterates below 1 by an exact power of two.
+    after scaling both iterates below 1 by an exact power of two.  Raises
+    OverflowError when 1 + alpha - x, the slope of every step, overflows.
     """
     n = _check_index("n", n)
     alpha = _check_real("alpha", alpha)
@@ -108,6 +109,8 @@ def _laguerre_scaled(n: int, alpha: float, x: float) -> tuple[float, int]:
         return 1.0, 0
     prev = 1.0
     cur = 1.0 + alpha - x
+    if not math.isfinite(cur):
+        raise OverflowError(f"laguerre: 1 + alpha - x overflows at alpha={alpha}, x={x}")
     shift = 0
     big, scale = math.ldexp(1.0, 512), math.ldexp(1.0, -512)
     for k in range(1, n):
@@ -139,6 +142,7 @@ def laguerre_log(n: int, alpha: float, x: float) -> tuple[float, float]:
     """(log |L_n^(alpha)(x)|, sign) by the rescaled recurrence shared with
     :func:`laguerre`, so values far outside the double range stay usable.
     sign is 0.0 when the value is exactly zero (log-magnitude -inf).
+    Raises OverflowError, as :func:`laguerre` does, when 1 + alpha - x does.
     """
     value, shift = _laguerre_scaled(n, alpha, x)
     if value == 0.0:

@@ -7,13 +7,13 @@ asymptote, exact moments vs Monte Carlo, kernel product form vs its
 series expansion, and raw special functions vs recurrence identities and
 reference oracles.
 
-Each check reports a worst observed delta normalized by its tolerance,
-so ``max_delta <= tolerance`` (tolerance = profile scale) is the pass
-condition uniformly; the detail string carries the raw numbers, which
-the result also holds as fields (the worst sub-case, its raw delta and
-its raw tolerance) for machine-readable output.  A zero
-tolerance scale therefore fails every check with nonzero error, which is
-the intended way to demonstrate that reported deltas are real.
+Each check returns its worst observed delta normalized by its tolerance;
+``run_checks`` names it and passes it when ``max_delta <= tolerance``,
+the tolerance being its ``scale`` argument.  The detail string carries
+the raw numbers, which the result also holds as fields (the worst
+sub-case, its raw delta and its raw tolerance) for machine-readable
+output.  A zero scale therefore fails every check with nonzero error,
+which is the intended way to demonstrate that reported deltas are real.
 """
 
 from __future__ import annotations
@@ -84,15 +84,6 @@ class CheckResult:
         )
 
 
-@dataclass(frozen=True)
-class ToleranceProfile:
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (self.scale >= 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
-
-
 class _Worst:
     """Tracks the largest tolerance-normalized deviation and its context."""
 
@@ -128,14 +119,14 @@ class _Worst:
         )
 
 
-def check_ball_route_cross(profile: ToleranceProfile) -> CheckResult:
+def check_ball_route_cross() -> _Worst:
     worst = _Worst()
     for dim in (1, 2, 3):
         for r in (0.5, 1.0, 2.0, 5.0, 10.0):
             closed = variance_ball_closed(dim, r)
             integral = variance_ball_integral(dim, r)
             worst.add(abs(integral - closed) / closed, 1e-6, f"D={dim} R={r}")
-    return worst.result("ball-route-cross-check", profile.scale)
+    return worst
 
 
 def _constant_gap(dim: int) -> float:
@@ -144,20 +135,20 @@ def _constant_gap(dim: int) -> float:
     return abs(50.0 * ratio - target) / target
 
 
-def check_ginibre_constant(profile: ToleranceProfile) -> CheckResult:
+def check_ginibre_constant() -> _Worst:
     worst = _Worst()
     worst.add(_constant_gap(1), 0.02, "D=1 R=50 vs 1/sqrt(pi)")
-    return worst.result("ginibre-constant", profile.scale)
+    return worst
 
 
-def check_heisenberg_constant(profile: ToleranceProfile) -> CheckResult:
+def check_heisenberg_constant() -> _Worst:
     worst = _Worst()
     for dim in (2, 3):
         worst.add(_constant_gap(dim), 0.02, f"D={dim} R=50 vs D/sqrt(pi)")
-    return worst.result("heisenberg-constant", profile.scale)
+    return worst
 
 
-def check_asymptotic_expansion(profile: ToleranceProfile) -> CheckResult:
+def check_asymptotic_expansion() -> _Worst:
     # The truncation remainder is asymptotically the first omitted term;
     # successive coefficients do not strictly alternate in sign, so the
     # standard constructive envelope is twice that term.
@@ -168,20 +159,20 @@ def check_asymptotic_expansion(profile: ToleranceProfile) -> CheckResult:
             approx = asymptotics.ratio_series_eval(dim, r, order=3)
             bound = 2.0 * approx.abs_error_bound + 64 * 2.3e-16 * abs(exact)
             worst.add(abs(approx.value - exact), bound, f"D={dim} R={r}")
-    return worst.result("asymptotic-expansion", profile.scale)
+    return worst
 
 
-def check_alpha_coefficients(profile: ToleranceProfile) -> CheckResult:
+def check_alpha_coefficients() -> _Worst:
     worst = _Worst()
     for dim in range(1, 7):
         got = asymptotics.alpha_coefficient(1, dim)
         want = (2 * dim - 1) * (2 * dim + 1)
         worst.add(abs(got - want), 0.5, f"alpha_1({dim})")
     worst.add(abs(asymptotics.alpha_coefficient(2, 1) - (-15)), 0.5, "alpha_2(1)")
-    return worst.result("alpha-coefficients", profile.scale)
+    return worst
 
 
-def check_spectrum_route(profile: ToleranceProfile) -> CheckResult:
+def check_spectrum_route() -> _Worst:
     worst = _Worst()
     spec = KernelSpec(1, (0,))
     for r in (1.0, 2.0, 5.0, 10.0):
@@ -190,19 +181,19 @@ def check_spectrum_route(profile: ToleranceProfile) -> CheckResult:
         var = variance_ball_closed(1, r)
         worst.add(abs(rep.mean - mean) / mean, 1e-6, f"mean R={r}")
         worst.add(abs(rep.variance - var) / var, 1e-6, f"variance R={r}")
-    return worst.result("spectrum-route-equivalence", profile.scale)
+    return worst
 
 
-def check_class_one_constants(profile: ToleranceProfile) -> CheckResult:
+def check_class_one_constants() -> _Worst:
     worst = _Worst()
     worst.add(abs(c_constant(0) - 1.0 / math.sqrt(math.pi)), 1e-12, "C(0)")
     worst.add(abs(c_constant(1) - 7.0 / (4.0 * math.sqrt(math.pi))), 1e-12, "C(1)")
     ratio = c_constant(1000) / asymptotics.c_asymptote(1000)
     worst.add(abs(ratio - 1.0), 0.02, "C(1000) vs (8/pi^2) sqrt(m)")
-    return worst.result("class-one-constants", profile.scale)
+    return worst
 
 
-def check_polydisk_limit(profile: ToleranceProfile) -> CheckResult:
+def check_polydisk_limit() -> _Worst:
     worst = _Worst()
     cases = [
         KernelSpec(1, (1,)),
@@ -219,10 +210,10 @@ def check_polydisk_limit(profile: ToleranceProfile) -> CheckResult:
             0.03,
             f"D={spec.dimension} level={spec.level}",
         )
-    return worst.result("polydisk-limit", profile.scale)
+    return worst
 
 
-def check_kernel_series(profile: ToleranceProfile) -> CheckResult:
+def check_kernel_series() -> _Worst:
     rng = np.random.default_rng(1234)
     worst = _Worst()
     for m in range(6):
@@ -233,7 +224,7 @@ def check_kernel_series(profile: ToleranceProfile) -> CheckResult:
             t = abs(x - y) ** 2
             want = cmath.exp(x * y.conjugate()) * laguerre(m, 0.0, t) / math.factorial(m)
             worst.add(abs(got - want), 1e-10, f"m={m} x={x:.3f} y={y:.3f}")
-    return worst.result("kernel-series-identity", profile.scale)
+    return worst
 
 
 def _random_point(rng, dim: int) -> ComplexPoint:
@@ -242,7 +233,7 @@ def _random_point(rng, dim: int) -> ComplexPoint:
     )
 
 
-def check_gauge_invariance(profile: ToleranceProfile) -> CheckResult:
+def check_gauge_invariance() -> _Worst:
     rng = np.random.default_rng(987)
     worst = _Worst()
     for trial in range(100):
@@ -264,7 +255,7 @@ def check_gauge_invariance(profile: ToleranceProfile) -> CheckResult:
         gauged = correlation_det(gauge_transform(base, gauge), points, imag_tol=1e-6)
         scale = max(abs(plain), 1e-300)
         worst.add(abs(gauged - plain) / scale, 1e-9, f"trial {trial} D={dim} n={n_pts}")
-    return worst.result("gauge-invariance", profile.scale)
+    return worst
 
 
 def mc_gate_cells() -> list[tuple[KernelSpec, float]]:
@@ -278,14 +269,14 @@ def mc_gate_cells() -> list[tuple[KernelSpec, float]]:
     return cells
 
 
-def check_monte_carlo_gate(profile: ToleranceProfile) -> CheckResult:
+def check_monte_carlo_gate() -> _Worst:
     worst = _Worst()
     cfg_small = montecarlo.McConfig(replicas=2000, seed=MC_GATE_SEED)
     rep_a = montecarlo.estimate_moments(KernelSpec(1, (0,)), 1.0, cfg_small)
     rep_b = montecarlo.estimate_moments(KernelSpec(1, (0,)), 1.0, cfg_small)
     if rep_a != rep_b:
         worst.fail("identical seeds produced different estimates")
-        return worst.result("monte-carlo-gate", profile.scale)
+        return worst
 
     cells = mc_gate_cells()
     hits = 0
@@ -310,10 +301,10 @@ def check_monte_carlo_gate(profile: ToleranceProfile) -> CheckResult:
     worst.add(1.0 - coverage, 0.05, f"coverage {coverage:.3f}, worst z {worst_z[0]:.2f} at {worst_z[1]}")
     if overdispersed:
         worst.fail(f"var_hat >= mean_hat in cells {overdispersed}")
-    return worst.result("monte-carlo-gate", profile.scale)
+    return worst
 
 
-def check_classification(profile: ToleranceProfile) -> CheckResult:
+def check_classification() -> _Worst:
     worst = _Worst()
     grid = default_r_grid()
     for dim in (1, 2, 3):
@@ -328,7 +319,7 @@ def check_classification(profile: ToleranceProfile) -> CheckResult:
         control = classify(poisson_control_sweep(dim, grid))
         if control.class_label is not ClassLabel.NOT_HYPERUNIFORM:
             worst.fail(f"D={dim} control labeled {control.class_label.value}")
-    return worst.result("classification", profile.scale)
+    return worst
 
 
 def _bessel_i_series_oracle(nu: int, x: float) -> float:
@@ -351,7 +342,7 @@ def _bessel_i_series_oracle(nu: int, x: float) -> float:
     return math.fsum(terms)
 
 
-def check_specfun_floor(profile: ToleranceProfile) -> CheckResult:
+def check_specfun_floor() -> _Worst:
     rng = np.random.default_rng(55)
     worst = _Worst()
     for _ in range(300):
@@ -380,7 +371,7 @@ def check_specfun_floor(profile: ToleranceProfile) -> CheckResult:
         got = bessel_i_scaled(nu, 1.0e4)
         leading = 1.0 / math.sqrt(2.0 * math.pi * 1.0e4)
         worst.add(abs(got - leading) / leading, 1e-3, f"ive asymptote nu={nu}")
-    return worst.result("special-function-floor", profile.scale)
+    return worst
 
 
 ALL_CHECKS = {
@@ -400,12 +391,13 @@ ALL_CHECKS = {
 }
 
 
-def run_checks(
-    names: list[str] | None = None, profile: ToleranceProfile | None = None
-) -> list[CheckResult]:
-    profile = profile or ToleranceProfile()
+def run_checks(names: list[str] | None = None, scale: float = 1.0) -> list[CheckResult]:
+    """Run the named checks (all of them by default) in order; each passes
+    when its worst normalized delta is at most ``scale``."""
+    if not (scale >= 0.0 and math.isfinite(scale)):
+        raise ValueError(f"scale must be finite and >= 0, got {scale}")
     selected = list(ALL_CHECKS) if names is None else names
     unknown = [n for n in selected if n not in ALL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; known: {sorted(ALL_CHECKS)}")
-    return [ALL_CHECKS[name](profile) for name in selected]
+    return [ALL_CHECKS[name]().result(name, scale) for name in selected]

@@ -239,12 +239,12 @@ def _working_prec(level: int, max_index: int) -> int:
 class _GammaLadder:
     """P(j+1, R^2) for j = 0..N at fixed binary precision.
 
-    With t_j = r^j e^(-r)/j!, the forward recurrence P(j+1) = P(j) - t_j
-    runs while P >= 1/2, where a subtraction cannot lose relative accuracy.
-    Below 1/2 it would keep only an absolute error of the working precision,
-    which swamps the tail, so there each extension sums the positive terms
-    P(j+1) = t_(j+1) + P(j+2) backward from a series for the remainder past
-    its top.  Every value is then good to ~N ulps of its own size.
+    With t_j = r^j e^(-r)/j!, each extension sums the positive terms
+    P(j+1) = t_(j+1) + P(j+2) backward from the remainder past its top: a
+    series when the top lies past the Poisson mode, else the complement of
+    the terms below it, which is then at least 1/2.  No ladder value comes
+    from a subtraction that can lose relative accuracy, so every one is good
+    to ~N ulps of its own size, near 1 and deep in the tail alike.
     """
 
     def __init__(self, radius: float, prec: int):
@@ -257,41 +257,40 @@ class _GammaLadder:
     def extend(self, j_max: int) -> None:
         prec, rsq, p = self.prec, self.rsq, self._p
         mul, div, from_int = libmp.mpf_mul, libmp.mpf_div, libmp.from_int
-        term = self._term
-        last = p[-1] if p else libmp.fone
-        while len(p) <= j_max:
-            last = libmp.mpf_sub(last, term, prec)
-            # stop below 1/2: a normalized (sign, man, exp, bc) lies in
-            # [2^(exp+bc-1), 2^(exp+bc))
-            if last[0] or not last[1] or last[2] + last[3] < 0:
-                break
-            p.append(last)
-            term = div(mul(term, rsq, prec), from_int(len(p)), prec)
-        terms = []  # t_(j+1) .. t_(j_max+1), j = len(p)
-        for k in range(len(p) + 1, j_max + 2):
-            term = div(mul(term, rsq, prec), from_int(k), prec)
-            terms.append(term)
-        self._term = term
-        if not terms:
+        start, first = len(p), self._term
+        if start > j_max:
             return
-        # sum_(k > K) t_k = t_K sum_(i >= 1) prod_(l <= i) r^2/(K + l) with
-        # K = j_max + 1, the sum in integers with prec + 16 fraction bits;
-        # a product falls below one unit only past the Poisson peak, where
-        # every later one is smaller still.
-        _, x_man, x_exp, _ = rsq
-        num, den = (x_man << x_exp, 1) if x_exp >= 0 else (x_man, 1 << -x_exp)
-        scale = prec + 16
-        frac, total, k = 1 << scale, 0, j_max + 1
-        while frac:
-            k += 1
-            frac = frac * num // (den * k)
-            total += frac
-        acc = mul(term, libmp.from_man_exp(total, -scale), prec)
-        block = []
-        for term in reversed(terms):
-            acc = libmp.mpf_add(acc, term, prec)
-            block.append(acc)
-        p.extend(reversed(block))
+        # p[j] holds t_(j+1) until the backward sum replaces it with P(j+1)
+        term = first
+        for k in range(start + 1, j_max + 2):
+            term = div(mul(term, rsq, prec), from_int(k), prec)
+            p.append(term)
+        self._term = term
+        if j_max + 3 <= self.mean_float():
+            # Below the Poisson mode the remainder P(j_max + 2) is at least
+            # 1/2 (the median exceeds R^2 - ln 2), so its complement loses
+            # nothing and costs only the terms at hand, where the series
+            # would run through the mode on integers of ~R^2 bits.
+            acc = p[start - 1] if start else libmp.fone
+            for t in (first, *p[start:]):
+                acc = libmp.mpf_sub(acc, t, prec)
+        else:
+            # sum_(k > K) t_k = t_K sum_(i >= 1) prod_(l <= i) r^2/(K + l)
+            # with K = j_max + 1 > R^2 - 2, the sum in integers with
+            # prec + 16 fraction bits; past the first factor (below 2) the
+            # factors are below 1, so a product under one unit stays so.
+            _, x_man, x_exp, _ = rsq
+            num, den = (x_man << x_exp, 1) if x_exp >= 0 else (x_man, 1 << -x_exp)
+            scale = prec + 16
+            frac, total, k = 1 << scale, 0, j_max + 1
+            while frac:
+                k += 1
+                frac = frac * num // (den * k)
+                total += frac
+            acc = mul(term, libmp.from_man_exp(total, -scale), prec)
+        for j in range(j_max, start - 1, -1):
+            acc = libmp.mpf_add(acc, p[j], prec)
+            p[j] = acc
 
     def reg_gamma(self, j: int):
         return self._p[j]

@@ -11,7 +11,8 @@ change into two directories and compare them with ``diff -r``.
 
 The cases cover every subcommand in JSON and CSV, the documented error
 exits, ``mc``, ``stats --route mc``, ``classify --in`` on exact and Monte
-Carlo documents, flags a subcommand does not declare, and ``--help``.
+Carlo documents, flags a subcommand does not declare or the chosen mode
+does not read, and ``--help``.
 The ``verify`` cases run every check, the Monte Carlo gate among them, so
 a full capture takes about a minute.
 """
@@ -123,6 +124,20 @@ CASES: list[tuple[str, list[list[str]]]] = [
     ("constants-tail-tol", [["constants", *_D1, "--tail-tol", "5"]]),
     ("kernel-eval-tail-tol", [["kernel-eval", *_D1, "--x", "0,0", "--y", "0,0",
                                "--tail-tol", "1e-3"]]),
+    # flags the chosen mode does not read: Monte Carlo flags on an exact
+    # route, sweep flags with classify --in
+    ("err-exact-route-mc-flags", [
+        ["stats", *_D1, "--radius", "2", "--route", "closed", *_BALL,
+         "--replicas", "-5", "--cell-prob-floor", "nan", "--seed", "-1"],
+        ["sweep", *_D1, "--r-grid", "1,2", "--seed", "3"],
+    ]),
+    ("err-classify-in-sweep-flags", [
+        ["sweep", *_D1, "--r-grid", "2:50:8", "--out", "in.json"],
+        ["classify", "--in", "in.json", "--tail-tol", "-7", "--replicas", "-3",
+         *_BALL, "--dimension", "3", "--level", "9,9,9"],
+        ["classify", "--in", "in.json", *_D1],
+    ]),
+    ("err-verify-negative-scale", [["verify", "--tolerance-scale", "-1"]]),
 ]
 
 

@@ -340,6 +340,12 @@ class TestClassify:
         assert code == 2
         assert "error" in err
 
+    def test_empty_input_path_is_an_input(self, capsys):
+        # --in "" names a file (that cannot exist), not a fresh sweep
+        code, out, err = run_cli(capsys, ["classify", "--in", ""])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     def test_documents_record_their_route(self, capsys):
         common = ["--dimension", "1", "--window", "ball"]
         for argv, route in [
@@ -743,6 +749,51 @@ class TestParserBasics:
         assert exc_info.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("route", ["closed", "integral", "spectrum", None])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed", "3"), ("--replicas", "40"), ("--cell-prob-floor", "0")],
+    )
+    def test_monte_carlo_flag_on_exact_route(self, capsys, route, flag, value):
+        argv = ["stats", "--dimension", "1", "--window", "ball", "--radius", "2",
+                flag, value]
+        if route:
+            argv += ["--route", route]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        route = route or "spectrum"
+        assert err == f"error: --route {route} reads no {flag}\n"
+
+    def test_monte_carlo_defaults(self, capsys):
+        # an unset Monte Carlo flag takes its documented default on --route mc
+        base = ["--dimension", "1", "--radius", "1.5", "--replicas", "300"]
+        explicit = ["--seed", "0", "--cell-prob-floor", "1e-12"]
+        _, implicit_out, _ = run_cli(capsys, ["mc", *base])
+        _, explicit_out, _ = run_cli(capsys, ["mc", *base, *explicit])
+        assert implicit_out == explicit_out
+        doc = json.loads(implicit_out)
+        assert doc["meta"]["seed"] == 0
+        assert doc["meta"]["tolerances"] == {"tail_tol": 1e-9, "cell_prob_floor": 1e-12}
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--dimension", "1"], ["--level", "0"], ["--r-grid", "1,2"],
+         ["--window", "polydisk"], ["--tail-tol", "1e-9"], ["--route", "spectrum"],
+         ["--seed", "0"], ["--replicas", "40"], ["--cell-prob-floor", "0"],
+         ["--tail-tol", "-7", "--replicas", "-3", "--window", "ball",
+          "--dimension", "3", "--level", "9,9,9"]],
+        ids=lambda flags: "+".join(f for f in flags if f.startswith("--")),
+    )
+    def test_classify_in_takes_no_sweep_flag(self, capsys, tmp_path, flags):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep_document()))
+        code, out, err = run_cli(capsys, ["classify", "--in", str(path), *flags])
+        assert (code, out) == (2, "")
+        named = ", ".join(f for f in (
+            "--dimension", "--level", "--r-grid", "--window", "--tail-tol",
+            "--route", "--seed", "--replicas", "--cell-prob-floor") if f in flags)
+        assert err == f"error: classify --in reads no {named}\n"
+
 
 def _paths(node, prefix=()):
     """Every key or index path below node, parents before children."""
@@ -821,18 +872,19 @@ _FLAG_VALUES = {
 _COMMON = ["--dimension", "--level", "--tail-tol", "--format"]
 _MC = ["--route", "--seed", "--replicas", "--cell-prob-floor"]
 # Each command starts from a valid argv; the fuzz appends flags to it, and
-# a repeated flag overrides the earlier value.  The replica count, the
-# verify check and the radius grid are always given, so no example falls
-# back on an expensive default (100k replicas, the full verify suite, the
+# a repeated flag overrides the earlier value.  The verify check and the
+# radius grid are always given, and the replica count whenever the last
+# route drawn is mc (exact routes reject it), so no example falls back on
+# an expensive default (100k replicas, the full verify suite, the
 # 16-radius grid up to R = 50).
 _COMMANDS = {
     "kernel-eval": (["--dimension", "1", "--x", "0.3,-0.2", "--y", "0,0"],
                     _COMMON + ["--x", "--y"]),
-    "stats": (["--dimension", "1", "--radius", "2.5", "--replicas", "40"],
+    "stats": (["--dimension", "1", "--radius", "2.5"],
               _COMMON + ["--window", "--radius"] + _MC),
-    "sweep": (["--dimension", "1", "--r-grid", "0.5:2.5:6", "--replicas", "40"],
+    "sweep": (["--dimension", "1", "--r-grid", "0.5:2.5:6"],
               _COMMON + ["--window", "--r-grid"] + _MC),
-    "classify": (["--dimension", "1", "--r-grid", "0.5:2.5:6", "--replicas", "40"],
+    "classify": (["--dimension", "1", "--r-grid", "0.5:2.5:6"],
                  _COMMON + ["--window", "--r-grid", "--fit-window", "--in"] + _MC),
     "mc": (["--dimension", "1", "--radius", "2.5", "--replicas", "40"],
            _COMMON + ["--window", "--radius", "--seed", "--replicas",
@@ -848,10 +900,15 @@ def fuzzed_argv(draw, missing_path):
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     argv, flags = _COMMANDS[command]
     argv = [command, *argv]
+    route = None
     for flag in draw(st.lists(st.sampled_from([*flags, "--bogus", "--help"]),
                               max_size=4)):
         values = [missing_path, ""] if flag == "--in" else _FLAG_VALUES[flag]
-        argv += [flag, draw(st.sampled_from(values))] if values else [flag]
+        value = draw(st.sampled_from(values)) if values else None
+        argv += [flag, value] if values else [flag]
+        route = value if flag == "--route" else route
+    if route == "mc" and "--replicas" not in argv:
+        argv += ["--replicas", "40"]
     return argv
 
 

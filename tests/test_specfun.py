@@ -99,6 +99,17 @@ class TestLaguerre:
         with pytest.raises(OverflowError):
             laguerre(n, alpha, x)
 
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    @pytest.mark.parametrize("alpha, x", [(1e308, -1e308), (-1e308, 1e308)])
+    def test_slope_past_double_range_raises(self, n, alpha, x):
+        # 1 + alpha - x is +-inf before the first step
+        with pytest.raises(OverflowError):
+            laguerre(n, alpha, x)
+        with pytest.raises(OverflowError):
+            laguerre_log(n, alpha, x)
+        assert laguerre(0, alpha, x) == 1.0
+        assert laguerre_log(0, alpha, x) == (0.0, 1.0)
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(0, 400),

@@ -6,7 +6,6 @@ import pytest
 from heisenberg_dpp.verification import (
     ALL_CHECKS,
     CheckResult,
-    ToleranceProfile,
     run_checks,
 )
 
@@ -22,11 +21,19 @@ class TestReporting:
         assert bad.line().startswith("FAIL demo:")
 
     def test_profile_validation(self):
-        assert ToleranceProfile().scale == 1.0
-        with pytest.raises(ValueError):
-            ToleranceProfile(scale=-1.0)
-        with pytest.raises(ValueError):
-            ToleranceProfile(scale=float("nan"))
+        # the scale is checked before any check runs, unknown names included
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="scale must be finite and >= 0"):
+                run_checks(["not-a-check"], bad)
+
+    def test_result_named_from_registry(self, monkeypatch):
+        # a check returns its worst delta; run_checks names and judges it
+        worst = ALL_CHECKS["alpha-coefficients"]()
+        monkeypatch.setitem(ALL_CHECKS, "renamed", ALL_CHECKS["alpha-coefficients"])
+        (result,) = run_checks(["renamed"], 2.0)
+        assert result.name == "renamed"
+        assert result.tolerance == 2.0 and result.passed
+        assert result.max_delta == worst.delta
 
 
 class TestSelection:
@@ -46,7 +53,7 @@ class TestSelection:
     def test_scaled_tolerance_tightens(self):
         # a zero scale turns any nonzero deviation into a failure, which
         # demonstrates the checks report real measured deltas
-        loose = run_checks(["ginibre-constant"], ToleranceProfile(1.0))[0]
-        tight = run_checks(["ginibre-constant"], ToleranceProfile(0.0))[0]
+        loose = run_checks(["ginibre-constant"], 1.0)[0]
+        tight = run_checks(["ginibre-constant"], 0.0)[0]
         assert loose.passed and not tight.passed
         assert loose.max_delta == tight.max_delta > 0.0

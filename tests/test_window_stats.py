@@ -9,6 +9,7 @@ Frozen oracles (computed independently at high precision):
 """
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -378,6 +379,59 @@ class TestExactAssembly:
             build_spectrum(m, 1.3)
         with pytest.raises(InternalConsistencyError):
             bernoulli_prob(2, m, 1.3)
+
+
+class TestGammaLadder:
+    @pytest.mark.parametrize("r, m", [(0.3, 0), (3.0, 2), (20.0, 8)])
+    def test_extended_in_steps_matches_extended_once(self, r, m):
+        # build_spectrum's pattern: the initial truncation, then three steps
+        n_top = ws._initial_truncation(r, m)
+        grow = max(64, math.ceil(r))
+        prec = ws._working_prec(m, n_top + 2 * m + 64)
+        stepped = ws._GammaLadder(r, prec)
+        for i in range(4):
+            stepped.extend(n_top + i * grow + m)
+        once = ws._GammaLadder(r, prec)
+        once.extend(n_top + 3 * grow + m)
+        # a rung's low working-precision bits depend on where the series
+        # remainder started; its double and every assembled p_n do not
+        assert len(stepped._p) == len(once._p)
+        assert [libmp.to_float(v) for v in stepped._p] == [
+            libmp.to_float(v) for v in once._p
+        ]
+        size = n_top + 3 * grow
+        assert ws._assemble_probs(m, stepped, 0, size) == ws._assemble_probs(
+            m, once, 0, size
+        )
+
+    @pytest.mark.parametrize("r", [0.3, 3.0, 20.0])
+    @pytest.mark.parametrize("stepped", [False, True], ids=["once", "stepped"])
+    def test_every_rung_against_mpmath(self, r, stepped):
+        # from P(1) ~ 1 through the mode R^2 to past R^2 + 12R; the stepped
+        # ladder starts below the mode, where the remainder is a complement
+        top = math.ceil(r * r + 12 * r) + 8
+        prec = ws._working_prec(0, top)
+        ladder = ws._GammaLadder(r, prec)
+        for j in ((0, 1, top // 4, top // 2, top) if stepped else (top,)):
+            ladder.extend(j)
+        with mpmath.workprec(prec + 64):
+            x = mpmath.mpf(r) ** 2
+            for j in range(top + 1):
+                ref = mpmath.gammainc(j + 1, 0, x, regularized=True)
+                err = abs(mpmath.mpf(ladder.reg_gamma(j)) - ref) / ref
+                # the docstring's ~N ulps of its own size, N = top + 1 rungs
+                assert err <= (top + 1) * mpmath.mpf(2) ** (1 - prec), (j, err)
+
+    def test_rungs_far_below_the_mode_are_cheap(self):
+        # the remainder of a top below R^2 is the complement of the three
+        # terms under it: ~0.1 ms, where a series from the top would run
+        # through the mode on integers of ~R^2 bits (~10 s at R = 300)
+        ladder = ws._GammaLadder(300.0, 96)
+        start = time.perf_counter()
+        ladder.extend(1)
+        assert time.perf_counter() - start < 1.0
+        # 1 - ~e^(-9e4), rounded toward zero
+        assert [libmp.to_float(v) for v in ladder._p] == [1.0 - 2.0**-53] * 2
 
 
 class TestPolydiskMoments:
