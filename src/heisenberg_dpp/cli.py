@@ -445,7 +445,10 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_checks(args.check, args.tolerance_scale)
+    scale = args.tolerance_scale
+    if not (scale >= 0.0 and math.isfinite(scale)):
+        raise ValueError(f"--tolerance-scale must be finite and >= 0, got {scale}")
+    results = run_checks(args.check, scale)
     rows = [dataclasses.asdict(r) for r in results]
     for row in rows:
         if not math.isfinite(row["max_delta"]):  # a check that failed outright

@@ -16,11 +16,15 @@ The p_n are computed from the exact integer expansion of
 u^(n-m) L_m^(n-m)(u)^2 into monomials paired with regularized incomplete
 gamma values.  The monomial coefficients alternate in sign and grow like
 binom(n, m), so nothing is rounded before the sum: the incomplete gamma
-values come from a ladder at elevated precision (mpmath's libmp primitives
-with an explicit precision argument, which keeps the computation free of
-global state), each is read exactly as mantissa times a power of two, and
-the whole sum is formed in integer arithmetic.  The only rounding is the
-one to double on the finished probability, and it is toward zero.
+values come from a ladder at elevated precision, each is read exactly as
+mantissa times a power of two, and the whole sum is formed in integer
+arithmetic.  The ladder runs on plain int pairs (M, e) whose every
+operation truncates its exact result toward zero to the working
+precision, bit for bit what mpmath's libmp gives at round_down; mpmath
+serves only R^2 and the seed exp(-R^2).  The squared coefficients of
+successive n come from a forward-difference walk of one packed
+polynomial.  The only rounding outside the ladder is the one to double
+on the finished probability, and it is toward zero.
 """
 
 from __future__ import annotations
@@ -236,6 +240,82 @@ def _working_prec(level: int, max_index: int) -> int:
     return 96 + cancellation_bits
 
 
+# Round-toward-zero arithmetic on pairs (M, e) of value M 2^e, with M of
+# exactly prec bits or M = 0.  Each operation forms the exact result and
+# truncates it toward zero to prec bits: what libmp's mpf_mul, mpf_div,
+# mpf_add and mpf_sub return at round_down, in plain ints.
+
+
+def _trunc(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """man 2^exp (man >= 0) truncated toward zero to a prec-bit mantissa."""
+    shift = man.bit_length() - prec
+    return (man >> shift if shift >= 0 else man << -shift), exp + shift
+
+
+def _mul(a, b, prec: int) -> tuple[int, int]:
+    return _trunc(a[0] * b[0], a[1] + b[1], prec)
+
+
+def _div_int(a, k: int, prec: int) -> tuple[int, int]:
+    """a / k for an integer k >= 1; the floor has prec or prec + 1 bits."""
+    bits = k.bit_length()
+    return _trunc((a[0] << bits) // k, a[1] - bits, prec)
+
+
+def _add(a, b, prec: int) -> tuple[int, int]:
+    """a + b for a >= 0 and b > 0."""
+    if not a[0]:
+        return b
+    if a[1] < b[1]:
+        a, b = b, a
+    gap = a[1] - b[1]
+    if gap >= prec:
+        return a  # b lies below a's last kept bit, and the sum truncates to a
+    return _trunc((a[0] << gap) + b[0], b[1], prec)
+
+
+def _sub(a, b, prec: int) -> tuple[int, int]:
+    """a - b for a > b > 0, so a's exponent is at least b's."""
+    gap = a[1] - b[1]
+    if gap > prec + 4:
+        # b is under 2^-4 of a's last kept bit, where every b truncates
+        # alike: one unit far below that bit stands in for it (libmp's
+        # sticky bit), not a shift of a by the whole gap
+        return _trunc((a[0] << (prec + 4)) - 1, a[1] - prec - 4, prec)
+    return _trunc((a[0] << gap) - b[0], b[1], prec)
+
+
+def _from_libmp(value, prec: int) -> tuple[int, int]:
+    """A positive libmp value (of at most prec bits) as a pair."""
+    _, man, exp, bc = value
+    return man << (prec - bc), exp - (prec - bc)
+
+
+def _to_float(a) -> float:
+    """a truncated toward zero to 53 bits, then to the nearest double (as
+    libmp's to_float: only a subnormal result rounds again)."""
+    man, exp = a
+    shift = man.bit_length() - 53
+    if shift > 0:
+        man >>= shift
+        exp += shift
+    return math.ldexp(man, exp)
+
+
+def _quotient_to_float(num: int, exp: int, denom: int) -> float:
+    """num 2^exp / denom (denom > 0) truncated toward zero to 53 bits, then
+    to a double: libmp's to_float of mpf_div(..., 53, round_down)."""
+    mag = abs(num)
+    if not mag:
+        return 0.0
+    # 2^53 <= mag 2^shift / denom: the floor has 54 bits or more
+    shift = 54 + denom.bit_length() - mag.bit_length()
+    quot = (mag << shift) // denom if shift >= 0 else (mag >> -shift) // denom
+    drop = quot.bit_length() - 53
+    value = math.ldexp(quot >> drop, exp - shift + drop)
+    return -value if num < 0 else value
+
+
 class _GammaLadder:
     """P(j+1, R^2) for j = 0..N at fixed binary precision.
 
@@ -245,25 +325,34 @@ class _GammaLadder:
     the terms below it, which is then at least 1/2.  No ladder value comes
     from a subtraction that can lose relative accuracy, so every one is good
     to ~N ulps of its own size, near 1 and deep in the tail alike.
+
+    Rungs are (M, e) int pairs, and the arithmetic is the round-toward-zero
+    one above, so every rung equals, bit for bit, what the same steps give
+    in libmp at round_down.  Only the seed e^(-R^2) and R^2 itself come
+    from libmp.
     """
 
     def __init__(self, radius: float, prec: int):
         self.prec = prec
         rf = libmp.from_float(float(radius))
-        self.rsq = libmp.mpf_mul(rf, rf, prec)  # exact: 106 bits < prec
-        self._term = libmp.mpf_exp(libmp.mpf_neg(self.rsq), prec)  # t_(len(_p))
+        # Not exact: the square of a 53-bit mantissa needs up to 106 bits,
+        # so it is truncated toward zero where prec is smaller, as at level 0
+        # (prec 96) for most radii and at level 1 for small ones.
+        rsq = libmp.mpf_mul(rf, rf, prec)
+        self.rsq = _from_libmp(rsq, prec)
+        seed = libmp.mpf_exp(libmp.mpf_neg(rsq), prec)
+        self._term = _from_libmp(seed, prec)  # t_(len(_p))
         self._p = []
 
     def extend(self, j_max: int) -> None:
         prec, rsq, p = self.prec, self.rsq, self._p
-        mul, div, from_int = libmp.mpf_mul, libmp.mpf_div, libmp.from_int
         start, first = len(p), self._term
         if start > j_max:
             return
         # p[j] holds t_(j+1) until the backward sum replaces it with P(j+1)
         term = first
         for k in range(start + 1, j_max + 2):
-            term = div(mul(term, rsq, prec), from_int(k), prec)
+            term = _div_int(_mul(term, rsq, prec), k, prec)
             p.append(term)
         self._term = term
         if j_max + 3 <= self.mean_float():
@@ -271,15 +360,15 @@ class _GammaLadder:
             # 1/2 (the median exceeds R^2 - ln 2), so its complement loses
             # nothing and costs only the terms at hand, where the series
             # would run through the mode on integers of ~R^2 bits.
-            acc = p[start - 1] if start else libmp.fone
+            acc = p[start - 1] if start else (1 << (prec - 1), 1 - prec)  # P(0) = 1
             for t in (first, *p[start:]):
-                acc = libmp.mpf_sub(acc, t, prec)
+                acc = _sub(acc, t, prec)
         else:
             # sum_(k > K) t_k = t_K sum_(i >= 1) prod_(l <= i) r^2/(K + l)
             # with K = j_max + 1 > R^2 - 2, the sum in integers with
             # prec + 16 fraction bits; past the first factor (below 2) the
             # factors are below 1, so a product under one unit stays so.
-            _, x_man, x_exp, _ = rsq
+            x_man, x_exp = rsq
             num, den = (x_man << x_exp, 1) if x_exp >= 0 else (x_man, 1 << -x_exp)
             scale = prec + 16
             frac, total, k = 1 << scale, 0, j_max + 1
@@ -287,16 +376,17 @@ class _GammaLadder:
                 k += 1
                 frac = frac * num // (den * k)
                 total += frac
-            acc = mul(term, libmp.from_man_exp(total, -scale), prec)
+            acc = _trunc(term[0] * total, term[1] - scale, prec)
         for j in range(j_max, start - 1, -1):
-            acc = libmp.mpf_add(acc, p[j], prec)
+            acc = _add(acc, p[j], prec)
             p[j] = acc
 
     def reg_gamma(self, j: int):
-        return self._p[j]
+        """P(j+1, R^2) as a libmp value."""
+        return libmp.from_man_exp(*self._p[j])
 
     def mean_float(self) -> float:
-        return libmp.to_float(self.rsq)
+        return _to_float(self.rsq)
 
 
 def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[float]:
@@ -304,63 +394,56 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
 
     c_i = binom(n, m-i) m!/i! are the unsigned (m!-scaled) coefficients of
     L_m^(n-m); the signed ones are (-1)^i c_i, so the squared polynomial
-    has coefficients b_k = (-1)^k d_k with d = c * c.  The c_i are packed
-    into one integer and squared (Kronecker substitution), which yields all
-    d_k from a single big-int product.  Reading each ladder value exactly as
-    P_j = M_j 2^e_j, the sum S = sum_k b_k (j_k!/j_0!) M_k 2^(e_k - e_min)
-    over j_k = n-m+k >= j_0 = max(n-m, 0) is an exact integer, and
-    p_n = S 2^e_min / (m! n!/j_0!) is rounded once, toward zero.
+    has coefficients b_k = (-1)^k d_k with d = c * c.  Packed into one
+    integer, D(n) = (sum_i c_i X^i)^2 = sum_k d_k X^k (Kronecker
+    substitution, X = 2^slot) holds every d_k, and as a polynomial of
+    degree 2m in n it is walked by forward differences: 2m + 1 squares seed
+    the table and each further index costs 2m big-int adds.  Reading each
+    ladder value exactly as P_j = M_j 2^e_j, the sum
+    S = sum_k b_k (j_k!/j_0!) M_k 2^(e_k - e_min) over
+    j_k = n-m+k >= j_0 = max(n-m, 0) is an exact integer, summed by Horner
+    in the falling factorial, and p_n = S 2^e_min / (m! n!/j_0!) is rounded
+    once, toward zero, to 53 bits.
     """
+    rungs = ladder._p
     if m == 0:
-        raws = [libmp.to_float(ladder.reg_gamma(n)) for n in range(n_lo, n_hi + 1)]
+        raws = [_to_float(rungs[n]) for n in range(n_lo, n_hi + 1)]
     else:
         raws = []
         m_fact = factorial(m)
+        scaled = [m_fact // factorial(i) for i in range(m + 1)]
         j_first = max(n_lo - m, 0)
-        mans = []
-        exps = []
-        for j in range(j_first, n_hi + m + 1):
-            sign, man, exp, _ = ladder.reg_gamma(j)
-            mans.append(-man if sign else man)
-            exps.append(exp)
-        # c_i at n_lo; Pascal's rule c_i(n+1) = c_i(n) + (i+1) c_{i+1}(n)
-        # advances them.  The slots fit the largest d_k, which is at n_hi.
-        coeffs = [comb(n_lo, m - i) * (m_fact // factorial(i)) for i in range(m + 1)]
-        top = max(comb(n_hi, m - i) * (m_fact // factorial(i)) for i in range(m + 1))
+        mans, exps = zip(*rungs[j_first : n_hi + m + 1])
+        # The slots fit the largest d_k in range, which is at n_hi.  Only
+        # D(n) itself is unpacked; its differences may borrow across slots.
+        top = max(comb(n_hi, m - i) * scaled[i] for i in range(m + 1))
         slot = (2 * top.bit_length() + (m + 1).bit_length() + 7) // 8
         slot_bits = 8 * slot
-        for n in range(n_lo, n_hi + 1):
+        diffs = []
+        for n in range(n_lo, min(n_hi, n_lo + 2 * m) + 1):
             packed = 0
-            for c in reversed(coeffs):
-                packed = (packed << slot_bits) | c
-            squared = (packed * packed).to_bytes((2 * m + 1) * slot, "little")
+            for i in range(m, -1, -1):
+                packed = (packed << slot_bits) + comb(n, m - i) * scaled[i]
+            diffs.append(packed * packed)
+        order = len(diffs) - 1
+        for k in range(1, order + 1):
+            for i in range(order, k - 1, -1):
+                diffs[i] -= diffs[i - 1]
+        width = (2 * m + 1) * slot
+        for n in range(n_lo, n_hi + 1):
+            squared = diffs[0].to_bytes(width, "little")
+            for i in range(order):
+                diffs[i] += diffs[i + 1]
             j0 = max(n - m, 0)
             e_min = min(exps[j0 - j_first : n + m + 1 - j_first])
-            acc = 0
-            falling = 1  # j!/j0!
-            for j in range(j0, n + m + 1):
-                if j > j0:
-                    falling *= j
+            acc = 0  # Horner in j!/j0!, from j = n + m down to j0
+            for j in range(n + m, j0 - 1, -1):
                 k = j - n + m
                 d = int.from_bytes(squared[k * slot : (k + 1) * slot], "little")
-                term = (d * falling * mans[j - j_first]) << (exps[j - j_first] - e_min)
-                if k & 1:
-                    acc -= term
-                else:
-                    acc += term
+                term = (d * mans[j - j_first]) << (exps[j - j_first] - e_min)
+                acc = acc * (j + 1) - term if k & 1 else acc * (j + 1) + term
             denom = m_fact * perm(n, n - j0)  # m! n!/j0!
-            raws.append(
-                libmp.to_float(
-                    libmp.mpf_div(
-                        libmp.from_man_exp(acc, e_min),
-                        libmp.from_int(denom),
-                        53,
-                        libmp.round_down,
-                    )
-                )
-            )
-            for i in range(m):
-                coeffs[i] += (i + 1) * coeffs[i + 1]
+            raws.append(_quotient_to_float(acc, e_min, denom))
     probs = []
     for n, raw in enumerate(raws, n_lo):
         if raw < -PROB_CONSISTENCY_BAND or raw > 1.0 + PROB_CONSISTENCY_BAND:

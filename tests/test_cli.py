@@ -701,6 +701,14 @@ class TestVerify:
         code, _, _ = run_cli(capsys, ["verify", "--check", "no-such-check"])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_tolerance_scale_names_the_flag(self, capsys, value):
+        code, out, err = run_cli(capsys, ["verify", "--tolerance-scale", value])
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --tolerance-scale must be finite and >= 0, got {float(value)}\n"
+        )
+
     def test_csv_details_with_commas_keep_their_columns(self, capsys, tmp_path):
         # polydisk-limit's detail and sub_case read "D=3 level=(0, 1, 2)..."
         out_path = tmp_path / "verify.csv"

@@ -8,7 +8,9 @@ Frozen oracles (computed independently at high precision):
   C(0) = 1/sqrt(pi), C(1) = 7/(4 sqrt(pi)), C(2) = 1.278242025225385
 """
 
+import hashlib
 import math
+import struct
 import time
 from fractions import Fraction
 
@@ -396,8 +398,8 @@ class TestGammaLadder:
         # a rung's low working-precision bits depend on where the series
         # remainder started; its double and every assembled p_n do not
         assert len(stepped._p) == len(once._p)
-        assert [libmp.to_float(v) for v in stepped._p] == [
-            libmp.to_float(v) for v in once._p
+        assert [libmp.to_float(stepped.reg_gamma(j)) for j in range(len(once._p))] == [
+            libmp.to_float(once.reg_gamma(j)) for j in range(len(once._p))
         ]
         size = n_top + 3 * grow
         assert ws._assemble_probs(m, stepped, 0, size) == ws._assemble_probs(
@@ -431,7 +433,182 @@ class TestGammaLadder:
         ladder.extend(1)
         assert time.perf_counter() - start < 1.0
         # 1 - ~e^(-9e4), rounded toward zero
-        assert [libmp.to_float(v) for v in ladder._p] == [1.0 - 2.0**-53] * 2
+        assert [libmp.to_float(ladder.reg_gamma(j)) for j in range(2)] == [
+            1.0 - 2.0**-53
+        ] * 2
+
+
+def libmp_ladder(radius: float, prec: int, tops) -> list:
+    """The incomplete-gamma ladder as libmp computed it at round_down,
+    extended to each top in turn: the reference the int ladder must match
+    bit for bit."""
+    mul, div, add, sub = libmp.mpf_mul, libmp.mpf_div, libmp.mpf_add, libmp.mpf_sub
+    rf = libmp.from_float(radius)
+    rsq = mul(rf, rf, prec)
+    term = libmp.mpf_exp(libmp.mpf_neg(rsq), prec)
+    p = []
+    for j_max in tops:
+        start, first = len(p), term
+        if start > j_max:
+            continue
+        for k in range(start + 1, j_max + 2):
+            term = div(mul(term, rsq, prec), libmp.from_int(k), prec)
+            p.append(term)
+        if j_max + 3 <= libmp.to_float(rsq):
+            acc = p[start - 1] if start else libmp.fone
+            for t in (first, *p[start:]):
+                acc = sub(acc, t, prec)
+        else:
+            _, x_man, x_exp, _ = rsq
+            num, den = (x_man << x_exp, 1) if x_exp >= 0 else (x_man, 1 << -x_exp)
+            scale = prec + 16
+            frac, total, k = 1 << scale, 0, j_max + 1
+            while frac:
+                k += 1
+                frac = frac * num // (den * k)
+                total += frac
+            acc = mul(term, libmp.from_man_exp(total, -scale), prec)
+        for j in range(j_max, start - 1, -1):
+            acc = add(acc, p[j], prec)
+            p[j] = acc
+    return p
+
+
+@st.composite
+def libmp_values(draw, prec: int, exp=st.integers(-1200, 1000)):
+    """A positive libmp value of at most prec bits; exact powers of two and
+    all-ones mantissas are drawn on purpose."""
+    man = draw(
+        st.one_of(
+            st.integers(1, 2**prec - 1),
+            st.sampled_from([1, 2 ** (prec - 1), 2**prec - 1]),
+        )
+    )
+    return libmp.from_man_exp(man, draw(exp))
+
+
+@st.composite
+def operand_pairs(draw):
+    """(prec, a, b): b's exponent sits from far above a's to past prec + 4
+    below its last kept bit."""
+    prec = draw(st.sampled_from([53, 96, 107, 288]))
+    a = draw(libmp_values(prec))
+    gap = draw(
+        st.one_of(
+            st.integers(-2 * prec, 3 * prec),
+            st.sampled_from([prec - 1, prec, prec + 3, prec + 4, prec + 5]),
+        )
+    )
+    b = draw(libmp_values(prec, st.just(a[2] + a[3] - gap - prec)))
+    return prec, a, b
+
+
+class TestNativeRounding:
+    """The ladder's int arithmetic against libmp at round_down, bit for bit."""
+
+    @staticmethod
+    def native(value, prec):
+        return ws._from_libmp(value, prec)
+
+    @staticmethod
+    def back(pair):
+        return libmp.from_man_exp(*pair)
+
+    @settings(max_examples=300, deadline=None)
+    @given(operand_pairs())
+    def test_mul_add_sub(self, case):
+        prec, a, b = case
+        x, y = self.native(a, prec), self.native(b, prec)
+        down = libmp.round_down
+        assert self.back(ws._mul(x, y, prec)) == libmp.mpf_mul(a, b, prec, down)
+        assert self.back(ws._add(x, y, prec)) == libmp.mpf_add(a, b, prec, down)
+        if libmp.mpf_cmp(a, b) != 0:
+            if libmp.mpf_cmp(a, b) < 0:
+                a, b, x, y = b, a, y, x
+            assert self.back(ws._sub(x, y, prec)) == libmp.mpf_sub(a, b, prec, down)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prec=st.sampled_from([53, 96, 107, 288]),
+        data=st.data(),
+        k=st.one_of(st.integers(1, 10**7), st.sampled_from([1, 2, 4, 1 << 20])),
+    )
+    def test_div_by_int(self, prec, data, k):
+        a = data.draw(libmp_values(prec))
+        got = self.back(ws._div_int(self.native(a, prec), k, prec))
+        assert got == libmp.mpf_div(a, libmp.from_int(k), prec, libmp.round_down)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prec=st.sampled_from([53, 96, 288]),
+        data=st.data(),
+    )
+    def test_to_float(self, prec, data):
+        # exponents reach the subnormal range and past it (to zero)
+        a = data.draw(libmp_values(prec, st.integers(-1400, 700)))
+        assert ws._to_float(self.native(a, prec)) == libmp.to_float(a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num=st.one_of(
+            st.integers(-(2**600), 2**600),
+            st.sampled_from([-1, 1, -(2**200), 2**200, 2**53 - 1]),
+        ),
+        exp=st.integers(-1500, 280),
+        denom=st.one_of(st.integers(1, 2**300), st.sampled_from([1, 2, 6, 1 << 90])),
+    )
+    def test_final_division(self, num, exp, denom):
+        # negative sums and subnormal or underflowing quotients included
+        quotient = libmp.mpf_div(
+            libmp.from_man_exp(num, exp), libmp.from_int(denom), 53, libmp.round_down
+        )
+        want = libmp.to_float(quotient)
+        got = ws._quotient_to_float(num, exp, denom)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("r", [1e-200, 1e-160, 0.3, 1.7, 3.0, 20.0])
+    @pytest.mark.parametrize("m", [0, 1, 8])
+    def test_ladder_matches_libmp(self, r, m):
+        # build_spectrum's steps, and bernoulli_prob's short ladder below
+        # the mode; at R = 1e-160 the small rungs are subnormal doubles
+        n_top = ws._initial_truncation(r, m)
+        prec = ws._working_prec(m, n_top + 2 * m + 64)
+        tops = [1, max(int(r * r) - 3, 2), n_top + m, n_top + m + 64]
+        ladder = ws._GammaLadder(r, prec)
+        for top in tops:
+            ladder.extend(top)
+        ref = libmp_ladder(r, prec, tops)
+        assert [ladder.reg_gamma(j) for j in range(len(ref))] == ref
+        assert [ws._to_float(v) for v in ladder._p] == [libmp.to_float(v) for v in ref]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        r=st.floats(0.05, 25.0),
+        prec=st.sampled_from([96, 107, 160]),
+        tops=st.lists(st.integers(0, 800), min_size=1, max_size=4),
+    )
+    def test_random_ladders_match_libmp(self, r, prec, tops):
+        ladder = ws._GammaLadder(r, prec)
+        for top in tops:
+            ladder.extend(top)
+        ref = libmp_ladder(r, prec, tops)
+        assert [ladder.reg_gamma(j) for j in range(len(ref))] == ref
+
+
+class TestBitIdentity:
+    # sha256 of build_spectrum's probs (little-endian doubles) and tail
+    # bound over the grid below, as the libmp ladder and per-index square
+    # computed them; the int ladder and difference walk must keep every bit
+    PINNED = "7cbdea5bf0e4614c2ebd32daafd5dfbcc52c7b89e36a4a423577c0362134e6f7"
+
+    def test_spectrum_grid_digest(self):
+        digest = hashlib.sha256()
+        for m in (0, 1, 2, 8, 16):
+            for r in (0.05, 1.3, 7.7, 20.0):
+                spec = build_spectrum(m, r)
+                digest.update(np.asarray(spec.probs, dtype="<f8").tobytes())
+                digest.update(struct.pack("<d", spec.tail_bound))
+        assert digest.hexdigest() == self.PINNED
 
 
 class TestPolydiskMoments:
