@@ -10,28 +10,39 @@ Cells with parameter below ``cell_prob_floor`` are pooled into a single
 binomial draw whose per-trial probability is the pooled mean divided by
 the pooled cell count, which preserves the aggregate mean exactly.
 
-The kept cells are sampled by exact thinning.  A cell with p > 1/2
-counts as a sure hit minus a Bernoulli(1 - p) miss, so every cell is
-drawn through q = min(p, 1 - p) <= 1/2 and cells with p in {0, 1} cost
-nothing.  Since 1{Poisson(lambda) >= 1} is Bernoulli(1 - exp(-lambda)),
+The kept cells are split by q = min(p, 1 - p).  A dense cell, with
+q >= ``DENSE_Q``, is drawn directly: it is hit when one uniform double
+falls below p.  Every other kept cell is sampled by exact thinning.  A
+sparse cell with p > 1/2 counts as a sure hit minus a Bernoulli(1 - p)
+miss, so it is drawn through q < ``DENSE_Q``, and cells with p in {0, 1}
+cost nothing.  Since 1{Poisson(lambda) >= 1} is Bernoulli(1 - exp(-lambda)),
 a cell with lambda = -log1p(-q) is hit exactly when a Poisson process of
-rate lambda puts a point on it.  Cells are grouped into dyadic bands of
-lambda; per replica a band of k cells with largest rate lambda_max draws
-Poisson(k lambda_max) candidates at uniform cell indices, keeps each with
-probability lambda_j / lambda_max, and the replica's band count is the
-number of distinct kept cells.  This is exact in distribution up to the
-rounding of q, lambda and the acceptance ratio in doubles.  A replica
-costs at most 2 sum(lambda) <= 4 log(2) sum(q) candidates, and sum(q) is
-at most twice the variance, instead of one uniform per cell.
+rate lambda puts a point on it.  The sparse cells are grouped into dyadic
+bands of lambda; per replica a band of k cells with largest rate
+lambda_max draws Poisson(k lambda_max) candidates at uniform cell
+indices, keeps each with probability lambda_j / lambda_max, and the
+replica's band count is the number of distinct kept cells.  Both draws
+are exact in distribution up to the rounding of p, q, lambda and the
+acceptance ratio in doubles.  A dense cell has p(1 - p) >= DENSE_Q
+(1 - DENSE_Q), and a band's candidate rate is below 2 sum(lambda), which
+is below 6 times its cells' variance; so a replica costs at most
+kappa_2 (1 / (DENSE_Q (1 - DENSE_Q)) + 6) uniforms and candidates, with
+kappa_2 the variance of the kept cells' count, instead of one uniform per
+cell.  A dense uniform costs a few nanoseconds; a candidate (an index, a
+uniform, a key, a sort) several times that, which is why cells near
+q = 1/2 are not thinned.
 
 Determinism contract: replicas are split into consecutive blocks of
 ``BLOCK_REPLICAS`` (the last one may be shorter), and block b draws all
-of its replicas from one Philox generator keyed by
+of its replicas (the dense uniforms row by row, then the band candidates,
+then the pooled binomial) from one Philox generator keyed by
 SeedSequence(master_seed, spawn_key=(b,)), a counter-based split of the
 master seed.  Results are bit-for-bit reproducible for a fixed
 (seed, replicas, spec, R, floor), and each block's counts depend only on
 (seed, b, its replica count, the cell model), so blocks can be evaluated
-in any order.
+in any order.  ``DENSE_Q`` and ``BLOCK_REPLICAS`` are part of that
+contract: changing either changes the streams.  They are module
+constants, not settings.
 """
 
 from __future__ import annotations
@@ -52,12 +63,17 @@ KEPT_CELL_CAP = 20_000_000
 # Cells of the multi-index outer product formed at a time (8 MB of doubles).
 _OUTER_CHUNK_CELLS = 1 << 20
 
-# Replicas drawn from one generator, and the thinning candidates handled
-# per vectorised step (~0.2 MB of temporaries; a step holds at least one
-# replica's candidates of a band).  Both are part of the determinism
-# contract: changing either changes the streams.
+# Replicas drawn from one generator, the thinning candidates handled per
+# vectorised step (~0.2 MB of temporaries; a step holds at least one
+# replica's candidates of a band), and the smallest q = min(p, 1 - p) of
+# a cell drawn by one uniform instead of by thinning.  All three are part
+# of the determinism contract: changing any changes the streams.
 BLOCK_REPLICAS = 256
 _CANDIDATE_CHUNK = 1 << 12
+DENSE_Q = 0.15
+# Dense uniforms drawn at a time (64 kB, and at least one replica's row).
+# Rows are consumed in row-major order, so this does not change the stream.
+_DENSE_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -94,13 +110,17 @@ class McEstimate:
 class _CellModel:
     """Flattened multi-index grid: kept cell parameters plus pooled rest.
 
-    The kept cells are also stored as a thinning plan: ``sure`` counts the
-    cells with p > 1/2, and each dyadic band of lambda = -log1p(-min(p, 1 - p))
-    has a sign (+1 for p <= 1/2, -1 for p > 1/2), a Poisson candidate rate
+    Every kept cell is in exactly one of three groups.  ``dense`` holds p of
+    the cells with q = min(p, 1 - p) >= DENSE_Q, each drawn as u < p.  The
+    others form a thinning plan: ``sure`` counts those with p > 1/2, and
+    each dyadic band of lambda = -log1p(-q) over the cells with q > 0 has a
+    sign (+1 for p <= 1/2, -1 for p > 1/2), a Poisson candidate rate
     k * lambda_max and its cells' acceptance ratios lambda / lambda_max.
+    Cells with q = 0 are certain and sit in no band.
     """
 
     kept: np.ndarray
+    dense: np.ndarray
     pooled_count: int
     pooled_prob: float
     pooled_mass: float
@@ -160,10 +180,13 @@ def _build_cells(spectra: list[BernoulliSpectrum], floor: float) -> _CellModel:
     pooled_count = total_cells - kept.size
     pooled_prob = pooled_mass / pooled_count if pooled_count > 0 else 0.0
     # 1 - p is exact for p >= 1/2, so the complement loses nothing.
-    high = kept > 0.5
-    bands = _thinning_bands(kept[~high], 1) + _thinning_bands(1.0 - kept[high], -1)
+    dense = (kept >= DENSE_Q) & (1.0 - kept >= DENSE_Q)
+    sparse = kept[~dense]
+    high = sparse > 0.5
+    bands = _thinning_bands(sparse[~high], 1) + _thinning_bands(1.0 - sparse[high], -1)
     return _CellModel(
         kept=kept,
+        dense=kept[dense],
         pooled_count=int(pooled_count),
         pooled_prob=min(pooled_prob, 1.0),
         pooled_mass=pooled_mass,
@@ -200,6 +223,11 @@ def _band_hits(
 def _draw_block(model: _CellModel, rows: int, rng: np.random.Generator) -> np.ndarray:
     """Counts of ``rows`` replicas, all drawn from the one generator ``rng``."""
     counts = np.full(rows, model.sure, dtype=np.int64)
+    if model.dense.size:
+        step = max(1, _DENSE_CHUNK // model.dense.size)
+        for r0 in range(0, rows, step):
+            u = rng.random((min(step, rows - r0), model.dense.size))
+            counts[r0 : r0 + step] += np.count_nonzero(u < model.dense, axis=1)
     if model.band_rates.size:
         candidates = rng.poisson(model.band_rates, size=(rows, model.band_rates.size))
         for b in np.flatnonzero(candidates.any(axis=0)):

@@ -454,6 +454,28 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
     return probs
 
 
+# Natural log of 2^-1138: a p_n certified below it lies 64 binary orders
+# under the smallest subnormal, so the assembly would return 0.0 for it
+# whatever the few-ulp rounding of lgamma and log in the bound.
+_LOG_UNDERFLOW = -1138 * math.log(2.0)
+
+
+def _log_prob_bound(n: int, m: int, radius: float) -> float:
+    """log of an upper bound on p_n(R, m), from Szego's Laguerre bound.
+
+    p is symmetric, so take n >= m.  |L_m^(n-m)(u)| <= C(n, m) e^(u/2) for
+    u >= 0 (Szego, Orthogonal Polynomials, 7.21.3) turns the integrand into
+    at most C(n, m)^2 u^(n-m), so p_n <= (m!/n!) C(n, m)^2 R^(2k) / k with
+    k = n - m + 1, which is n! R^(2k) / (m! (n - m)!^2 k).
+    """
+    n, m = max(n, m), min(n, m)
+    k = n - m + 1
+    return (
+        math.lgamma(n + 1) - math.lgamma(m + 1) - 2.0 * math.lgamma(k)
+        + 2.0 * k * math.log(radius) - math.log(k)
+    )
+
+
 def bernoulli_prob(n: int, m: int, radius: float) -> float:
     """Success probability p_n(R, m) of lattice index n at level m.
 
@@ -461,7 +483,10 @@ def bernoulli_prob(n: int, m: int, radius: float) -> float:
     in closed form: the integrand expands exactly into monomials, each
     integrating to a factorial times a regularized incomplete gamma.
     Clamped to [0, 1]; a value outside the 1e-12 consistency band raises
-    InternalConsistencyError instead of being clamped silently.
+    InternalConsistencyError instead of being clamped silently.  Returns 0.0
+    without a ladder when Szego's bound certifies that p_n rounds to it, and
+    otherwise raises NumericalBudgetError when the n + m + 1 rungs pass the
+    size cap.
     """
     n, m = _check_index("n", n), _check_index("m", m)
     radius = _check_radius(radius)
@@ -476,6 +501,18 @@ def bernoulli_prob(n: int, m: int, radius: float) -> float:
             raise UnsupportedConfigurationError(
                 f"level {m} beyond the exact-coefficient range"
             )
+    try:
+        if _log_prob_bound(n, m, radius) < _LOG_UNDERFLOW:
+            return 0.0
+    except OverflowError:  # n past the double range: the size cap answers
+        pass
+    if n + m > SPECTRUM_SIZE_CAP:
+        raise NumericalBudgetError(
+            f"p_{n} at level {m} needs {n + m + 1} ladder rungs, "
+            f"past the size cap {SPECTRUM_SIZE_CAP}",
+            best_estimate=None,
+            achieved_error=radius * radius,
+        )
     ladder = _GammaLadder(radius, _working_prec(m, n + m))
     ladder.extend(n + m)
     return _assemble_probs(m, ladder, n, n)[0]

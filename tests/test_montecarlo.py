@@ -1,5 +1,6 @@
-"""Bernoulli-sum sampler: determinism, exactness, pooling soundness."""
+"""Bernoulli-sum sampler: determinism, exactness, cost, pooling soundness."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -65,6 +66,32 @@ def model_cumulants(model, order: int) -> list[float]:
 def toy_spectrum(probs, radius=1.0, level=0) -> BernoulliSpectrum:
     arr = np.asarray(probs, dtype=float)
     return BernoulliSpectrum(radius=radius, level=level, probs=arr, tail_bound=0.0)
+
+
+def assert_cell_partition(model) -> None:
+    """Every kept cell is certain, dense, or in exactly one dyadic band."""
+    p = model.kept
+    q = np.minimum(p, 1.0 - p)
+    dense = q >= mc.DENSE_Q
+    assert model.dense.tobytes() == p[dense].tobytes()
+    sparse = p[~dense]
+    high = sparse > 0.5
+    assert model.sure == np.count_nonzero(high)
+    banded = 0
+    for sign, q_side in ((1, sparse[~high]), (-1, 1.0 - sparse[high])):
+        # the sparse cells' lambda, cut into this sign's bands in lambda order
+        lam = np.sort(-np.log1p(-q_side[q_side > 0.0]))
+        side = [(rate, ratios) for s, rate, ratios in
+                zip(model.band_signs, model.band_rates, model.band_ratios) if s == sign]
+        sizes = [ratios.size for _, ratios in side]
+        assert sum(sizes) == lam.size
+        for (rate, ratios), band in zip(side, np.split(lam, np.cumsum(sizes)[:-1])):
+            assert np.unique(np.frexp(band)[1]).size == 1
+            assert rate == band.size * band[-1]
+            assert ratios.tobytes() == (band / band[-1]).tobytes()
+        banded += lam.size
+    assert len(model.band_ratios) == len(model.band_signs) == model.band_rates.size
+    assert np.count_nonzero(q == 0.0) + model.dense.size + banded == p.size
 
 
 class TestMcConfig:
@@ -140,23 +167,18 @@ class TestCellModel:
         assert model.sure == 2
         assert model.band_rates.size == 0
 
-    def test_bands_are_dyadic_in_lambda(self):
+    def test_cells_are_certain_dense_or_banded(self):
         spec = toy_spectrum([0.5, 0.3, 0.01, 1e-9, 0.7, 0.999, 1.0 - 2**-53, 1.0])
         model = mc._build_cells([spec, spec], floor=0.0)
-        high = model.kept > 0.5
-        assert model.sure == np.count_nonzero(high)
-        for sign, q in ((1, model.kept[~high]), (-1, 1.0 - model.kept[high])):
-            lam = np.sort(-np.log1p(-q[q > 0.0]))
-            bands = [
-                ratios * (rate / ratios.size)
-                for s, rate, ratios in zip(model.band_signs, model.band_rates, model.band_ratios)
-                if s == sign
-            ]
-            for band in bands:
-                assert band.max() / band.min() < 2.0
-                assert np.unique(np.frexp(band)[1]).size == 1
-            assert np.sort(np.concatenate(bands)) == pytest.approx(lam, rel=1e-15)
-        assert all(ratios.max() == 1.0 for ratios in model.band_ratios)
+        assert model.dense.size and model.band_rates.size and model.sure
+        assert_cell_partition(model)
+
+    def test_dense_threshold_is_inclusive(self):
+        q = mc.DENSE_Q
+        model = mc._build_cells([toy_spectrum([q, 1.0 - q, np.nextafter(q, 0.0)])], floor=0.0)
+        assert model.dense.tolist() == [q, 1.0 - q]
+        assert model.band_rates.size == 1
+        assert_cell_partition(model)
 
     def test_cell_cap_raises(self, monkeypatch):
         monkeypatch.setattr(mc, "KEPT_CELL_CAP", 3)
@@ -203,6 +225,15 @@ class TestDeterminism:
         a = estimate_moments(spec, 2.0, McConfig(replicas=64, seed=1))
         b = estimate_moments(spec, 2.0, McConfig(replicas=64, seed=2))
         assert a != b
+
+    @pytest.mark.parametrize("rows_per_step", [1, 7, mc.BLOCK_REPLICAS])
+    def test_dense_chunk_leaves_the_stream(self, monkeypatch, rows_per_step):
+        # 300 replicas: a full block and a 44-row block, which 7 divides in neither
+        model = mc._build_cells([build_spectrum(m, 3.0, 1e-9) for m in (0, 1)], 0.0)
+        assert model.dense.size and model.band_rates.size
+        whole = block_counts(model, 300, 4242)
+        monkeypatch.setattr(mc, "_DENSE_CHUNK", rows_per_step * model.dense.size)
+        assert np.array_equal(block_counts(model, 300, 4242), whole)
 
     def test_block_generators_are_disjoint(self):
         # same master seed, different block index: independent streams
@@ -275,6 +306,9 @@ class TestEstimates:
 # p = 0 and p = 1 are certain, 1 - 2^-53 is the largest double below 1,
 # 1/2 sits on the complement boundary and 1e-300 is a band of its own.
 EDGE_PROBS = [0.0, 1.0, 1.0 - 2.0**-53, 0.5, 1e-300, 1e-3, 0.3, 0.8]
+# every cell drawn by one uniform (no sure count, no band); not symmetric
+# about 1/2, so drawing 1 - p for p would show
+ALL_DENSE_PROBS = [0.2, 0.35, 0.5, 0.65, 0.8, 0.25, 0.3, 0.4, 0.6, 0.75]
 
 
 class TestExactness:
@@ -284,6 +318,7 @@ class TestExactness:
             [EDGE_PROBS],
             [EDGE_PROBS, [1.0, 0.5, 0.05]],
             [[0.02, 0.6, 0.97], [0.4, 0.999], [0.75, 0.1]],
+            pytest.param([ALL_DENSE_PROBS], id="all-dense"),
         ],
     )
     def test_histogram_matches_poisson_binomial(self, probs):
@@ -299,6 +334,11 @@ class TestExactness:
         cuts = np.r_[0, np.arange(dense[0] + 1, dense[-1] + 1)]
         obs, exp = np.add.reduceat(observed, cuts), np.add.reduceat(expected, cuts)
         assert scipy.stats.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue > 1e-3
+
+    def test_all_dense_case_has_no_thinning(self):
+        model = mc._build_cells([toy_spectrum(ALL_DENSE_PROBS)], 0.0)
+        assert model.dense.tobytes() == model.kept.tobytes()
+        assert model.sure == 0 and model.band_rates.size == 0
 
     def test_near_certain_cell_never_misses(self):
         # 1 - 2^-53 misses with probability 2^-53; 1e-300 hits with 1e-300
@@ -326,6 +366,44 @@ class TestExactness:
             assert z <= 4.0, (r, z)
 
 
+def draws_within_bound(model) -> bool:
+    """Dense uniforms plus expected band candidates per replica, against kappa_2."""
+    kappa2 = float(np.sum(model.kept * (1.0 - model.kept)))
+    draws = model.dense.size + float(np.sum(model.band_rates))
+    return draws <= kappa2 * (1.0 / (mc.DENSE_Q * (1.0 - mc.DENSE_Q)) + 6.0)
+
+
+class TestCost:
+    @pytest.mark.parametrize("level, radius", [((0,), 1.0), ((0, 0), 5.0), ((2, 2), 5.0), ((1,), 30.0)])
+    def test_draws_per_replica_bounded_by_variance(self, level, radius):
+        model = mc._build_cells([build_spectrum(m, radius, 1e-9) for m in level], 1e-12)
+        assert draws_within_bound(model)
+
+
+class TestStreamIdentity:
+    # sha256 of block_counts (little-endian int64) for fixed models, seeds
+    # and replica counts: the dense/sparse split, DENSE_Q, BLOCK_REPLICAS and
+    # the draw order inside a block fix these streams
+    PINNED = {
+        "edge": "a6d1688b12dd94c37133dd15c5ea6e505612318e6b8f9c6a3f5ab86b152e1bda",
+        "level-00": "d81ab28e7335d1f792b7a27d6bd94ba6103b497a4f79227a17ed4a758d4ad9f8",
+        "level-12-floor": "cb53128bb858569fafd509bf008a752abc453cbb52d10dfaf7db93d3f0a2f44c",
+    }
+
+    @staticmethod
+    def _model(name):
+        if name == "edge":
+            return mc._build_cells([toy_spectrum(EDGE_PROBS), toy_spectrum([1.0, 0.5, 0.05])], 0.0)
+        level, floor = ((0, 0), 0.0) if name == "level-00" else ((1, 2), 1e-12)
+        return mc._build_cells([build_spectrum(m, 3.0, 1e-9) for m in level], floor)
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_block_counts_digest(self, name):
+        counts = block_counts(self._model(name), 600, 20261018)
+        digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
+        assert digest == self.PINNED[name]
+
+
 probability = st.one_of(
     st.sampled_from([0.0, 1.0, 1.0 - 2.0**-53, 0.5, 1e-300]),
     st.floats(0.0, 1.0),
@@ -348,3 +426,13 @@ class TestProperties:
         assert counts.max() <= model.kept.size + model.pooled_count
         again = mc._draw_block(model, rows, mc._block_rng(seed, 0))
         assert np.array_equal(counts, again)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        probs=st.lists(st.lists(probability, min_size=1, max_size=8), min_size=1, max_size=2),
+        floor=st.sampled_from([0.0, 1e-3, 0.2]),
+    )
+    def test_cells_partition_and_cost(self, probs, floor):
+        model = mc._build_cells([toy_spectrum(p) for p in probs], floor)
+        assert_cell_partition(model)
+        assert draws_within_bound(model)

@@ -223,6 +223,63 @@ class TestBernoulliProb:
         with pytest.raises(UnsupportedConfigurationError):
             bernoulli_prob(17, 18, 1.0)
 
+    def test_certified_underflow_builds_no_ladder(self, monkeypatch):
+        def no_ladder(*args):
+            raise AssertionError("ladder built for a certified zero")
+
+        monkeypatch.setattr(ws, "_GammaLadder", no_ladder)
+        assert bernoulli_prob(300_000, 0, 1.0) == 0.0
+        assert bernoulli_prob(0, 300_000, 1.0) == 0.0
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            bernoulli_prob(300_000, 0, 1.0)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 1e-3
+
+    @pytest.mark.parametrize("m", [0, 3, 16])
+    @pytest.mark.parametrize("r", [0.3, 2.0, 10.0])
+    def test_certificate_returns_what_the_assembly_does(self, monkeypatch, m, r):
+        # the first indices past the certificate's threshold, and the last
+        # ones before it, against the assembly with the certificate off
+        n = m
+        while ws._log_prob_bound(n, m, r) >= ws._LOG_UNDERFLOW:
+            n += 1
+        cases = [(j, m) for j in range(n - 3, n + 3)] + [(m, n), (m, n + 1)]
+        got = [bernoulli_prob(j, k, r) for j, k in cases]
+        monkeypatch.setattr(ws, "_LOG_UNDERFLOW", -math.inf)
+        assert got == [bernoulli_prob(j, k, r) for j, k in cases]
+        assert got[3:] == [0.0] * 5
+        for (j, k), p in zip(cases, got):
+            if p >= np.finfo(float).tiny:
+                assert math.log(p) <= ws._log_prob_bound(j, k, r)
+
+    @pytest.mark.parametrize("r", [1e-3, 0.4, 2.5, 8.0])
+    def test_certificate_bound_holds_and_is_tight_near_zero(self, r):
+        # Szego's bound is equality at u = 0, so as R -> 0 it meets p_n
+        for m in (0, 2, 7):
+            for n in range(m, m + 30):
+                for j, k in ((n, m), (m, n)):
+                    p = bernoulli_prob(j, k, r)
+                    if p < np.finfo(float).tiny:
+                        continue
+                    gap = ws._log_prob_bound(j, k, r) - math.log(p)
+                    assert gap >= -1e-12
+                    if r < 0.01:
+                        assert gap < 1e-5
+
+    def test_size_cap_raises_before_the_ladder(self, monkeypatch):
+        monkeypatch.setattr(ws, "SPECTRUM_SIZE_CAP", 10)
+        assert bernoulli_prob(7, 3, 2.0) > 0.0
+        with pytest.raises(NumericalBudgetError, match="size cap 10"):
+            bernoulli_prob(8, 3, 2.0)
+        # a certified zero needs no rungs, so the cap does not apply to it
+        assert bernoulli_prob(300_000, 0, 1.0) == 0.0
+
+    def test_index_past_the_double_range_meets_the_cap(self):
+        with pytest.raises(NumericalBudgetError):
+            bernoulli_prob(10**400, 0, 1.0)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             bernoulli_prob(-1, 0, 1.0)
