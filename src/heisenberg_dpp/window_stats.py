@@ -24,7 +24,10 @@ precision, bit for bit what mpmath's libmp gives at round_down; mpmath
 serves only R^2 and the seed exp(-R^2).  The squared coefficients of
 successive n come from a forward-difference walk of one packed
 polynomial.  The only rounding outside the ladder is the one to double
-on the finished probability, and it is toward zero.
+on the finished probability, and it is toward zero, subnormals included.
+No level is out of range: one work budget, counted in level-0 indices,
+refuses a spectrum or a p_n before its ladder is built when it would take
+more than about 30 s.
 """
 
 from __future__ import annotations
@@ -53,16 +56,12 @@ from .specfun import (
     hyp3f2_terminating,
 )
 
+# Work budget of the spectrum route, in level-0 indices; see _check_budget.
 SPECTRUM_SIZE_CAP = 10_000_000
 PROB_CONSISTENCY_BAND = 1e-12
 # Most Gauss-Legendre panels the integral route uses on [0, 13]: width
 # pi/R holds through R ~ 16k, and wider panels answer to the error estimate.
 INTEGRAL_PANEL_CAP = 1 << 16
-
-# Highest level the spectrum route evaluates.  build_spectrum raises
-# UnsupportedConfigurationError beyond it; bernoulli_prob swaps (n, m) when
-# n is within range (p is symmetric in n and m) and raises otherwise.
-EXACT_COEFF_MAX_LEVEL = 16
 
 
 class WindowKind(enum.Enum):
@@ -291,29 +290,24 @@ def _from_libmp(value, prec: int) -> tuple[int, int]:
     return man << (prec - bc), exp - (prec - bc)
 
 
-def _to_float(a) -> float:
-    """a truncated toward zero to 53 bits, then to the nearest double (as
-    libmp's to_float: only a subnormal result rounds again)."""
-    man, exp = a
-    shift = man.bit_length() - 53
-    if shift > 0:
-        man >>= shift
-        exp += shift
-    return math.ldexp(man, exp)
-
-
-def _quotient_to_float(num: int, exp: int, denom: int) -> float:
-    """num 2^exp / denom (denom > 0) truncated toward zero to 53 bits, then
-    to a double: libmp's to_float of mpf_div(..., 53, round_down)."""
-    mag = abs(num)
-    if not mag:
-        return 0.0
-    # 2^53 <= mag 2^shift / denom: the floor has 54 bits or more
-    shift = 54 + denom.bit_length() - mag.bit_length()
-    quot = (mag << shift) // denom if shift >= 0 else (mag >> -shift) // denom
-    drop = quot.bit_length() - 53
-    value = math.ldexp(quot >> drop, exp - shift + drop)
-    return -value if num < 0 else value
+def _to_float(num: int, exp: int, denom: int = 1) -> float:
+    """num 2^exp / denom (denom >= 1) truncated toward zero to a double: to
+    53 bits, and below 2^-1022 to the bits a subnormal keeps, down to 2^-1074.
+    Above 2^-1022 this is libmp's to_float of mpf_div(..., 53, round_down)."""
+    if num < 0:
+        return -_to_float(-num, exp, denom)
+    if denom > 1:
+        # 2^53 <= num 2^shift / denom: the floor has 54 bits or more
+        shift = 54 + denom.bit_length() - num.bit_length()
+        num = (num << shift) // denom if shift >= 0 else (num >> -shift) // denom
+        exp -= shift
+    drop = num.bit_length() - 53
+    if exp + drop < -1074:
+        drop = -1074 - exp
+    if drop > 0:
+        num >>= drop
+        exp += drop
+    return math.ldexp(num, exp)  # exact: at most 53 bits, none below 2^-1074
 
 
 class _GammaLadder:
@@ -386,7 +380,7 @@ class _GammaLadder:
         return libmp.from_man_exp(*self._p[j])
 
     def mean_float(self) -> float:
-        return _to_float(self.rsq)
+        return _to_float(*self.rsq)
 
 
 def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[float]:
@@ -407,7 +401,7 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
     """
     rungs = ladder._p
     if m == 0:
-        raws = [_to_float(rungs[n]) for n in range(n_lo, n_hi + 1)]
+        raws = [_to_float(man, exp) for man, exp in rungs[n_lo : n_hi + 1]]
     else:
         raws = []
         m_fact = factorial(m)
@@ -443,7 +437,7 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
                 term = (d * mans[j - j_first]) << (exps[j - j_first] - e_min)
                 acc = acc * (j + 1) - term if k & 1 else acc * (j + 1) + term
             denom = m_fact * perm(n, n - j0)  # m! n!/j0!
-            raws.append(_quotient_to_float(acc, e_min, denom))
+            raws.append(_to_float(acc, e_min, denom))
     probs = []
     for n, raw in enumerate(raws, n_lo):
         if raw < -PROB_CONSISTENCY_BAND or raw > 1.0 + PROB_CONSISTENCY_BAND:
@@ -476,43 +470,51 @@ def _log_prob_bound(n: int, m: int, radius: float) -> float:
     )
 
 
+def _check_budget(indices: int, level: int, radius: float, what: str = "spectrum") -> None:
+    """Raise NumericalBudgetError when `indices` p_n at `level` weigh more
+    than SPECTRUM_SIZE_CAP level-0 indices.
+
+    An index at level m weighs w(m) = (m + 1)(1 + (m/24)^2) level-0 ones:
+    3 us w(m) fits build_spectrum's time per index within a factor of 1.8
+    (2.3 us at level 0, 46 us at 16, 160 us at 32 and 1.4 ms at 64 on a
+    2-core VM), so the cap stands for about 30 s of work at any level.
+    """
+    work = indices * (level + 1) * (576 + level * level)  # 576 w(m) per index
+    if work > 576 * SPECTRUM_SIZE_CAP:
+        weighed = f" at level {level} ({work // 576} at level 0)" if level else ""
+        raise NumericalBudgetError(
+            f"{what} needs {indices} indices{weighed} at radius {radius:g}, "
+            f"past the size cap {SPECTRUM_SIZE_CAP}",
+            best_estimate=None,
+            achieved_error=radius * radius,
+        )
+
+
 def bernoulli_prob(n: int, m: int, radius: float) -> float:
     """Success probability p_n(R, m) of lattice index n at level m.
 
     Equals (m!/n!) int_0^(R^2) u^(n-m) e^(-u) [L_m^(n-m)(u)]^2 du, evaluated
     in closed form: the integrand expands exactly into monomials, each
-    integrating to a factorial times a regularized incomplete gamma.
+    integrating to a factorial times a regularized incomplete gamma.  p is
+    symmetric in (n, m), so it is assembled at the lower of the two levels.
     Clamped to [0, 1]; a value outside the 1e-12 consistency band raises
     InternalConsistencyError instead of being clamped silently.  Returns 0.0
-    without a ladder when Szego's bound certifies that p_n rounds to it, and
-    otherwise raises NumericalBudgetError when the n + m + 1 rungs pass the
-    size cap.
+    without a ladder when Szego's bound certifies that p_n rounds to it.
+    Otherwise the work budget (see _check_budget) counts the n + m ladder
+    rungs as level-0 indices and the one assembly as an index at the lower
+    level, and raises NumericalBudgetError, before the ladder, when either
+    passes it.
     """
     n, m = _check_index("n", n), _check_index("m", m)
     radius = _check_radius(radius)
-    if m > EXACT_COEFF_MAX_LEVEL:
-        # The cap bounds cost, not exactness: lifted, p_n stayed within 1 ulp
-        # of mpmath (rounded toward zero) at levels 24 to 64, but levels 500
-        # and 2000 at R = 1 ran past 4 minutes.  p is symmetric in (n, m),
-        # so a small n keeps an exact route of bounded cost.
-        if n <= EXACT_COEFF_MAX_LEVEL:
-            n, m = m, n  # p is symmetric in (n, m); see the tests
-        else:
-            raise UnsupportedConfigurationError(
-                f"level {m} beyond the exact-coefficient range"
-            )
+    n, m = max(n, m), min(n, m)
     try:
         if _log_prob_bound(n, m, radius) < _LOG_UNDERFLOW:
             return 0.0
-    except OverflowError:  # n past the double range: the size cap answers
+    except OverflowError:  # n past the double range: the budget answers
         pass
-    if n + m > SPECTRUM_SIZE_CAP:
-        raise NumericalBudgetError(
-            f"p_{n} at level {m} needs {n + m + 1} ladder rungs, "
-            f"past the size cap {SPECTRUM_SIZE_CAP}",
-            best_estimate=None,
-            achieved_error=radius * radius,
-        )
+    _check_budget(n + m, 0, radius, f"p_{n} at level {m}")
+    _check_budget(1, m, radius, f"p_{n}")
     ladder = _GammaLadder(radius, _working_prec(m, n + m))
     ladder.extend(n + m)
     return _assemble_probs(m, ladder, n, n)[0]
@@ -529,28 +531,19 @@ def build_spectrum(m: int, radius: float, tail_tol: float = 1e-9) -> BernoulliSp
     The mean constraint sum_n p_n = R^2 (all levels share unit intensity
     over pi) plus monotone partial sums certify the truncation: the tail
     bound is R^2 minus the partial sum, rounded up, extended until it drops
-    below tail_tol.  Raises NumericalBudgetError at the size cap (before any
-    assembly when the initial truncation is already past it) and when an
-    extension no longer shrinks the bound: a tail_tol below the rounding
-    of the sum cannot be certified.
+    below tail_tol.  Raises NumericalBudgetError when the indices at hand
+    pass the work budget (see _check_budget), checked before the ladder is
+    built and before each extension, and when an extension no longer
+    shrinks the bound: a tail_tol below the rounding of the sum cannot be
+    certified.
     """
     m = _check_index("m", m)
     radius = _check_radius(radius)
     if not tail_tol > 0.0:
         raise ValueError(f"tail_tol must be positive, got {tail_tol}")
-    if m > EXACT_COEFF_MAX_LEVEL:
-        raise UnsupportedConfigurationError(
-            f"level {m} beyond the exact-coefficient range"
-        )
 
     n_top = _initial_truncation(radius, m)
-    if n_top > SPECTRUM_SIZE_CAP:
-        raise NumericalBudgetError(
-            f"spectrum needs {n_top} indices at radius {radius:g}, "
-            f"past the size cap {SPECTRUM_SIZE_CAP}",
-            best_estimate=None,
-            achieved_error=radius * radius,
-        )
+    _check_budget(n_top, m, radius)
     ladder = _GammaLadder(radius, _working_prec(m, n_top + 2 * m + 64))
     ladder.extend(n_top + m)
     probs = _assemble_probs(m, ladder, 0, n_top)
@@ -565,13 +558,14 @@ def build_spectrum(m: int, radius: float, tail_tol: float = 1e-9) -> BernoulliSp
             break
         # The p_n decay past the bulk, so an extension that leaves the
         # rounded sum unchanged means no later one can reach tail_tol.
-        if len(probs) > SPECTRUM_SIZE_CAP or tail >= previous:
+        if tail >= previous:
             raise NumericalBudgetError(
                 f"spectrum tail bound {tail:.3e} stuck above the target "
                 f"{tail_tol:.3e} at {len(probs)} indices",
                 best_estimate=None,
                 achieved_error=tail,
             )
+        _check_budget(len(probs), m, radius)
         previous = tail
         grow = max(64, math.ceil(radius))
         ladder.extend(n_top + grow + m)

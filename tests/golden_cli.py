@@ -57,6 +57,7 @@ CASES: list[tuple[str, list[list[str]]]] = [
     ("stats-spectrum", [["stats", *_D2, "--level", "1,2", "--radius", "3"]]),
     ("stats-spectrum-tail", [["stats", *_D1, "--level", "2", "--radius", "3",
                               "--tail-tol", "1e-6", "--out", "s.json"]]),
+    ("stats-high-level", [["stats", *_D1, "--level", "24", "--radius", "3"]]),
     ("stats-mc", [["stats", *_D1, "--radius", "2.5", "--route", "mc",
                    "--replicas", "2000", "--seed", "7"]]),
     # sweep
@@ -112,6 +113,7 @@ CASES: list[tuple[str, list[list[str]]]] = [
     ("err-unsupported-route", [["stats", *_D2, "--radius", "1", "--route", "closed"]]),
     ("err-mc-ball-d2", [["mc", *_D2, *_BALL, "--radius", "1", "--replicas", "10"]]),
     ("err-budget", [["stats", *_D1, "--radius", "1e4"]]),
+    ("err-budget-level", [["stats", *_D1, "--level", "2000", "--radius", "1"]]),
     ("err-tail-target", [["stats", *_D1, "--radius", "2", "--tail-tol", "1e-30"]]),
     ("err-classify-no-input", [["classify"]]),
     ("err-classify-missing-file", [["classify", "--in", "absent.json"]]),

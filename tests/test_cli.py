@@ -211,6 +211,13 @@ class TestStats:
         row = json.loads(out)["rows"][0]
         assert row["variance"] == pytest.approx(2000.0 / math.sqrt(math.pi), rel=1e-3)
 
+    def test_level_past_the_budget_exits_3(self, capsys):
+        # 2000 indices at level 2000: refused before any ladder is built
+        argv = ["stats", "--dimension", "1", "--level", "2000", "--radius", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "at level 2000" in err and "size cap" in err
+
     def test_level_length_mismatch(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -475,6 +482,15 @@ class TestMc:
         assert row["replicas"] == 2000
         assert abs(row["mean"] - row["exact_mean"]) <= 4.0 * row["se_mean"]
         assert row["exact_mean"] == pytest.approx(4.0, rel=1e-8)
+
+    def test_level_past_sixteen_within_three_se(self, capsys):
+        argv = ["mc", "--dimension", "1", "--level", "20", "--radius", "2",
+                "--replicas", "2000"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert abs(row["mean"] - row["exact_mean"]) <= 3.0 * row["se_mean"]
+        assert abs(row["variance"] - row["exact_variance"]) <= 3.0 * row["se_var"]
 
     def test_byte_identical_reruns(self, capsys):
         argv = [

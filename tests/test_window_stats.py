@@ -213,15 +213,27 @@ class TestBernoulliProb:
                 assert 0.0 <= p <= 1.0
 
     def test_high_level_uses_symmetry(self):
-        # level 20 exceeds the exact-coefficient range, but the symmetric
-        # index 3 <= 16 keeps the evaluation exact
+        # p_3 at level 20 is assembled as p_20 at level 3, the lower level
         got = bernoulli_prob(3, 20, 2.0)
         assert got == bernoulli_prob(20, 3, 2.0)
         assert got == pytest.approx(quad_prob(20, 3, 2.0), rel=1e-8)
+        # one index at level 2000 is past the work budget, one at level 3 is not
+        assert 0.0 < bernoulli_prob(3, 2000, 45.0) == bernoulli_prob(2000, 3, 45.0) < 1.0
 
-    def test_unsupported_pair_raises(self):
-        with pytest.raises(UnsupportedConfigurationError):
-            bernoulli_prob(17, 18, 1.0)
+    @pytest.mark.parametrize(
+        "n, m, r, units",
+        [
+            # mpmath: 0.741, 2.65 and 3.75 times 2^-1074
+            (142, 3, 0.48548560486915454, 0),
+            (115, 9, 0.17194608857164928, 2),
+            (98, 3, 0.11840693273912499, 3),
+        ],
+    )
+    def test_subnormal_result_rounds_toward_zero(self, n, m, r, units):
+        got = bernoulli_prob(n, m, r)
+        assert got == math.ldexp(units, -1074)
+        ref = reference_prob(n, m, r) * mpmath.mpf(2) ** 1074
+        assert units < ref < units + 1
 
     def test_certified_underflow_builds_no_ladder(self, monkeypatch):
         def no_ladder(*args):
@@ -325,9 +337,48 @@ class TestSpectrum:
         with pytest.raises(NumericalBudgetError, match="stuck above the target"):
             build_spectrum(0, 2.5, tail_tol=1e-30)
 
-    def test_level_beyond_range_raises(self):
-        with pytest.raises(UnsupportedConfigurationError):
-            build_spectrum(17, 1.0)
+    @staticmethod
+    def no_ladder(monkeypatch):
+        class LadderBuilt(Exception):
+            pass
+
+        def ladder(*args):
+            raise LadderBuilt
+
+        monkeypatch.setattr(ws, "_GammaLadder", ladder)
+        return LadderBuilt
+
+    @pytest.mark.parametrize("m", [500, 2000])
+    def test_budget_refuses_high_levels_before_the_ladder(self, monkeypatch, m):
+        # 500 or more indices at level 500 weigh over 10^8 level-0 ones
+        self.no_ladder(monkeypatch)
+        with pytest.raises(NumericalBudgetError, match=f"at level {m} .*size cap"):
+            build_spectrum(m, 1.0)
+        if m == 2000:  # even one p_n at level 2000 is past the budget
+            with pytest.raises(NumericalBudgetError, match="size cap"):
+                bernoulli_prob(m, m, 1.0)
+
+    @pytest.mark.parametrize("m, r", [(16, 400.0), (64, 50.0)])
+    def test_budget_admits_high_levels(self, monkeypatch, m, r):
+        ladder_built = self.no_ladder(monkeypatch)
+        with pytest.raises(ladder_built):
+            build_spectrum(m, r)
+
+    def test_budget_checked_before_each_extension(self, monkeypatch):
+        # 4 indices pass a cap of 5; the first extension, to 68, does not
+        monkeypatch.setattr(ws, "_initial_truncation", lambda r, m: 3)
+        monkeypatch.setattr(ws, "SPECTRUM_SIZE_CAP", 5)
+        with pytest.raises(NumericalBudgetError, match="needs 68 indices at radius 20,"):
+            build_spectrum(0, 20.0)
+
+    def test_budget_at_level_zero_is_the_index_count(self, monkeypatch):
+        monkeypatch.setattr(ws, "_initial_truncation", lambda r, m: ws.SPECTRUM_SIZE_CAP)
+        ladder_built = self.no_ladder(monkeypatch)
+        with pytest.raises(ladder_built):
+            build_spectrum(0, 1.0)
+        monkeypatch.setattr(ws, "_initial_truncation", lambda r, m: ws.SPECTRUM_SIZE_CAP + 1)
+        with pytest.raises(NumericalBudgetError, match="needs 10000001 indices at radius"):
+            build_spectrum(0, 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -385,17 +436,19 @@ def legacy_spectrum(m: int, radius: float, size: int) -> list[float]:
 
 
 def reference_prob(n: int, m: int, radius: float) -> mpmath.mpf:
-    """p_n at level m from exact binomials and mpmath's incomplete gamma."""
-    with mpmath.workprec(500):
+    """p_n at level m from exact binomials and mpmath's incomplete gamma,
+    with working bits to spare over the largest term's size relative to 1."""
+    terms = [
+        (bk * math.factorial(n - m + k), n - m + k)
+        for k, bk in enumerate(legacy_squared_coeffs(n, m))
+        if bk and n - m + k >= 0
+    ]
+    denom = math.factorial(n) * math.factorial(m)
+    spread = max(abs(c).bit_length() for c, _ in terms) - denom.bit_length()
+    with mpmath.workprec(max(500, 200 + spread)):
         x = mpmath.mpf(radius) ** 2
-        acc = mpmath.mpf(0)
-        for k, bk in enumerate(legacy_squared_coeffs(n, m)):
-            j = n - m + k
-            if bk and j >= 0:
-                acc += bk * math.factorial(j) * mpmath.gammainc(
-                    j + 1, 0, x, regularized=True
-                )
-        return acc / (math.factorial(n) * math.factorial(m))
+        acc = mpmath.fsum(c * mpmath.gammainc(j + 1, 0, x, regularized=True) for c, j in terms)
+        return acc / denom
 
 
 class TestExactAssembly:
@@ -411,7 +464,7 @@ class TestExactAssembly:
         for n, (a, b) in enumerate(zip(old, new)):
             assert a == b or {a, b} <= self.SATURATED, (n, a, b)
 
-    @pytest.mark.parametrize("m", [8, 16])
+    @pytest.mark.parametrize("m", [8, 16, 24, 32, 64])
     def test_within_one_ulp_of_reference(self, m):
         # bulk, edge (n ~ R^2 = 400) and tail of the R = 20 spectrum
         spec = build_spectrum(m, 20.0)
@@ -422,13 +475,24 @@ class TestExactAssembly:
             assert got <= ref  # rounded toward zero
 
     @pytest.mark.parametrize("r", [1.0, 5.0, 20.0])
-    @pytest.mark.parametrize("n, m", [(3, 20), (16, 40)])
+    @pytest.mark.parametrize("n, m", [(3, 20), (16, 40), (17, 18)])
     def test_swapped_index_within_one_ulp_of_reference(self, n, m, r):
-        # past EXACT_COEFF_MAX_LEVEL, bernoulli_prob assembles p_m at level n
+        # for n < m, bernoulli_prob assembles p_m at level n
         got = bernoulli_prob(n, m, r)
         ref = reference_prob(n, m, r)
         assert abs(mpmath.mpf(got) - ref) <= math.ulp(got), (got, ref)
         assert got <= ref  # rounded toward zero
+
+    @pytest.mark.parametrize("r", [1.0, 3.0, 5.0])
+    @pytest.mark.parametrize("m", [20, 24, 32])
+    def test_spectrum_matches_pointwise_across_levels(self, m, r):
+        # for n <= 16 < m the spectrum assembles p_n at level m, and
+        # bernoulli_prob assembles p_m at level n: they differ only where
+        # p_n sits within an ulp of 1
+        spec = build_spectrum(m, r).probs.tolist()
+        for n in range(17):
+            a, b = spec[n], bernoulli_prob(n, m, r)
+            assert a == b or {a, b} == self.SATURATED, (n, a, b)
 
     @pytest.mark.parametrize("m", [0, 3])
     def test_out_of_band_value_raises(self, monkeypatch, m):
@@ -531,6 +595,17 @@ def libmp_ladder(radius: float, prec: int, tops) -> list:
     return p
 
 
+def toward_zero(exact: Fraction, libmp_value) -> float:
+    """The double a value rounds to toward zero: libmp's to_float of its
+    53-bit truncation above 2^-1022, where the two agree, and the exact
+    value truncated to a multiple of 2^-1074 below it, where libmp's
+    to_float rounds to nearest."""
+    if abs(exact) >= Fraction(2) ** -1022:
+        return libmp.to_float(libmp_value)
+    value = math.ldexp(math.floor(abs(exact) * 2**1074), -1074)
+    return -value if exact < 0 else value
+
+
 @st.composite
 def libmp_values(draw, prec: int, exp=st.integers(-1200, 1000)):
     """A positive libmp value of at most prec bits; exact powers of two and
@@ -603,7 +678,8 @@ class TestNativeRounding:
     def test_to_float(self, prec, data):
         # exponents reach the subnormal range and past it (to zero)
         a = data.draw(libmp_values(prec, st.integers(-1400, 700)))
-        assert ws._to_float(self.native(a, prec)) == libmp.to_float(a)
+        exact = Fraction(a[1]) * Fraction(2) ** a[2]
+        assert ws._to_float(*self.native(a, prec)) == toward_zero(exact, a)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -619,8 +695,8 @@ class TestNativeRounding:
         quotient = libmp.mpf_div(
             libmp.from_man_exp(num, exp), libmp.from_int(denom), 53, libmp.round_down
         )
-        want = libmp.to_float(quotient)
-        got = ws._quotient_to_float(num, exp, denom)
+        want = toward_zero(Fraction(num) * Fraction(2) ** exp / denom, quotient)
+        got = ws._to_float(num, exp, denom)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     @pytest.mark.parametrize("r", [1e-200, 1e-160, 0.3, 1.7, 3.0, 20.0])
@@ -636,7 +712,9 @@ class TestNativeRounding:
             ladder.extend(top)
         ref = libmp_ladder(r, prec, tops)
         assert [ladder.reg_gamma(j) for j in range(len(ref))] == ref
-        assert [ws._to_float(v) for v in ladder._p] == [libmp.to_float(v) for v in ref]
+        assert [ws._to_float(*v) for v in ladder._p] == [
+            toward_zero(Fraction(v[1]) * Fraction(2) ** v[2], v) for v in ref
+        ]
 
     @settings(max_examples=25, deadline=None)
     @given(
