@@ -18,31 +18,39 @@ miss, so it is drawn through q < ``DENSE_Q``, and cells with p in {0, 1}
 cost nothing.  Since 1{Poisson(lambda) >= 1} is Bernoulli(1 - exp(-lambda)),
 a cell with lambda = -log1p(-q) is hit exactly when a Poisson process of
 rate lambda puts a point on it.  The sparse cells are grouped into dyadic
-bands of lambda; per replica a band of k cells with largest rate
-lambda_max draws Poisson(k lambda_max) candidates at uniform cell
-indices, keeps each with probability lambda_j / lambda_max, and the
-replica's band count is the number of distinct kept cells.  Both draws
-are exact in distribution up to the rounding of p, q, lambda and the
+bands of lambda.  Replicas are drawn in steps of r whole rows, with r
+chosen so that a step expects about ``STEP_CANDIDATES`` candidates.  A
+step draws, for each band of k cells with largest rate lambda_max,
+Poisson(r k lambda_max) candidates at uniform positions on the band's
+k x r (cell, replica) grid, which is the same Poisson process as
+Poisson(k lambda_max) candidates per replica at uniform cell indices
+(Devroye 1986, splitting of a Poisson process).  Each candidate is kept
+with probability lambda_j / lambda_max, and one sort over every band of
+the step finds the distinct kept (cell, replica) pairs, whose count per
+replica, signed by band, is the replica's band count.  Both draws are
+exact in distribution up to the rounding of p, q, lambda and the
 acceptance ratio in doubles.  A dense cell has p(1 - p) >= DENSE_Q
 (1 - DENSE_Q), and a band's candidate rate is below 2 sum(lambda), which
 is below 6 times its cells' variance; so a replica costs at most
 kappa_2 (1 / (DENSE_Q (1 - DENSE_Q)) + 6) uniforms and candidates, with
 kappa_2 the variance of the kept cells' count, instead of one uniform per
-cell.  A dense uniform costs a few nanoseconds; a candidate (an index, a
-uniform, a key, a sort) several times that, which is why cells near
-q = 1/2 are not thinned.
+cell.  A dense uniform costs about 7 ns and a candidate (a position, a
+uniform, a sort and a count) about 60 ns (2-core Xeon VM, levels (0, 0)
+and (2, 2) at R = 5 and 10), which is why cells near q = 1/2 are not
+thinned.
 
 Determinism contract: replicas are split into consecutive blocks of
 ``BLOCK_REPLICAS`` (the last one may be shorter), and block b draws all
-of its replicas (the dense uniforms row by row, then the band candidates,
-then the pooled binomial) from one Philox generator keyed by
-SeedSequence(master_seed, spawn_key=(b,)), a counter-based split of the
+of its replicas (the dense uniforms row by row, then the band steps, each
+a Poisson count per band, the positions and the acceptance uniforms, then
+the pooled binomial) from one PCG64DXSM generator seeded by
+SeedSequence(master_seed, spawn_key=(b,)), an independent child of the
 master seed.  Results are bit-for-bit reproducible for a fixed
 (seed, replicas, spec, R, floor), and each block's counts depend only on
 (seed, b, its replica count, the cell model), so blocks can be evaluated
-in any order.  ``DENSE_Q`` and ``BLOCK_REPLICAS`` are part of that
-contract: changing either changes the streams.  They are module
-constants, not settings.
+in any order.  The generator, ``BLOCK_REPLICAS``, ``STEP_CANDIDATES`` and
+``DENSE_Q`` are part of that contract: changing any of them changes the
+streams.  They are module constants, not settings.
 """
 
 from __future__ import annotations
@@ -63,13 +71,13 @@ KEPT_CELL_CAP = 20_000_000
 # Cells of the multi-index outer product formed at a time (8 MB of doubles).
 _OUTER_CHUNK_CELLS = 1 << 20
 
-# Replicas drawn from one generator, the thinning candidates handled per
-# vectorised step (~0.2 MB of temporaries; a step holds at least one
-# replica's candidates of a band), and the smallest q = min(p, 1 - p) of
-# a cell drawn by one uniform instead of by thinning.  All three are part
-# of the determinism contract: changing any changes the streams.
+# Replicas drawn from one generator, the expected thinning candidates of
+# one step of whole replica rows (~0.2 MB of temporaries; a step holds at
+# least one replica), and the smallest q = min(p, 1 - p) of a cell drawn
+# by one uniform instead of by thinning.  All three are part of the
+# determinism contract: changing any changes the streams.
 BLOCK_REPLICAS = 256
-_CANDIDATE_CHUNK = 1 << 12
+STEP_CANDIDATES = 1 << 12
 DENSE_Q = 0.15
 # Dense uniforms drawn at a time (64 kB, and at least one replica's row).
 # Rows are consumed in row-major order, so this does not change the stream.
@@ -113,10 +121,13 @@ class _CellModel:
     Every kept cell is in exactly one of three groups.  ``dense`` holds p of
     the cells with q = min(p, 1 - p) >= DENSE_Q, each drawn as u < p.  The
     others form a thinning plan: ``sure`` counts those with p > 1/2, and
-    each dyadic band of lambda = -log1p(-q) over the cells with q > 0 has a
-    sign (+1 for p <= 1/2, -1 for p > 1/2), a Poisson candidate rate
-    k * lambda_max and its cells' acceptance ratios lambda / lambda_max.
-    Cells with q = 0 are certain and sit in no band.
+    the cells with q > 0 are cut into dyadic bands of lambda = -log1p(-q),
+    first the bands of cells with p <= 1/2 (sign +1), then those with
+    p > 1/2 (sign -1).  ``ratios`` holds every band's acceptance ratios
+    lambda / lambda_max end to end; band b owns the ``band_sizes[b]``
+    ratios from ``band_starts[b]`` on, has the sign ``band_signs[b]`` and
+    the Poisson candidate rate ``band_rates[b]`` = k * lambda_max per
+    replica.  Cells with q = 0 are certain and sit in no band.
     """
 
     kept: np.ndarray
@@ -125,26 +136,27 @@ class _CellModel:
     pooled_prob: float
     pooled_mass: float
     sure: int
-    band_signs: tuple[int, ...]
+    band_signs: np.ndarray
     band_rates: np.ndarray
-    band_ratios: tuple[np.ndarray, ...]
+    band_sizes: np.ndarray
+    band_starts: np.ndarray
+    ratios: np.ndarray
 
 
-def _thinning_bands(q: np.ndarray, sign: int) -> list[tuple[int, float, np.ndarray]]:
-    """(sign, k * lambda_max, lambda / lambda_max) per dyadic band of lambda."""
+def _thinning_bands(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ratios lambda / lambda_max, sizes k and rates k * lambda_max of the
+    dyadic bands of lambda = -log1p(-q) over the cells with q > 0."""
     lam = q[q > 0.0]
     if lam.size == 0:
-        return []
+        return lam, np.zeros(0, dtype=np.int64), lam
     np.negative(np.log1p(np.negative(lam, out=lam), out=lam), out=lam)
     lam.sort()
     lo, hi = np.frexp(lam[[0, -1]])[1]
-    bands = []
-    for band in np.split(lam, np.searchsorted(lam, np.ldexp(1.0, np.arange(lo, hi)))):
-        if band.size:
-            rate = band.size * band[-1]
-            band /= band[-1]  # in place: the ratios are views of lam
-            bands.append((sign, rate, band))
-    return bands
+    sizes = np.diff(np.searchsorted(lam, np.ldexp(1.0, np.arange(lo, hi + 1))), prepend=0)
+    sizes = sizes[sizes > 0]  # empty bands dropped
+    top = lam[np.cumsum(sizes) - 1]
+    lam /= np.repeat(top, sizes)
+    return lam, sizes, sizes * top
 
 
 def _build_cells(spectra: list[BernoulliSpectrum], floor: float) -> _CellModel:
@@ -183,7 +195,9 @@ def _build_cells(spectra: list[BernoulliSpectrum], floor: float) -> _CellModel:
     dense = (kept >= DENSE_Q) & (1.0 - kept >= DENSE_Q)
     sparse = kept[~dense]
     high = sparse > 0.5
-    bands = _thinning_bands(sparse[~high], 1) + _thinning_bands(1.0 - sparse[high], -1)
+    low_ratios, low_sizes, low_rates = _thinning_bands(sparse[~high])
+    high_ratios, high_sizes, high_rates = _thinning_bands(1.0 - sparse[high])
+    sizes = np.concatenate([low_sizes, high_sizes])
     return _CellModel(
         kept=kept,
         dense=kept[dense],
@@ -191,33 +205,12 @@ def _build_cells(spectra: list[BernoulliSpectrum], floor: float) -> _CellModel:
         pooled_prob=min(pooled_prob, 1.0),
         pooled_mass=pooled_mass,
         sure=int(np.count_nonzero(high)),
-        band_signs=tuple(sign for sign, _, _ in bands),
-        band_rates=np.array([rate for _, rate, _ in bands]),
-        band_ratios=tuple(ratios for _, _, ratios in bands),
+        band_signs=np.repeat([1, -1], [low_sizes.size, high_sizes.size]),
+        band_rates=np.concatenate([low_rates, high_rates]),
+        band_sizes=sizes,
+        band_starts=np.cumsum(sizes) - sizes,
+        ratios=np.concatenate([low_ratios, high_ratios]),
     )
-
-
-def _band_hits(
-    ratios: np.ndarray, rate: float, candidates: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Distinct accepted cells per replica, given each replica's candidate count."""
-    k = ratios.size
-    hits = np.zeros(candidates.size, dtype=np.int64)
-    rows_per_step = max(1, int(_CANDIDATE_CHUNK // max(rate, 1.0)))
-    for r0 in range(0, candidates.size, rows_per_step):
-        counts = candidates[r0 : r0 + rows_per_step]
-        rows = counts.size
-        cells = rng.integers(k, size=int(counts.sum()))
-        accepted = rng.random(cells.size) < ratios[cells]
-        # key = replica * k + cell; sorted, repeat hits on a cell are adjacent
-        keys = np.repeat(np.arange(0, rows * k, k), counts)
-        keys += cells
-        keys = keys[accepted]
-        keys.sort()
-        per_replica = np.diff(np.searchsorted(keys, np.arange(0, (rows + 1) * k, k)))
-        repeats = keys[1:][keys[1:] == keys[:-1]] // k
-        hits[r0 : r0 + rows] = per_replica - np.bincount(repeats, minlength=rows)
-    return hits
 
 
 def _draw_block(model: _CellModel, rows: int, rng: np.random.Generator) -> np.ndarray:
@@ -229,10 +222,28 @@ def _draw_block(model: _CellModel, rows: int, rng: np.random.Generator) -> np.nd
             u = rng.random((min(step, rows - r0), model.dense.size))
             counts[r0 : r0 + step] += np.count_nonzero(u < model.dense, axis=1)
     if model.band_rates.size:
-        candidates = rng.poisson(model.band_rates, size=(rows, model.band_rates.size))
-        for b in np.flatnonzero(candidates.any(axis=0)):
-            hits = _band_hits(model.band_ratios[b], model.band_rates[b], candidates[:, b], rng)
-            counts += model.band_signs[b] * hits
+        # the cells of the sign +1 bands come first in ``ratios``
+        plus = int(np.sum(model.band_sizes[model.band_signs > 0]))
+        step = max(1, int(STEP_CANDIDATES // max(float(np.sum(model.band_rates)), 1.0)))
+        for r0 in range(0, rows, step):
+            r = min(step, rows - r0)
+            candidates = rng.poisson(r * model.band_rates)
+            if not candidates.any():
+                continue
+            # a uniform position on the band's cell x replica grid of the
+            # step: pos = (band start + cell) * r + replica
+            pos = rng.integers(np.repeat(r * model.band_sizes, candidates))
+            pos += np.repeat(r * model.band_starts, candidates)
+            pos = pos[rng.random(pos.size) < model.ratios[pos // r]]
+            # sorted, repeat hits on one (cell, replica) are adjacent
+            pos.sort()
+            first = np.empty(pos.size, dtype=bool)
+            first[:1] = True
+            np.not_equal(pos[1:], pos[:-1], out=first[1:])
+            pos = pos[first]
+            split = np.searchsorted(pos, plus * r)
+            counts[r0 : r0 + r] += np.bincount(pos[:split] % r, minlength=r)
+            counts[r0 : r0 + r] -= np.bincount(pos[split:] % r, minlength=r)
     if model.pooled_count > 0 and model.pooled_prob > 0.0:
         counts += rng.binomial(model.pooled_count, model.pooled_prob, size=rows)
     return counts
@@ -240,7 +251,7 @@ def _draw_block(model: _CellModel, rows: int, rng: np.random.Generator) -> np.nd
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
 def estimate_moments(
@@ -251,7 +262,7 @@ def estimate_moments(
     The variance standard error uses the fourth-moment formula
     Var(s^2) = (m4 - s^4 (n-3)/(n-1)) / n.  Bit-for-bit reproducible for a
     fixed (seed, replicas, spec, R, floor): replica block b (replicas
-    b * BLOCK_REPLICAS onward) draws from its own counter-split generator,
+    b * BLOCK_REPLICAS onward) draws from its own SeedSequence child,
     so evaluation order cannot matter.
     """
     radius = _check_radius(radius)

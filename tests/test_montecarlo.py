@@ -81,8 +81,9 @@ def assert_cell_partition(model) -> None:
     for sign, q_side in ((1, sparse[~high]), (-1, 1.0 - sparse[high])):
         # the sparse cells' lambda, cut into this sign's bands in lambda order
         lam = np.sort(-np.log1p(-q_side[q_side > 0.0]))
-        side = [(rate, ratios) for s, rate, ratios in
-                zip(model.band_signs, model.band_rates, model.band_ratios) if s == sign]
+        side = [(rate, model.ratios[start : start + size]) for s, rate, start, size in
+                zip(model.band_signs, model.band_rates, model.band_starts, model.band_sizes)
+                if s == sign]
         sizes = [ratios.size for _, ratios in side]
         assert sum(sizes) == lam.size
         for (rate, ratios), band in zip(side, np.split(lam, np.cumsum(sizes)[:-1])):
@@ -90,7 +91,11 @@ def assert_cell_partition(model) -> None:
             assert rate == band.size * band[-1]
             assert ratios.tobytes() == (band / band[-1]).tobytes()
         banded += lam.size
-    assert len(model.band_ratios) == len(model.band_signs) == model.band_rates.size
+    assert model.band_signs.size == model.band_sizes.size == model.band_rates.size
+    # the bands tile ``ratios`` end to end, the sign +1 bands first
+    assert model.band_starts.tolist() == (np.cumsum(model.band_sizes) - model.band_sizes).tolist()
+    assert model.ratios.size == np.sum(model.band_sizes)
+    assert np.all(np.diff(model.band_signs) <= 0)
     assert np.count_nonzero(q == 0.0) + model.dense.size + banded == p.size
 
 
@@ -309,6 +314,12 @@ EDGE_PROBS = [0.0, 1.0, 1.0 - 2.0**-53, 0.5, 1e-300, 1e-3, 0.3, 0.8]
 # every cell drawn by one uniform (no sure count, no band); not symmetric
 # about 1/2, so drawing 1 - p for p would show
 ALL_DENSE_PROBS = [0.2, 0.35, 0.5, 0.65, 0.8, 0.25, 0.3, 0.4, 0.6, 0.75]
+# sparse cells of both signs whose band rates add up past STEP_CANDIDATES,
+# so that every band step holds a single replica
+_SPARSE_Q = np.linspace(0.05, 0.149, 1 << 14)
+MANY_SPARSE_PROBS = np.r_[_SPARSE_Q, 1.0 - _SPARSE_Q].tolist()
+# every sparse cell has p > 1/2: sign -1 bands only, beside dense and sure cells
+HIGH_SPARSE_PROBS = [[0.9, 0.95, 0.99, 0.999, 0.86, 1.0], [1.0, 0.97, 0.5]]
 
 
 class TestExactness:
@@ -319,6 +330,8 @@ class TestExactness:
             [EDGE_PROBS, [1.0, 0.5, 0.05]],
             [[0.02, 0.6, 0.97], [0.4, 0.999], [0.75, 0.1]],
             pytest.param([ALL_DENSE_PROBS], id="all-dense"),
+            pytest.param([MANY_SPARSE_PROBS], id="one-replica-steps"),
+            pytest.param(HIGH_SPARSE_PROBS, id="negative-bands-only"),
         ],
     )
     def test_histogram_matches_poisson_binomial(self, probs):
@@ -339,6 +352,16 @@ class TestExactness:
         model = mc._build_cells([toy_spectrum(ALL_DENSE_PROBS)], 0.0)
         assert model.dense.tobytes() == model.kept.tobytes()
         assert model.sure == 0 and model.band_rates.size == 0
+
+    def test_many_sparse_case_steps_one_replica(self):
+        model = mc._build_cells([toy_spectrum(MANY_SPARSE_PROBS)], 0.0)
+        assert model.dense.size == 0 and set(model.band_signs.tolist()) == {1, -1}
+        assert np.sum(model.band_rates) > mc.STEP_CANDIDATES
+
+    def test_high_sparse_case_has_only_negative_bands(self):
+        model = mc._build_cells([toy_spectrum(p) for p in HIGH_SPARSE_PROBS], 0.0)
+        assert model.dense.size and model.sure and model.band_rates.size
+        assert np.all(model.band_signs == -1)
 
     def test_near_certain_cell_never_misses(self):
         # 1 - 2^-53 misses with probability 2^-53; 1e-300 hits with 1e-300
@@ -382,12 +405,13 @@ class TestCost:
 
 class TestStreamIdentity:
     # sha256 of block_counts (little-endian int64) for fixed models, seeds
-    # and replica counts: the dense/sparse split, DENSE_Q, BLOCK_REPLICAS and
-    # the draw order inside a block fix these streams
+    # and replica counts: the block generator, the dense/sparse split,
+    # DENSE_Q, BLOCK_REPLICAS, STEP_CANDIDATES and the draw order inside a
+    # block fix these streams
     PINNED = {
-        "edge": "a6d1688b12dd94c37133dd15c5ea6e505612318e6b8f9c6a3f5ab86b152e1bda",
-        "level-00": "d81ab28e7335d1f792b7a27d6bd94ba6103b497a4f79227a17ed4a758d4ad9f8",
-        "level-12-floor": "cb53128bb858569fafd509bf008a752abc453cbb52d10dfaf7db93d3f0a2f44c",
+        "edge": "8f4785afcc892f1f0bd6c73cc48a5d690619f4ba2a33181a3fad9f249d049ebf",
+        "level-00": "d1a42da304b5560b1cd1d18ef1c18af598d9d6033e62d8bebacc6eb1c0b55187",
+        "level-12-floor": "e958083fe7db487db5ed314c0fbd62e5c9cd3593024272a274b50e1c0aad3a08",
     }
 
     @staticmethod
