@@ -39,6 +39,7 @@ from .kernels import KernelSpec
 from .montecarlo import McConfig, estimate_moments
 from .specfun import _check_radius
 from .window_stats import (
+    _TAIL_TOL,
     Route,
     WindowKind,
     ball_moments,
@@ -52,6 +53,7 @@ NOT_HYPER_MARGIN = 0.1
 CURVATURE_IMPROVEMENT = 10.0
 CURVATURE_COEFF_MIN = 0.25
 SSR_FLOOR = 1e-9
+_FIT_WINDOW = 0.5  # default share of largest-R rows classify fits (--fit-window)
 
 
 class ClassLabel(enum.Enum):
@@ -160,7 +162,7 @@ def run_sweep(
     window_kind: WindowKind,
     r_grid,
     route: Route,
-    tail_tol: float = 1e-9,
+    tail_tol: float = _TAIL_TOL,
     mc: McConfig | None = None,
 ) -> SweepResult:
     """One SweepRow per grid radius, all computed by the requested route."""
@@ -221,7 +223,7 @@ def _two_regressor_fit(x1, x2, ys):
     return beta, math.fsum(((a @ beta - ys) ** 2).tolist())
 
 
-def classify(sweep: SweepResult, fit_window: float = 0.5) -> ClassReport:
+def classify(sweep: SweepResult, fit_window: float = _FIT_WINDOW) -> ClassReport:
     """Label the variance growth class from the large-R end of a sweep.
 
     fit_window is the fraction of largest-R rows used for the fit (at

@@ -25,6 +25,7 @@ import sys
 
 from . import __version__
 from .analysis import (
+    _FIT_WINDOW,
     SweepResult,
     SweepRow,
     classify,
@@ -40,6 +41,7 @@ from .kernels import ComplexPoint, KernelSpec, hermitized_kernel, kernel_eval
 from .montecarlo import McConfig
 from .verification import run_checks
 from .window_stats import (
+    _TAIL_TOL,
     Route,
     WindowKind,
     c_constant,
@@ -54,7 +56,7 @@ _ROUTES = tuple(r.value for r in Route)
 # The flags that build a moment sweep default to None, so that a given one
 # can be told from an unset one; unset ones take these values.  The last
 # three apply to --route mc only.
-_SWEEP_DEFAULTS = {"window": "polydisk", "tail_tol": 1e-9, "route": "spectrum",
+_SWEEP_DEFAULTS = {"window": "polydisk", "tail_tol": _TAIL_TOL, "route": "spectrum",
                    "seed": 0, "replicas": 100_000, "cell_prob_floor": 1e-12}
 _MC_ONLY = ("seed", "replicas", "cell_prob_floor")
 
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON sweep produced by the sweep subcommand")
     _add_common(p, required=False)
     p.add_argument("--r-grid", type=str, default=None)
-    p.add_argument("--fit-window", type=float, default=0.5)
+    p.add_argument("--fit-window", type=float, default=_FIT_WINDOW)
     _add_mc(p)
 
     p = sub.add_parser("mc", help="Monte Carlo moment estimate")

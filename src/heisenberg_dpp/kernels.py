@@ -178,23 +178,25 @@ def _det_with_check(matrix: np.ndarray, imag_tol: float) -> float:
     return det.real
 
 
+def _kernel_matrix(kernel, points) -> np.ndarray:
+    """The n x n matrix [kernel(x_i, x_j)], each entry evaluated on its own."""
+    rows = [[kernel(p, q) for q in points] for p in points]
+    return np.array(rows, dtype=complex).reshape(len(points), len(points))
+
+
 def correlation_det(
     kernel: Callable[[ComplexPoint, ComplexPoint], complex],
     points: Sequence[ComplexPoint],
     imag_tol: float = 1e-8,
 ) -> float:
     """det[kernel(x_i, x_j)] for an arbitrary kernel callable."""
-    n = len(points)
-    matrix = np.empty((n, n), dtype=complex)
-    for i, p in enumerate(points):
-        for j, q in enumerate(points):
-            matrix[i, j] = kernel(p, q)
-    return _det_with_check(matrix, imag_tol)
+    return _det_with_check(_kernel_matrix(kernel, points), imag_tol)
 
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Hermitized kernel matrix with its structural invariants enforced."""
+    """Hermitized kernel matrix with its structural invariants enforced; the
+    Hermitian check compares K(x, y) with a separately computed K(y, x)."""
 
     entries: np.ndarray
     dimension: int
@@ -214,13 +216,7 @@ class CorrelationMatrix:
 
 def correlation_matrix(spec: KernelSpec, points: Sequence) -> CorrelationMatrix:
     pts = [_as_point(p, spec.dimension) for p in points]
-    n = len(pts)
-    entries = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        entries[i, i] = hermitized_kernel(spec, pts[i], pts[i])
-        for j in range(i + 1, n):
-            entries[i, j] = hermitized_kernel(spec, pts[i], pts[j])
-            entries[j, i] = entries[i, j].conjugate()
+    entries = _kernel_matrix(lambda x, y: hermitized_kernel(spec, x, y), pts)
     return CorrelationMatrix(entries=entries, dimension=spec.dimension)
 
 

@@ -63,7 +63,7 @@ import numpy as np
 from .exceptions import NumericalBudgetError
 from .kernels import KernelSpec
 from .specfun import _check_index, _check_radius
-from .window_stats import BernoulliSpectrum, _cached_spectrum
+from .window_stats import _TAIL_TOL, BernoulliSpectrum, _cached_spectrum
 
 # Bounds the memory of the kept-cell array and of the thinning plan built
 # from it (a few doubles per cell): at the cap the kept grid alone is 160 MB.
@@ -255,7 +255,7 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def estimate_moments(
-    spec: KernelSpec, radius: float, cfg: McConfig, tail_tol: float = 1e-9
+    spec: KernelSpec, radius: float, cfg: McConfig, tail_tol: float = _TAIL_TOL
 ) -> McEstimate:
     """Empirical polydisk count moments over cfg.replicas independent draws.
 

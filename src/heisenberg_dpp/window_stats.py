@@ -58,6 +58,7 @@ from .specfun import (
 
 # Work budget of the spectrum route, in level-0 indices; see _check_budget.
 SPECTRUM_SIZE_CAP = 10_000_000
+_TAIL_TOL = 1e-9  # default spectrum tail bound, shared by every route and the CLI
 PROB_CONSISTENCY_BAND = 1e-12
 # Most Gauss-Legendre panels the integral route uses on [0, 13]: width
 # pi/R holds through R ~ 16k, and wider panels answer to the error estimate.
@@ -126,19 +127,14 @@ def variance_ball_closed(dimension: int, radius: float) -> float:
     """Count variance in the ball via the scaled modified-Bessel sum.
 
     Var = (R^(2D)/D!) e^(-2R^2) sum_{n=0}^{D-1} [I_n(2R^2) + I_{n+1}(2R^2)],
-    evaluated with e^(-x) I_nu(x) so nothing overflows through R ~ 200.
+    the mean times :func:`variance_ratio_ball`, which sums the scaled
+    e^(-x) I_nu(x) with fsum, so nothing overflows through R ~ 200.
     """
-    dimension = _check_dimension(dimension)
-    radius = _check_radius(radius)
-    x = 2.0 * radius * radius
-    acc = 0.0
-    for n in range(dimension):
-        acc += bessel_i_scaled(n, x) + bessel_i_scaled(n + 1, x)
-    return mean_ball(dimension, radius) * acc
+    return mean_ball(dimension, radius) * variance_ratio_ball(dimension, radius)
 
 
 def variance_ratio_ball(dimension: int, radius: float) -> float:
-    """Var/mean for the ball window, from the closed form."""
+    """Var/mean for the ball window: the fsum of the closed form's Bessel terms."""
     dimension = _check_dimension(dimension)
     radius = _check_radius(radius)
     x = 2.0 * radius * radius
@@ -525,7 +521,7 @@ def _initial_truncation(radius: float, level: int) -> int:
     return max(level, base)
 
 
-def build_spectrum(m: int, radius: float, tail_tol: float = 1e-9) -> BernoulliSpectrum:
+def build_spectrum(m: int, radius: float, tail_tol: float = _TAIL_TOL) -> BernoulliSpectrum:
     """All Bernoulli probabilities at one level, with a certified tail bound.
 
     The mean constraint sum_n p_n = R^2 (all levels share unit intensity
@@ -585,7 +581,7 @@ def _cached_spectrum(m: int, radius: float, tail_tol: float) -> BernoulliSpectru
 
 
 def polydisk_moments(
-    spec: KernelSpec, radius: float, tail_tol: float = 1e-9
+    spec: KernelSpec, radius: float, tail_tol: float = _TAIL_TOL
 ) -> MomentReport:
     """Exact count moments in the polydisk of common radius R.
 

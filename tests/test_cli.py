@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import heisenberg_dpp.analysis as analysis_mod
 import heisenberg_dpp.montecarlo as mc_mod
-from heisenberg_dpp import __version__, cli
+from heisenberg_dpp import __version__, cli, verification
 from heisenberg_dpp.exceptions import InternalConsistencyError
 from heisenberg_dpp.kernels import KernelSpec
 
@@ -155,6 +155,14 @@ class TestKernelEval:
         )
         assert code == 2
         assert "error" in err
+
+    def test_point_with_wrong_coordinate_count(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["kernel-eval", "--dimension", "1", "--x", "1,0;2,0", "--y", "0,0"],
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: point '1,0;2,0' has 2 coordinates, expected 1\n"
 
 
 class TestStats:
@@ -712,6 +720,30 @@ class TestVerify:
         assert row["raw_tolerance"] == 0.02
         assert 0.0 < row["raw_delta"] <= row["raw_tolerance"]
         assert row["max_delta"] == row["raw_delta"] / row["raw_tolerance"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_outright_failure_is_written(self, capsys, tmp_path, monkeypatch, fmt):
+        def broken():
+            worst = verification._Worst()
+            worst.add(1e-3, 1.0, "a sub-check that ran")
+            worst.fail("the check could not finish")
+            return worst
+
+        monkeypatch.setitem(verification.ALL_CHECKS, "alpha-coefficients", broken)
+        out_path = tmp_path / f"verify.{fmt}"
+        code, out, _ = run_cli(capsys, ["verify", "--check", "alpha-coefficients",
+                                        "--format", fmt, "--out", str(out_path)])
+        assert code == 1
+        assert out.startswith("FAIL alpha-coefficients: max normalized delta inf ")
+        if fmt == "json":
+            row = json.loads(out_path.read_text())["rows"][0]
+            assert (row["passed"], row["raw_delta"], row["raw_tolerance"]) == (False, None, None)
+        else:
+            with open(out_path, newline="") as fh:
+                (row,) = list(csv.DictReader(fh))
+            assert (row["passed"], row["raw_delta"], row["raw_tolerance"]) == ("false", "", "")
+        assert float(row["max_delta"]) == 1e308
+        assert row["sub_case"] == row["detail"] == "the check could not finish"
 
     def test_unknown_check_rejected(self, capsys):
         code, _, _ = run_cli(capsys, ["verify", "--check", "no-such-check"])

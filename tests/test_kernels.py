@@ -29,6 +29,7 @@ from heisenberg_dpp.kernels import (
     kernel_eval,
     kernel_series_partial,
 )
+from heisenberg_dpp.specfun import laguerre
 
 RNG = np.random.default_rng(777)
 
@@ -135,6 +136,21 @@ class TestKernelValues:
         y = ComplexPoint((0.3, 0.0), (0.1, 0.0))
         assert abs(kernel_eval(spec, x, y)) == pytest.approx(0.0, abs=1e-15)
 
+    def test_far_pair_underflows_to_exact_zero(self):
+        # exponent -|x - y|^2/2 = -850 is past the cutoff, where the level-300
+        # Laguerre factor alone would overflow
+        spec = KernelSpec(1, (300,))
+        x = ComplexPoint((0.0,), (0.0,))
+        y = ComplexPoint((math.sqrt(1700.0),), (0.0,))
+        with pytest.raises(OverflowError):
+            laguerre(300, 0.0, 1700.0)
+        for a, b in ((x, y), (y, x)):
+            value = hermitized_kernel(spec, a, b)
+            assert value == 0j and isinstance(value, complex)
+        rho = correlation_function(spec, [x, y])
+        assert math.isfinite(rho)
+        assert rho == pytest.approx(1.0 / math.pi**2, rel=1e-12)
+
     def test_hermiticity(self):
         spec = KernelSpec(2, (2, 1))
         for _ in range(20):
@@ -176,6 +192,8 @@ class TestCorrelations:
         cm = correlation_matrix(spec, pts)
         assert isinstance(cm, CorrelationMatrix)
         m = cm.entries
+        full = [[hermitized_kernel(spec, p, q) for q in pts] for p in pts]
+        assert np.array_equal(m, np.array(full, dtype=complex))
         assert np.allclose(m, m.conj().T, atol=1e-14)
         assert np.allclose(np.diag(m).real, 1.0 / math.pi**2, rtol=1e-13)
 
@@ -189,6 +207,26 @@ class TestCorrelations:
         bad = np.array([[1.0 / math.pi, 0.5], [0.1, 1.0 / math.pi]], dtype=complex)
         with pytest.raises(InternalConsistencyError):
             CorrelationMatrix(bad, dimension=1)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.full((2, 3), 1.0 / math.pi**2, dtype=complex), ValueError),
+            (np.full(2, 1.0 / math.pi**2, dtype=complex), ValueError),
+            (np.diag([1.0, 1.01]).astype(complex) / math.pi**2, InternalConsistencyError),
+        ],
+        ids=["not-square", "one-dimensional", "diagonal-off-intensity"],
+    )
+    def test_malformed_matrix_rejected(self, bad, error):
+        with pytest.raises(error):
+            CorrelationMatrix(bad, dimension=2)
+        CorrelationMatrix(np.eye(2, dtype=complex) / math.pi**2, dimension=2)
+
+    def test_no_points(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            correlation_function(KernelSpec(1), [])
+        # the empty determinant: the builder keeps the (0, 0) shape
+        assert correlation_det(lambda a, b: 1.0 + 0.5j, []) == 1.0
 
 
 class TestGaugeInvariance:

@@ -34,14 +34,20 @@ def block_counts(model, replicas, seed) -> np.ndarray:
 
 
 def poisson_binomial_pmf(model) -> np.ndarray:
-    """Exact pmf of the kept cells plus the pooled binomial, by convolution."""
-    pmf = np.array([1.0])
-    for p in model.kept:
-        pmf = np.convolve(pmf, [1.0 - p, p])
+    """Exact pmf of the kept cells plus the pooled binomial, by convolution.
+
+    The factors are convolved in pairs, level by level, as a balanced tree
+    of direct convolutions.  No FFT: a sure or an impossible cell must
+    leave exact zeros at the ends of the support.
+    """
+    factors = [np.array([1.0 - p, p]) for p in model.kept]
     n = model.pooled_count
     if n:
-        pmf = np.convolve(pmf, scipy.stats.binom.pmf(np.arange(n + 1), n, model.pooled_prob))
-    return pmf
+        factors.append(scipy.stats.binom.pmf(np.arange(n + 1), n, model.pooled_prob))
+    while len(factors) > 1:
+        pairs = [np.convolve(a, b) for a, b in zip(factors[0::2], factors[1::2])]
+        factors = pairs + factors[2 * len(pairs):]
+    return factors[0] if factors else np.array([1.0])
 
 
 def bernoulli_cumulant_polys(order: int) -> list[np.polynomial.Polynomial]:

@@ -62,12 +62,13 @@ class TestBallClosedForm:
         )
 
     def test_ratio_consistent_with_variance(self):
-        for dim in (1, 2, 3):
-            for r in (0.3, 1.0, 4.0, 17.0):
+        for dim in (1, 2, 3, 4):
+            for r in (0.01, 0.3, 1.0, 2.5, 4.0, 17.0, 60.0, 150.0):
                 ratio = variance_ratio_ball(dim, r)
                 assert ratio == pytest.approx(
                     variance_ball_closed(dim, r) / mean_ball(dim, r), rel=1e-13
                 )
+                assert variance_ball_closed(dim, r) == mean_ball(dim, r) * ratio
 
     def test_small_radius_is_poisson_like(self):
         # a nearly empty window cannot feel the repulsion
