@@ -216,6 +216,8 @@ class CorrelationMatrix:
 
 def correlation_matrix(spec: KernelSpec, points: Sequence) -> CorrelationMatrix:
     pts = [_as_point(p, spec.dimension) for p in points]
+    if not pts:
+        raise ValueError("need at least one point")
     entries = _kernel_matrix(lambda x, y: hermitized_kernel(spec, x, y), pts)
     return CorrelationMatrix(entries=entries, dimension=spec.dimension)
 
@@ -226,8 +228,6 @@ def correlation_function(spec: KernelSpec, points: Sequence) -> float:
     Capped at MAX_CORRELATION_POINTS because the determinant route loses
     accuracy and meaning well before large point counts become interesting.
     """
-    if not points:
-        raise ValueError("need at least one point")
     if len(points) > MAX_CORRELATION_POINTS:
         raise ValueError(
             f"n = {len(points)} exceeds the cap of {MAX_CORRELATION_POINTS}"

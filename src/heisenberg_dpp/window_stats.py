@@ -23,8 +23,11 @@ operation truncates its exact result toward zero to the working
 precision, bit for bit what mpmath's libmp gives at round_down; mpmath
 serves only R^2 and the seed exp(-R^2).  The squared coefficients of
 successive n come from a forward-difference walk of one packed
-polynomial.  The only rounding outside the ladder is the one to double
-on the finished probability, and it is toward zero, subnormals included.
+polynomial, and each p_n's sum is one dot product of them with integer
+weights, the signed ladder values times factorials, that a block of
+successive n shares.  The only rounding outside the ladder is the one to
+double on the finished probability, and it is toward zero, subnormals
+included.
 No level is out of range: one work budget, counted in level-0 indices,
 refuses a spectrum or a p_n before its ladder is built when it would take
 more than about 30 s.
@@ -36,7 +39,9 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import comb, factorial, perm
+from operator import itemgetter, mul
 
 import numpy as np
 from mpmath import libmp
@@ -238,7 +243,8 @@ def _working_prec(level: int, max_index: int) -> int:
 # Round-toward-zero arithmetic on pairs (M, e) of value M 2^e, with M of
 # exactly prec bits or M = 0.  Each operation forms the exact result and
 # truncates it toward zero to prec bits: what libmp's mpf_mul, mpf_div,
-# mpf_add and mpf_sub return at round_down, in plain ints.
+# mpf_add and mpf_sub return at round_down, in plain ints.  The ladder's
+# two long loops run _mul, _div_int and _add inline, on the same steps.
 
 
 def _trunc(man: int, exp: int, prec: int) -> tuple[int, int]:
@@ -335,16 +341,26 @@ class _GammaLadder:
         self._p = []
 
     def extend(self, j_max: int) -> None:
-        prec, rsq, p = self.prec, self.rsq, self._p
+        prec, p = self.prec, self._p
+        r_man, r_exp = self.rsq
         start, first = len(p), self._term
         if start > j_max:
             return
-        # p[j] holds t_(j+1) until the backward sum replaces it with P(j+1)
-        term = first
+        # p[j] holds t_(j+1) until the backward sum replaces it with P(j+1).
+        # A step is _div_int(_mul(term, rsq, prec), k, prec) on local ints:
+        # the product of two prec-bit mantissas truncated to prec bits, then
+        # the quotient by k, which has prec or prec + 1 bits, truncated again.
+        man, exp = first
         for k in range(start + 1, j_max + 2):
-            term = _div_int(_mul(term, rsq, prec), k, prec)
-            p.append(term)
-        self._term = term
+            man *= r_man
+            shift = man.bit_length() - prec
+            bits = k.bit_length()
+            man = ((man >> shift) << bits) // k
+            drop = man.bit_length() - prec
+            man >>= drop
+            exp += r_exp + shift - bits + drop
+            p.append((man, exp))
+        term = self._term = p[-1]
         if j_max + 3 <= self.mean_float():
             # Below the Poisson mode the remainder P(j_max + 2) is at least
             # 1/2 (the median exceeds R^2 - ln 2), so its complement loses
@@ -358,8 +374,7 @@ class _GammaLadder:
             # with K = j_max + 1 > R^2 - 2, the sum in integers with
             # prec + 16 fraction bits; past the first factor (below 2) the
             # factors are below 1, so a product under one unit stays so.
-            x_man, x_exp = rsq
-            num, den = (x_man << x_exp, 1) if x_exp >= 0 else (x_man, 1 << -x_exp)
+            num, den = (r_man << r_exp, 1) if r_exp >= 0 else (r_man, 1 << -r_exp)
             scale = prec + 16
             frac, total, k = 1 << scale, 0, j_max + 1
             while frac:
@@ -367,9 +382,22 @@ class _GammaLadder:
                 frac = frac * num // (den * k)
                 total += frac
             acc = _trunc(term[0] * total, term[1] - scale, prec)
+        # acc = _add(acc, p[j], prec) on local ints: an operand wholly below
+        # the other's last kept bit (gap >= prec) leaves the other as it is.
+        acc_man, acc_exp = acc
         for j in range(j_max, start - 1, -1):
-            acc = _add(acc, p[j], prec)
-            p[j] = acc
+            man, exp = p[j]
+            gap = exp - acc_exp
+            if not acc_man or gap >= prec:
+                acc_man, acc_exp = man, exp
+            elif gap > -prec:
+                if gap >= 0:
+                    man, exp = (man << gap) + acc_man, acc_exp
+                else:
+                    man = (acc_man << -gap) + man
+                shift = man.bit_length() - prec
+                acc_man, acc_exp = man >> shift, exp + shift
+            p[j] = (acc_man, acc_exp)
 
     def reg_gamma(self, j: int):
         """P(j+1, R^2) as a libmp value."""
@@ -377,6 +405,12 @@ class _GammaLadder:
 
     def mean_float(self) -> float:
         return _to_float(*self.rsq)
+
+
+# Indices per block of shared ladder weights in _assemble_probs: the weights
+# cost about 2m/_BLOCK + 1 big-int products per index on top of each index's
+# 2m + 1; the block size touches no output bit.
+_BLOCK = 8
 
 
 def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[float]:
@@ -389,11 +423,15 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
     substitution, X = 2^slot) holds every d_k, and as a polynomial of
     degree 2m in n it is walked by forward differences: 2m + 1 squares seed
     the table and each further index costs 2m big-int adds.  Reading each
-    ladder value exactly as P_j = M_j 2^e_j, the sum
-    S = sum_k b_k (j_k!/j_0!) M_k 2^(e_k - e_min) over
-    j_k = n-m+k >= j_0 = max(n-m, 0) is an exact integer, summed by Horner
-    in the falling factorial, and p_n = S 2^e_min / (m! n!/j_0!) is rounded
-    once, toward zero, to 53 bits.
+    ladder value exactly as P_j = M_j 2^e_j, p_n is the exact rational
+    sum_k b_k j! M_j 2^e_j / (m! n!) over j = n-m+k >= 0.  The indices go
+    in blocks of _BLOCK that share one integer weight per ladder value,
+    H_j = (-1)^j (j!/base!) M_j 2^(e_j - e_min), with base = max(n-m, 0)
+    at the block's first n and e_min the least exponent in the block's
+    window (zero weights stand for j < 0).  Since (-1)^k = (-1)^(n-m) (-1)^j,
+    each index's sum S = (-1)^(n-m) sum_k d_k H_(n-m+k) is one dot product
+    of the unpacked D(n) with a slice of the weights, and
+    p_n = S 2^e_min / (m! n!/base!) is rounded once, toward zero, to 53 bits.
     """
     rungs = ladder._p
     if m == 0:
@@ -402,8 +440,6 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
         raws = []
         m_fact = factorial(m)
         scaled = [m_fact // factorial(i) for i in range(m + 1)]
-        j_first = max(n_lo - m, 0)
-        mans, exps = zip(*rungs[j_first : n_hi + m + 1])
         # The slots fit the largest d_k in range, which is at n_hi.  Only
         # D(n) itself is unpacked; its differences may borrow across slots.
         top = max(comb(n_hi, m - i) * scaled[i] for i in range(m + 1))
@@ -419,21 +455,32 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
         for k in range(1, order + 1):
             for i in range(order, k - 1, -1):
                 diffs[i] -= diffs[i - 1]
-        width = (2 * m + 1) * slot
-        for n in range(n_lo, n_hi + 1):
-            squared = diffs[0].to_bytes(width, "little")
-            for i in range(order):
-                diffs[i] += diffs[i + 1]
-            j0 = max(n - m, 0)
-            e_min = min(exps[j0 - j_first : n + m + 1 - j_first])
-            acc = 0  # Horner in j!/j0!, from j = n + m down to j0
-            for j in range(n + m, j0 - 1, -1):
-                k = j - n + m
-                d = int.from_bytes(squared[k * slot : (k + 1) * slot], "little")
-                term = (d * mans[j - j_first]) << (exps[j - j_first] - e_min)
-                acc = acc * (j + 1) - term if k & 1 else acc * (j + 1) + term
-            denom = m_fact * perm(n, n - j0)  # m! n!/j0!
-            raws.append(_to_float(acc, e_min, denom))
+        span = 2 * m + 1
+        width = span * slot
+        slots = itemgetter(*[slice(k * slot, (k + 1) * slot) for k in range(span)])
+        little = repeat("little")
+        for lo in range(n_lo, n_hi + 1, _BLOCK):
+            end = min(lo + _BLOCK, n_hi + 1)
+            base = max(lo - m, 0)
+            window = rungs[base : end + m]
+            e_min = min([exp for _, exp in window])
+            weights = [0] * (base - lo + m)  # j = lo - m .. base - 1
+            fact = 1  # j!/base!
+            for j, (man, exp) in enumerate(window, base):
+                if j > base:
+                    fact *= j
+                weight = (man * fact) << (exp - e_min)
+                weights.append(-weight if j & 1 else weight)
+            denom = m_fact * perm(lo, lo - base)  # m! n!/base!
+            for w, n in enumerate(range(lo, end)):
+                if w:
+                    denom *= n
+                squared = diffs[0].to_bytes(width, "little")
+                for i in range(order):
+                    diffs[i] += diffs[i + 1]
+                d = map(int.from_bytes, slots(squared), little)
+                total = sum(map(mul, d, weights[w : w + span]))
+                raws.append(_to_float(-total if (n - m) & 1 else total, e_min, denom))
     probs = []
     for n, raw in enumerate(raws, n_lo):
         if raw < -PROB_CONSISTENCY_BAND or raw > 1.0 + PROB_CONSISTENCY_BAND:
@@ -471,9 +518,10 @@ def _check_budget(indices: int, level: int, radius: float, what: str = "spectrum
     than SPECTRUM_SIZE_CAP level-0 indices.
 
     An index at level m weighs w(m) = (m + 1)(1 + (m/24)^2) level-0 ones:
-    3 us w(m) fits build_spectrum's time per index within a factor of 1.8
-    (2.3 us at level 0, 46 us at 16, 160 us at 32 and 1.4 ms at 64 on a
-    2-core VM), so the cap stands for about 30 s of work at any level.
+    3 us w(m) bounds build_spectrum's time per index from above, within a
+    factor of 3 (1.3 us at level 0, 27 us at 16, 110 us at 32 and 0.9 to
+    1.2 ms at 64, CPU time on a 2-core VM), so the cap stands for at most
+    about 30 s of work at any level.
     """
     work = indices * (level + 1) * (576 + level * level)  # 576 w(m) per index
     if work > 576 * SPECTRUM_SIZE_CAP:

@@ -225,6 +225,8 @@ class TestCorrelations:
     def test_no_points(self):
         with pytest.raises(ValueError, match="at least one point"):
             correlation_function(KernelSpec(1), [])
+        with pytest.raises(ValueError, match="at least one point"):
+            correlation_matrix(KernelSpec(2), [])
         # the empty determinant: the builder keeps the (0, 0) shape
         assert correlation_det(lambda a, b: 1.0 + 0.5j, []) == 1.0
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp
 
@@ -750,6 +750,20 @@ class TestBitIdentity:
                 digest.update(struct.pack("<d", spec.tail_bound))
         assert digest.hexdigest() == self.PINNED
 
+    # the same digest over the radii and levels the spectrum-sweep benchmark
+    # times, which the grid above misses, as the Horner-in-the-falling-
+    # factorial assembly computed them
+    PINNED_LARGE_R = "0c04006a19295607c6ec9f470898c48a0f3998a39bebacebdddbc2ce6b4ae385"
+
+    def test_large_radius_digest(self):
+        digest = hashlib.sha256()
+        for m in (3, 8, 16):
+            for r in (33.3, 50.0):
+                spec = build_spectrum(m, r)
+                digest.update(np.asarray(spec.probs, dtype="<f8").tobytes())
+                digest.update(struct.pack("<d", spec.tail_bound))
+        assert digest.hexdigest() == self.PINNED_LARGE_R
+
 
 class TestPolydiskMoments:
     def test_one_dimensional_disk_equals_ball(self):
@@ -856,6 +870,26 @@ class TestProperties:
         a = bernoulli_prob(n, m, r)
         b = build_spectrum(max(n, m), r).probs[min(n, m)]
         assert a == b or {a, b} == TestExactAssembly.SATURATED, (a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(0, 24),
+        r=st.floats(0.1, 6.0),
+        lo=st.integers(0, 40),
+        left=st.integers(1, 30),
+        right=st.integers(1, 30),
+    )
+    @example(m=20, r=3.0, lo=2, left=3, right=17)  # windows clipped at j = 0
+    @example(m=5, r=4.5, lo=37, left=9, right=4)  # an extension past lo = 0
+    def test_assembly_does_not_depend_on_the_split(self, m, r, lo, left, right):
+        # p_n for n in [lo, hi] from one call, and from calls on [lo, s] and
+        # [s + 1, hi], with s anywhere in the range
+        s, hi = lo + left - 1, lo + left + right - 1
+        ladder = ws._GammaLadder(r, ws._working_prec(m, hi + 2 * m))
+        ladder.extend(hi + m)
+        whole = ws._assemble_probs(m, ladder, lo, hi)
+        parts = ws._assemble_probs(m, ladder, lo, s) + ws._assemble_probs(m, ladder, s + 1, hi)
+        assert whole == parts
 
     @settings(max_examples=15, deadline=None)
     @given(m=st.integers(0, 6), r=st.floats(0.1, 12.0))
