@@ -20,14 +20,14 @@ values come from a ladder at elevated precision, each is read exactly as
 mantissa times a power of two, and the whole sum is formed in integer
 arithmetic.  The ladder runs on plain int pairs (M, e) whose every
 operation truncates its exact result toward zero to the working
-precision, bit for bit what mpmath's libmp gives at round_down; mpmath
-serves only R^2 and the seed exp(-R^2).  The squared coefficients of
-successive n come from a forward-difference walk of one packed
-polynomial, and each p_n's sum is one dot product of them with integer
-weights, the signed ladder values times factorials, that a block of
-successive n shares.  The only rounding outside the ladder is the one to
-double on the finished probability, and it is toward zero, subnormals
-included.
+precision, bit for bit what mpmath's libmp gives at round_down; R^2 is
+exact, and the seed exp(-R^2) is computed in integers too, so the runtime
+needs numpy alone.  The squared coefficients of successive n come from a
+forward-difference walk of one packed polynomial, and each p_n's sum is
+one dot product of them with integer weights, the signed ladder values
+times factorials, that a block of successive n shares.  The only rounding
+outside the ladder is the one to double on the finished probability, and
+it is toward zero, subnormals included.
 No level is out of range: one work budget, counted in level-0 indices,
 refuses a spectrum or a p_n before its ladder is built when it would take
 more than about 30 s.
@@ -44,7 +44,6 @@ from math import comb, factorial, perm
 from operator import itemgetter, mul
 
 import numpy as np
-from mpmath import libmp
 
 from .exceptions import (
     InternalConsistencyError,
@@ -240,39 +239,13 @@ def _working_prec(level: int, max_index: int) -> int:
     return 96 + cancellation_bits
 
 
-# Round-toward-zero arithmetic on pairs (M, e) of value M 2^e, with M of
-# exactly prec bits or M = 0.  Each operation forms the exact result and
-# truncates it toward zero to prec bits: what libmp's mpf_mul, mpf_div,
-# mpf_add and mpf_sub return at round_down, in plain ints.  The ladder's
-# two long loops run _mul, _div_int and _add inline, on the same steps.
-
-
 def _trunc(man: int, exp: int, prec: int) -> tuple[int, int]:
-    """man 2^exp (man >= 0) truncated toward zero to a prec-bit mantissa."""
+    """man 2^exp (man >= 0) truncated toward zero to a prec-bit mantissa.
+
+    The ladder's values are such pairs (M, e), and each of its operations
+    truncates its exact result so, as libmp does at round_down."""
     shift = man.bit_length() - prec
     return (man >> shift if shift >= 0 else man << -shift), exp + shift
-
-
-def _mul(a, b, prec: int) -> tuple[int, int]:
-    return _trunc(a[0] * b[0], a[1] + b[1], prec)
-
-
-def _div_int(a, k: int, prec: int) -> tuple[int, int]:
-    """a / k for an integer k >= 1; the floor has prec or prec + 1 bits."""
-    bits = k.bit_length()
-    return _trunc((a[0] << bits) // k, a[1] - bits, prec)
-
-
-def _add(a, b, prec: int) -> tuple[int, int]:
-    """a + b for a >= 0 and b > 0."""
-    if not a[0]:
-        return b
-    if a[1] < b[1]:
-        a, b = b, a
-    gap = a[1] - b[1]
-    if gap >= prec:
-        return a  # b lies below a's last kept bit, and the sum truncates to a
-    return _trunc((a[0] << gap) + b[0], b[1], prec)
 
 
 def _sub(a, b, prec: int) -> tuple[int, int]:
@@ -286,10 +259,49 @@ def _sub(a, b, prec: int) -> tuple[int, int]:
     return _trunc((a[0] << gap) - b[0], b[1], prec)
 
 
-def _from_libmp(value, prec: int) -> tuple[int, int]:
-    """A positive libmp value (of at most prec bits) as a pair."""
-    _, man, exp, bc = value
-    return man << (prec - bc), exp - (prec - bc)
+@lru_cache(maxsize=32)
+def _ln2(bits: int) -> int:
+    """ln 2 in `bits` fraction bits, under 2 units low: 2 atanh(1/3)."""
+    guard = bits.bit_length() + 8
+    power, total, i = (1 << (bits + guard)) // 3, 0, 1
+    while power:
+        total += power // i
+        power //= 9
+        i += 2
+    return (2 * total) >> guard
+
+
+def _exp_neg(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """e^(-x), x = man 2^exp > 0, truncated toward zero to exactly prec bits.
+
+    With x = k ln 2 + r, e^(-r) is the alternating Taylor series in fixed
+    point with s = prec + guard fraction bits.  A floored term is short by
+    at most 2 units of 2^-s, and r is off by at most 2k + 1 units of its
+    finer scale.  When both ends of the error interval truncate alike, so
+    does e^(-x); else the guard doubles.  e^(-x) is never dyadic for x > 0.
+    """
+    top = man.bit_length() + exp  # x < 2^top
+    if top <= -prec:
+        return (1 << prec) - 1, -prec  # 1 - 2^-prec < 1 - x < e^(-x) < 1
+    guard = 32
+    while True:
+        s = prec + guard
+        w = s + max(top, 0) + 2  # fraction bits of the reduction: 2k < 2^(w-s)
+        wide = -(-w // 256) * 256  # one cached ln 2 serves nearby w
+        fixed = man << (exp + w) if exp + w >= 0 else man >> -(exp + w)
+        k, r = divmod(fixed, _ln2(wide) >> (wide - w))
+        r_err = ((2 * k + 1) >> (w - s)) + 2  # in units of 2^-s
+        r >>= w - s
+        term, total, n = 1 << s, 1 << s, 0
+        while term:
+            n += 1
+            term = term * r // (n << s)
+            total += -term if n & 1 else term
+        err = 2 * n + r_err + 4  # e^(-r) has slope ~1: r's error passes through
+        lo = _trunc(total - err, -s - k, prec)
+        if lo == _trunc(total + err, -s - k, prec):
+            return lo
+        guard *= 2
 
 
 def _to_float(num: int, exp: int, denom: int = 1) -> float:
@@ -322,37 +334,32 @@ class _GammaLadder:
     from a subtraction that can lose relative accuracy, so every one is good
     to ~N ulps of its own size, near 1 and deep in the tail alike.
 
-    Rungs are (M, e) int pairs, and the arithmetic is the round-toward-zero
-    one above, so every rung equals, bit for bit, what the same steps give
-    in libmp at round_down.  Only the seed e^(-R^2) and R^2 itself come
-    from libmp.
+    Rungs are (M, e) int pairs, and every step truncates toward zero as
+    _trunc does, so every rung equals, bit for bit, what the same steps give
+    in libmp at round_down.  R^2 is exact, the square of the radius's 53-bit
+    mantissa, and the seed e^(-R^2) is truncated toward zero by _exp_neg.
     """
 
     def __init__(self, radius: float, prec: int):
         self.prec = prec
-        rf = libmp.from_float(float(radius))
-        # Not exact: the square of a 53-bit mantissa needs up to 106 bits,
-        # so it is truncated toward zero where prec is smaller, as at level 0
-        # (prec 96) for most radii and at level 1 for small ones.
-        rsq = libmp.mpf_mul(rf, rf, prec)
-        self.rsq = _from_libmp(rsq, prec)
-        seed = libmp.mpf_exp(libmp.mpf_neg(rsq), prec)
-        self._term = _from_libmp(seed, prec)  # t_(len(_p))
+        num, den = float(radius).as_integer_ratio()  # den is a power of two
+        self.rsq = num * num, den * den  # R^2 = num/den exactly
+        self._term = _exp_neg(num * num, 2 - 2 * den.bit_length(), prec)  # t_(len(_p))
         self._p = []
 
     def extend(self, j_max: int) -> None:
         prec, p = self.prec, self._p
-        r_man, r_exp = self.rsq
+        num, den = self.rsq
+        r_exp = 1 - den.bit_length()
         start, first = len(p), self._term
         if start > j_max:
             return
         # p[j] holds t_(j+1) until the backward sum replaces it with P(j+1).
-        # A step is _div_int(_mul(term, rsq, prec), k, prec) on local ints:
-        # the product of two prec-bit mantissas truncated to prec bits, then
-        # the quotient by k, which has prec or prec + 1 bits, truncated again.
+        # A step truncates the exact product with R^2 = num 2^r_exp to prec
+        # bits, then the quotient by k, of prec or prec + 1 bits, again.
         man, exp = first
         for k in range(start + 1, j_max + 2):
-            man *= r_man
+            man *= num
             shift = man.bit_length() - prec
             bits = k.bit_length()
             man = ((man >> shift) << bits) // k
@@ -361,7 +368,7 @@ class _GammaLadder:
             exp += r_exp + shift - bits + drop
             p.append((man, exp))
         term = self._term = p[-1]
-        if j_max + 3 <= self.mean_float():
+        if (j_max + 3) * den <= num:
             # Below the Poisson mode the remainder P(j_max + 2) is at least
             # 1/2 (the median exceeds R^2 - ln 2), so its complement loses
             # nothing and costs only the terms at hand, where the series
@@ -374,7 +381,6 @@ class _GammaLadder:
             # with K = j_max + 1 > R^2 - 2, the sum in integers with
             # prec + 16 fraction bits; past the first factor (below 2) the
             # factors are below 1, so a product under one unit stays so.
-            num, den = (r_man << r_exp, 1) if r_exp >= 0 else (r_man, 1 << -r_exp)
             scale = prec + 16
             frac, total, k = 1 << scale, 0, j_max + 1
             while frac:
@@ -382,8 +388,8 @@ class _GammaLadder:
                 frac = frac * num // (den * k)
                 total += frac
             acc = _trunc(term[0] * total, term[1] - scale, prec)
-        # acc = _add(acc, p[j], prec) on local ints: an operand wholly below
-        # the other's last kept bit (gap >= prec) leaves the other as it is.
+        # An addend wholly below the other's last kept bit (gap >= prec)
+        # leaves the other as it is.
         acc_man, acc_exp = acc
         for j in range(j_max, start - 1, -1):
             man, exp = p[j]
@@ -398,13 +404,6 @@ class _GammaLadder:
                 shift = man.bit_length() - prec
                 acc_man, acc_exp = man >> shift, exp + shift
             p[j] = (acc_man, acc_exp)
-
-    def reg_gamma(self, j: int):
-        """P(j+1, R^2) as a libmp value."""
-        return libmp.from_man_exp(*self._p[j])
-
-    def mean_float(self) -> float:
-        return _to_float(*self.rsq)
 
 
 # Indices per block of shared ladder weights in _assemble_probs: the weights
@@ -481,14 +480,12 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
                 d = map(int.from_bytes, slots(squared), little)
                 total = sum(map(mul, d, weights[w : w + span]))
                 raws.append(_to_float(-total if (n - m) & 1 else total, e_min, denom))
-    probs = []
     for n, raw in enumerate(raws, n_lo):
-        if raw < -PROB_CONSISTENCY_BAND or raw > 1.0 + PROB_CONSISTENCY_BAND:
+        if not -PROB_CONSISTENCY_BAND <= raw <= 1.0 + PROB_CONSISTENCY_BAND:
             raise InternalConsistencyError(
                 f"p_{n} at level {m} evaluated to {raw!r}, outside [0, 1]"
             )
-        probs.append(min(max(raw, 0.0), 1.0))
-    return probs
+    return [min(max(raw, 0.0), 1.0) for raw in raws]
 
 
 # Natural log of 2^-1138: a p_n certified below it lies 64 binary orders
@@ -565,8 +562,9 @@ def bernoulli_prob(n: int, m: int, radius: float) -> float:
 
 
 def _initial_truncation(radius: float, level: int) -> int:
-    base = math.ceil(radius * radius) + 12 * math.ceil(radius) + 50
-    return max(level, base)
+    # from R = 2^512 (~1.34e154) the double R^2 overflows; ceil(R)^2 stands in
+    rsq = radius * radius if radius < 2.0**512 else math.ceil(radius) ** 2
+    return max(level, math.ceil(rsq) + 12 * math.ceil(radius) + 50)
 
 
 def build_spectrum(m: int, radius: float, tail_tol: float = _TAIL_TOL) -> BernoulliSpectrum:
@@ -591,7 +589,7 @@ def build_spectrum(m: int, radius: float, tail_tol: float = _TAIL_TOL) -> Bernou
     ladder = _GammaLadder(radius, _working_prec(m, n_top + 2 * m + 64))
     ladder.extend(n_top + m)
     probs = _assemble_probs(m, ladder, 0, n_top)
-    mean = ladder.mean_float()
+    mean = _to_float(ladder.rsq[0], 0, ladder.rsq[1])
     # R^2 - sum p_n exceeds mean - fsum(probs) by less than the roundings of
     # R^2 (down), of the sum and of the difference: two ulps of the mean.
     slack = 2.0 * math.ulp(mean)

@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -225,6 +228,21 @@ class TestStats:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (3, "")
         assert "at level 2000" in err and "size cap" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--radius", "1e200"],
+            ["sweep", "--r-grid", "1,1e200"],
+            ["mc", "--radius", "1e200", "--replicas", "10"],
+        ],
+        ids=["stats", "sweep", "mc"],
+    )
+    def test_radius_past_the_double_square_exits_3(self, capsys, argv):
+        # R^2 overflows a double, yet the spectrum is refused by its budget
+        code, out, err = run_cli(capsys, [*argv, "--dimension", "1"])
+        assert (code, out) == (3, "")
+        assert "size cap" in err
 
     def test_level_length_mismatch(self, capsys):
         code, _, err = run_cli(
@@ -982,3 +1000,26 @@ def test_cli_argv_fuzz_ends_in_documented_exit(tmp_path_factory, data):
     # every documented exit code: 1 is a failed verify check (a tolerance
     # scale of 0), 3 a numerical budget (radius 1e4, tail target 1e-30)
     assert code in (0, 1, 2, 3, 4), (argv, code)
+
+
+def test_runtime_does_not_load_mpmath():
+    # numpy is the one runtime dependency; mpmath is a test oracle only
+    script = """
+import contextlib, io, sys
+from heisenberg_dpp import cli
+calls = [
+    ["stats", "--dimension", "2", "--level", "1,3", "--radius", "2.5"],
+    ["mc", "--dimension", "1", "--radius", "2", "--replicas", "20"],
+    ["verify", "--check", "spectrum-route-equivalence"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in calls]
+assert codes == [0, 0, 0], codes
+assert "mpmath" not in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

@@ -297,6 +297,13 @@ class TestBernoulliProb:
         with pytest.raises(NumericalBudgetError):
             bernoulli_prob(10**400, 0, 1.0)
 
+    @pytest.mark.parametrize("r", [1e154, 2.0**512, 1e200, 1.7976931348623157e308])
+    def test_radius_past_the_double_square(self, r):
+        # R^2 overflows a double from R = 2^512, but the ladder's R^2 is an
+        # exact integer ratio: p_0 = 1 - e^(-R^2) truncates to just below 1
+        assert bernoulli_prob(0, 0, r) == 1.0 - 2.0**-53
+        assert bernoulli_prob(2, 3, r) == 1.0 - 2.0**-53
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             bernoulli_prob(-1, 0, 1.0)
@@ -336,6 +343,12 @@ class TestSpectrum:
         monkeypatch.setattr(ws, "_GammaLadder", None)  # must not be reached
         with pytest.raises(NumericalBudgetError, match="past the size cap"):
             build_spectrum(0, 20.0)
+
+    @pytest.mark.parametrize("r", [1e154, 2.0**512, 1e200, 1.7976931348623157e308])
+    def test_radius_past_the_double_square_meets_the_budget(self, monkeypatch, r):
+        self.no_ladder(monkeypatch)
+        with pytest.raises(NumericalBudgetError, match="past the size cap"):
+            build_spectrum(0, r)
 
     def test_unreachable_tail_target_raises(self):
         # below the rounding of sum p_n ~ R^2, so no extension can certify it
@@ -421,7 +434,7 @@ def legacy_spectrum(m: int, radius: float, size: int) -> list[float]:
     out = []
     for n in range(size):
         if m == 0:
-            raw = libmp.to_float(ladder.reg_gamma(n))
+            raw = libmp.to_float(reg_gamma(ladder, n))
         else:
             acc = libmp.fzero
             alpha = n - m
@@ -430,7 +443,7 @@ def legacy_spectrum(m: int, radius: float, size: int) -> list[float]:
                     continue
                 term = libmp.mpf_mul(
                     libmp.mpf_mul(libmp.from_int(bk), fact[alpha + k], prec),
-                    ladder.reg_gamma(alpha + k),
+                    reg_gamma(ladder, alpha + k),
                     prec,
                 )
                 acc = libmp.mpf_add(acc, term, prec)
@@ -524,8 +537,8 @@ class TestGammaLadder:
         # a rung's low working-precision bits depend on where the series
         # remainder started; its double and every assembled p_n do not
         assert len(stepped._p) == len(once._p)
-        assert [libmp.to_float(stepped.reg_gamma(j)) for j in range(len(once._p))] == [
-            libmp.to_float(once.reg_gamma(j)) for j in range(len(once._p))
+        assert [libmp.to_float(reg_gamma(stepped, j)) for j in range(len(once._p))] == [
+            libmp.to_float(reg_gamma(once, j)) for j in range(len(once._p))
         ]
         size = n_top + 3 * grow
         assert ws._assemble_probs(m, stepped, 0, size) == ws._assemble_probs(
@@ -546,7 +559,7 @@ class TestGammaLadder:
             x = mpmath.mpf(r) ** 2
             for j in range(top + 1):
                 ref = mpmath.gammainc(j + 1, 0, x, regularized=True)
-                err = abs(mpmath.mpf(ladder.reg_gamma(j)) - ref) / ref
+                err = abs(mpmath.mpf(reg_gamma(ladder, j)) - ref) / ref
                 # the docstring's ~N ulps of its own size, N = top + 1 rungs
                 assert err <= (top + 1) * mpmath.mpf(2) ** (1 - prec), (j, err)
 
@@ -559,19 +572,38 @@ class TestGammaLadder:
         ladder.extend(1)
         assert time.perf_counter() - start < 1.0
         # 1 - ~e^(-9e4), rounded toward zero
-        assert [libmp.to_float(ladder.reg_gamma(j)) for j in range(2)] == [
+        assert [libmp.to_float(reg_gamma(ladder, j)) for j in range(2)] == [
             1.0 - 2.0**-53
         ] * 2
 
 
+def from_libmp(value, prec: int) -> tuple[int, int]:
+    """A positive libmp value (of at most prec bits) as an (M, e) pair."""
+    _, man, exp, bc = value
+    return man << (prec - bc), exp - (prec - bc)
+
+
+def reg_gamma(ladder, j: int):
+    """The ladder's P(j+1, R^2) as a libmp value."""
+    return libmp.from_man_exp(*ladder._p[j])
+
+
+def exp_neg_down(x, prec: int):
+    """e^(-x) truncated toward zero to prec bits: libmp's exp at 64 more
+    bits, truncated again.  libmp's own exp at prec misses the truncation
+    by one unit now and then."""
+    wide = libmp.mpf_exp(libmp.mpf_neg(x), prec + 64, libmp.round_down)
+    return libmp.normalize(*wide, prec, libmp.round_down)
+
+
 def libmp_ladder(radius: float, prec: int, tops) -> list:
-    """The incomplete-gamma ladder as libmp computed it at round_down,
-    extended to each top in turn: the reference the int ladder must match
-    bit for bit."""
+    """The incomplete-gamma ladder in libmp at round_down from the exact R^2
+    and the truncated seed, extended to each top in turn: the reference the
+    int ladder must match bit for bit."""
     mul, div, add, sub = libmp.mpf_mul, libmp.mpf_div, libmp.mpf_add, libmp.mpf_sub
     rf = libmp.from_float(radius)
-    rsq = mul(rf, rf, prec)
-    term = libmp.mpf_exp(libmp.mpf_neg(rsq), prec)
+    rsq = mul(rf, rf)  # exact
+    term = exp_neg_down(rsq, prec)
     p = []
     for j_max in tops:
         start, first = len(p), term
@@ -640,12 +672,31 @@ def operand_pairs(draw):
     return prec, a, b
 
 
+def exact_square(radius: float) -> tuple[int, int]:
+    """R^2 exactly, as an (M, e) pair."""
+    _, man, exp, _ = libmp.mpf_mul(*[libmp.from_float(radius)] * 2)
+    return man, exp
+
+
+def truncated_square(radius: float, prec: int) -> tuple[int, int]:
+    """R^2 truncated toward zero to prec bits, as an (M, e) pair."""
+    rf = libmp.from_float(radius)
+    _, man, exp, _ = libmp.mpf_mul(rf, rf, prec, libmp.round_down)
+    return man, exp
+
+
+@st.composite
+def exp_neg_cases(draw):
+    """(prec, man, exp) with x = man 2^exp from 2^-2200 to 2^1400 and man of
+    up to 106 bits, the size of an exact R^2."""
+    prec = draw(st.sampled_from([53, 96, 120, 288, 864]))
+    man = draw(st.integers(1, 2**106 - 1))
+    top = draw(st.integers(-2200, 1400))
+    return prec, man, top - man.bit_length()
+
+
 class TestNativeRounding:
     """The ladder's int arithmetic against libmp at round_down, bit for bit."""
-
-    @staticmethod
-    def native(value, prec):
-        return ws._from_libmp(value, prec)
 
     @staticmethod
     def back(pair):
@@ -653,27 +704,14 @@ class TestNativeRounding:
 
     @settings(max_examples=300, deadline=None)
     @given(operand_pairs())
-    def test_mul_add_sub(self, case):
+    def test_sub(self, case):
         prec, a, b = case
-        x, y = self.native(a, prec), self.native(b, prec)
-        down = libmp.round_down
-        assert self.back(ws._mul(x, y, prec)) == libmp.mpf_mul(a, b, prec, down)
-        assert self.back(ws._add(x, y, prec)) == libmp.mpf_add(a, b, prec, down)
-        if libmp.mpf_cmp(a, b) != 0:
-            if libmp.mpf_cmp(a, b) < 0:
-                a, b, x, y = b, a, y, x
-            assert self.back(ws._sub(x, y, prec)) == libmp.mpf_sub(a, b, prec, down)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        prec=st.sampled_from([53, 96, 107, 288]),
-        data=st.data(),
-        k=st.one_of(st.integers(1, 10**7), st.sampled_from([1, 2, 4, 1 << 20])),
-    )
-    def test_div_by_int(self, prec, data, k):
-        a = data.draw(libmp_values(prec))
-        got = self.back(ws._div_int(self.native(a, prec), k, prec))
-        assert got == libmp.mpf_div(a, libmp.from_int(k), prec, libmp.round_down)
+        if libmp.mpf_cmp(a, b) == 0:
+            return
+        if libmp.mpf_cmp(a, b) < 0:
+            a, b = b, a
+        got = ws._sub(from_libmp(a, prec), from_libmp(b, prec), prec)
+        assert self.back(got) == libmp.mpf_sub(a, b, prec, libmp.round_down)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -684,7 +722,7 @@ class TestNativeRounding:
         # exponents reach the subnormal range and past it (to zero)
         a = data.draw(libmp_values(prec, st.integers(-1400, 700)))
         exact = Fraction(a[1]) * Fraction(2) ** a[2]
-        assert ws._to_float(*self.native(a, prec)) == toward_zero(exact, a)
+        assert ws._to_float(*from_libmp(a, prec)) == toward_zero(exact, a)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -704,6 +742,30 @@ class TestNativeRounding:
         got = ws._to_float(num, exp, denom)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=exp_neg_cases())
+    # x < 2^-prec, from R = 1e-200 at level 0
+    @example(case=(96, *exact_square(1e-200)))
+    # an integral x at a precision past 600 bits, where libmp's exp takes
+    # its integer-power path: R = 3 at level 64
+    @example(case=(ws._working_prec(64, ws._initial_truncation(3.0, 64) + 192), 9, 0))
+    # x ~ 1e400, from R = 1e200
+    @example(case=(96, *exact_square(1e200)))
+    # R^2 truncated to 96 bits at R = 0.0530448256324705, where libmp's
+    # exp at 96 bits and round_down is one unit low
+    @example(case=(96, *truncated_square(0.0530448256324705, 96)))
+    def test_exp_neg_truncates_toward_zero(self, case):
+        prec, man, exp = case
+        got_man, got_exp = ws._exp_neg(man, exp, prec)
+        assert got_man.bit_length() == prec
+        with mpmath.workprec(prec + 128):
+            x = mpmath.ldexp(man, exp)
+            lo, hi = mpmath.ldexp(got_man, got_exp), mpmath.ldexp(got_man + 1, got_exp)
+            if x < 1:  # 1 - e^(-x) = -expm1(-x) keeps its digits where e^(-x) ~ 1
+                assert 1 - hi < -mpmath.expm1(-x) <= 1 - lo
+            else:
+                assert lo <= mpmath.exp(-x) < hi
+
     @pytest.mark.parametrize("r", [1e-200, 1e-160, 0.3, 1.7, 3.0, 20.0])
     @pytest.mark.parametrize("m", [0, 1, 8])
     def test_ladder_matches_libmp(self, r, m):
@@ -716,7 +778,7 @@ class TestNativeRounding:
         for top in tops:
             ladder.extend(top)
         ref = libmp_ladder(r, prec, tops)
-        assert [ladder.reg_gamma(j) for j in range(len(ref))] == ref
+        assert [reg_gamma(ladder, j) for j in range(len(ref))] == ref
         assert [ws._to_float(*v) for v in ladder._p] == [
             toward_zero(Fraction(v[1]) * Fraction(2) ** v[2], v) for v in ref
         ]
@@ -732,7 +794,7 @@ class TestNativeRounding:
         for top in tops:
             ladder.extend(top)
         ref = libmp_ladder(r, prec, tops)
-        assert [ladder.reg_gamma(j) for j in range(len(ref))] == ref
+        assert [reg_gamma(ladder, j) for j in range(len(ref))] == ref
 
 
 class TestBitIdentity:
