@@ -431,6 +431,7 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
     each index's sum S = (-1)^(n-m) sum_k d_k H_(n-m+k) is one dot product
     of the unpacked D(n) with a slice of the weights, and
     p_n = S 2^e_min / (m! n!/base!) is rounded once, toward zero, to 53 bits.
+    p_n < 1 at every finite R, so the result is held to [0, 1 - 2^-53].
     """
     rungs = ladder._p
     if m == 0:
@@ -485,7 +486,7 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
             raise InternalConsistencyError(
                 f"p_{n} at level {m} evaluated to {raw!r}, outside [0, 1]"
             )
-    return [min(max(raw, 0.0), 1.0) for raw in raws]
+    return [min(max(raw, 0.0), 1.0 - 2.0**-53) for raw in raws]
 
 
 # Natural log of 2^-1138: a p_n certified below it lies 64 binary orders
@@ -538,13 +539,13 @@ def bernoulli_prob(n: int, m: int, radius: float) -> float:
     in closed form: the integrand expands exactly into monomials, each
     integrating to a factorial times a regularized incomplete gamma.  p is
     symmetric in (n, m), so it is assembled at the lower of the two levels.
-    Clamped to [0, 1]; a value outside the 1e-12 consistency band raises
-    InternalConsistencyError instead of being clamped silently.  Returns 0.0
-    without a ladder when Szego's bound certifies that p_n rounds to it.
-    Otherwise the work budget (see _check_budget) counts the n + m ladder
-    rungs as level-0 indices and the one assembly as an index at the lower
-    level, and raises NumericalBudgetError, before the ladder, when either
-    passes it.
+    Clamped to [0, 1 - 2^-53]; a value outside [0, 1] by more than the
+    1e-12 consistency band raises InternalConsistencyError instead.
+    Returns 0.0 without a ladder when Szego's bound certifies that p_n
+    rounds to it.  Otherwise the work budget (see _check_budget) counts the
+    n + m ladder rungs as level-0 indices and the one assembly as an index
+    at the lower level, and raises NumericalBudgetError, before the ladder,
+    when either passes it.
     """
     n, m = _check_index("n", n), _check_index("m", m)
     radius = _check_radius(radius)

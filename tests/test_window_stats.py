@@ -203,7 +203,7 @@ class TestBernoulliProb:
 
     def test_symmetry_is_bit_exact(self):
         # bernoulli_prob assembles p at level min(n, m), the spectrum at
-        # level max(n, m): they differ only where p sits within an ulp of 1
+        # level max(n, m): within an ulp of 1 both read 1 - 2^-53
         for r in (0.9, 2.2, 4.7):
             for n in range(0, 13, 3):
                 for m in range(0, 13, 4):
@@ -423,7 +423,8 @@ def legacy_spectrum(m: int, radius: float, size: int) -> list[float]:
     """The per-term libmp assembly the exact-integer one replaced.
 
     Every product and partial sum is rounded at the ladder's precision and
-    the factorials come from a rounded running product, as they did.
+    the factorials come from a rounded running product, as they did.  The
+    result is clamped as the library's is, to [0, 1 - 2^-53].
     """
     prec = ws._working_prec(m, ws._initial_truncation(radius, m) + 2 * m + 64)
     ladder = ws._GammaLadder(radius, prec)
@@ -449,7 +450,7 @@ def legacy_spectrum(m: int, radius: float, size: int) -> list[float]:
                 acc = libmp.mpf_add(acc, term, prec)
             denom = libmp.mpf_mul(fact[n], fact[m], prec)
             raw = libmp.to_float(libmp.mpf_div(acc, denom, prec))
-        out.append(min(max(raw, 0.0), 1.0))
+        out.append(min(max(raw, 0.0), 1.0 - 2.0**-53))
     return out
 
 
@@ -470,13 +471,13 @@ def reference_prob(n: int, m: int, radius: float) -> mpmath.mpf:
 
 
 class TestExactAssembly:
-    SATURATED = {1.0, 1.0 - 2.0**-53}
+    SATURATED = {1.0 - 2.0**-53}
 
     @pytest.mark.parametrize("r", [1.0, 5.0, 20.0])
     @pytest.mark.parametrize("m", [0, 1, 2, 4, 8, 12, 16])
     def test_matches_per_term_assembly(self, m, r):
         # one exact sum and one rounding instead of a rounding per term: the
-        # two agree except where p_n sits within an ulp of 1
+        # two agree, within an ulp of 1 once both are clamped
         new = build_spectrum(m, r).probs.tolist()
         old = legacy_spectrum(m, r, len(new))
         for n, (a, b) in enumerate(zip(old, new)):
@@ -505,12 +506,21 @@ class TestExactAssembly:
     @pytest.mark.parametrize("m", [20, 24, 32])
     def test_spectrum_matches_pointwise_across_levels(self, m, r):
         # for n <= 16 < m the spectrum assembles p_n at level m, and
-        # bernoulli_prob assembles p_m at level n: they differ only where
-        # p_n sits within an ulp of 1
+        # bernoulli_prob assembles p_m at level n: within an ulp of 1 both
+        # read 1 - 2^-53
         spec = build_spectrum(m, r).probs.tolist()
         for n in range(17):
             a, b = spec[n], bernoulli_prob(n, m, r)
             assert a == b or {a, b} == self.SATURATED, (n, a, b)
+
+    def test_no_value_reaches_one(self):
+        # p_n < 1 at every finite R, but the alternating sum of truncated
+        # ladder values gives 1.0 at these indices before the clamp
+        near_one = [128, 130, 132, 134, 136, 139]
+        probs = build_spectrum(8, 20.0).probs
+        assert probs.max() < 1.0
+        assert probs[near_one].tolist() == [1.0 - 2.0**-53] * len(near_one)
+        assert bernoulli_prob(139, 8, 20.0) == 1.0 - 2.0**-53
 
     @pytest.mark.parametrize("m", [0, 3])
     def test_out_of_band_value_raises(self, monkeypatch, m):
@@ -800,8 +810,10 @@ class TestNativeRounding:
 class TestBitIdentity:
     # sha256 of build_spectrum's probs (little-endian doubles) and tail
     # bound over the grid below, as the libmp ladder and per-index square
-    # computed them; the int ladder and difference walk must keep every bit
-    PINNED = "7cbdea5bf0e4614c2ebd32daafd5dfbcc52c7b89e36a4a423577c0362134e6f7"
+    # computed them but with every p_n held below 1 (15 values at levels 8
+    # and 16, R = 20, read 1 - 2^-53 where they read 1.0); the int ladder
+    # and difference walk must keep every bit
+    PINNED = "9e3061e4a327e7a9da150df799f708cd7eb653992dc77de13eea6a4d8511fe60"
 
     def test_spectrum_grid_digest(self):
         digest = hashlib.sha256()
@@ -814,8 +826,9 @@ class TestBitIdentity:
 
     # the same digest over the radii and levels the spectrum-sweep benchmark
     # times, which the grid above misses, as the Horner-in-the-falling-
-    # factorial assembly computed them
-    PINNED_LARGE_R = "0c04006a19295607c6ec9f470898c48a0f3998a39bebacebdddbc2ce6b4ae385"
+    # factorial assembly computed them, with 171 values of 1.0 held at
+    # 1 - 2^-53
+    PINNED_LARGE_R = "ecfd74536bc78a12759c35541f52e0864dd6eefbe16e00a6ef5a4a699475f4df"
 
     def test_large_radius_digest(self):
         digest = hashlib.sha256()
