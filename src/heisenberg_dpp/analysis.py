@@ -118,42 +118,22 @@ def default_r_grid(n: int = 16, lo: float = 1.0, hi: float = 50.0) -> tuple[floa
 
 def _sweep_row(
     spec: KernelSpec,
-    window_kind: WindowKind,
     radius: float,
     route: Route,
     tail_tol: float,
     mc: McConfig | None,
 ) -> SweepRow:
-    level_zero = all(m == 0 for m in spec.level)
-    if route in (Route.CLOSED_FORM, Route.INTEGRAL):
-        # Closed forms exist for the ball at level zero; the disk is the
-        # one window that is simultaneously a ball and a polydisk.
-        if not level_zero or (
-            window_kind == WindowKind.POLYDISK and spec.dimension != 1
-        ):
-            raise UnsupportedConfigurationError(
-                f"route {route.value!r} needs the level-zero ball (or its D=1 "
-                f"disk alias); got window={window_kind.value}, "
-                f"dimension={spec.dimension}, level={spec.level}"
-            )
-        rep = ball_moments(spec.dimension, radius, route)
+    if route == Route.SPECTRUM:
+        rep = polydisk_moments(spec, radius, tail_tol)
+    elif route == Route.MONTE_CARLO:
+        est = estimate_moments(spec, radius, mc, tail_tol)
+        ratio = est.var_hat / est.mean_hat if est.mean_hat else math.nan
+        return SweepRow(
+            radius, est.mean_hat, est.var_hat, ratio, radius * ratio,
+            est.se_mean, est.se_var,
+        )
     else:
-        if window_kind == WindowKind.BALL and spec.dimension != 1:
-            raise UnsupportedConfigurationError(
-                "the spectrum representation covers polydisks; for balls it "
-                "applies only in dimension 1 where the two windows coincide"
-            )
-        if route == Route.SPECTRUM:
-            rep = polydisk_moments(spec, radius, tail_tol)
-        else:
-            if mc is None:
-                raise ValueError("route 'mc' requires an McConfig")
-            est = estimate_moments(spec, radius, mc, tail_tol)
-            ratio = est.var_hat / est.mean_hat if est.mean_hat else math.nan
-            return SweepRow(
-                radius, est.mean_hat, est.var_hat, ratio, radius * ratio,
-                est.se_mean, est.se_var,
-            )
+        rep = ball_moments(spec.dimension, radius, route)
     return SweepRow(radius, rep.mean, rep.variance, rep.ratio, radius * rep.ratio)
 
 
@@ -173,9 +153,25 @@ def run_sweep(
         raise ValueError("r_grid must be nonempty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("r_grid must be strictly increasing")
-    rows = tuple(
-        _sweep_row(spec, window_kind, r, route, tail_tol, mc) for r in radii
-    )
+    if route in (Route.CLOSED_FORM, Route.INTEGRAL):
+        # Closed forms exist for the ball at level zero; the disk is the
+        # one window that is simultaneously a ball and a polydisk.
+        if any(spec.level) or (
+            window_kind == WindowKind.POLYDISK and spec.dimension != 1
+        ):
+            raise UnsupportedConfigurationError(
+                f"route {route.value!r} needs the level-zero ball (or its D=1 "
+                f"disk alias); got window={window_kind.value}, "
+                f"dimension={spec.dimension}, level={spec.level}"
+            )
+    elif window_kind == WindowKind.BALL and spec.dimension != 1:
+        raise UnsupportedConfigurationError(
+            "the spectrum representation covers polydisks; for balls it "
+            "applies only in dimension 1 where the two windows coincide"
+        )
+    elif route == Route.MONTE_CARLO and mc is None:
+        raise ValueError("route 'mc' requires an McConfig")
+    rows = tuple(_sweep_row(spec, r, route, tail_tol, mc) for r in radii)
     return SweepResult(rows=rows, spec=spec, window_kind=window_kind, route=route)
 
 

@@ -315,13 +315,10 @@ def _moment_sweep(args, radii) -> tuple[SweepResult, list[dict], int | None]:
         if getattr(args, dest) is None:
             setattr(args, dest, default)
     spec = KernelSpec(args.dimension, _parse_level(args.level, args.dimension))
-    route = Route(args.route)
     mc = None
-    if route == Route.MONTE_CARLO:
+    if args.route == Route.MONTE_CARLO.value:
         mc = McConfig(args.replicas, args.seed, args.cell_prob_floor)
-    sweep = run_sweep(
-        spec, WindowKind(args.window), radii, route, args.tail_tol, mc
-    )
+    sweep = run_sweep(spec, args.window, radii, args.route, args.tail_tol, mc)
     rows = [{k: getattr(row, k) for k in _ROW_FIELDS} for row in sweep.rows]
     return sweep, rows, None if mc is None else args.seed
 

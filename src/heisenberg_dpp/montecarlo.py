@@ -182,7 +182,6 @@ def _build_cells(spectra: list[BernoulliSpectrum], floor: float) -> _CellModel:
                 raise NumericalBudgetError(
                     f"multi-index grid has more than {KEPT_CELL_CAP} cells above "
                     f"the floor {floor:g}; raise the floor or shrink the radius",
-                    best_estimate=None,
                     achieved_error=float(size),
                 )
         kept = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)

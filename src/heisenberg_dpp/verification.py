@@ -44,7 +44,6 @@ from .specfun import bessel_i_scaled, laguerre, regularized_lower_gamma
 from .window_stats import (
     Route,
     WindowKind,
-    ball_moments,
     c_constant,
     mean_ball,
     polydisk_limit_constant,

@@ -119,6 +119,13 @@ class MomentReport:
     route: Route
     error_estimate: float
 
+    def __post_init__(self):
+        slack = 1e-12 * self.mean + self.error_estimate
+        if self.variance > self.mean + slack:
+            raise InternalConsistencyError(
+                f"variance {self.variance!r} exceeds mean {self.mean!r}"
+            )
+
 
 def mean_ball(dimension: int, radius: float) -> float:
     """Expected count in the ball of radius R: R^(2D) / D!."""
@@ -526,9 +533,7 @@ def _check_budget(indices: int, level: int, radius: float, what: str = "spectrum
         weighed = f" at level {level} ({work // 576} at level 0)" if level else ""
         raise NumericalBudgetError(
             f"{what} needs {indices} indices{weighed} at radius {radius:g}, "
-            f"past the size cap {SPECTRUM_SIZE_CAP}",
-            best_estimate=None,
-            achieved_error=radius * radius,
+            f"past the size cap {SPECTRUM_SIZE_CAP}"
         )
 
 
@@ -605,7 +610,6 @@ def build_spectrum(m: int, radius: float, tail_tol: float = _TAIL_TOL) -> Bernou
             raise NumericalBudgetError(
                 f"spectrum tail bound {tail:.3e} stuck above the target "
                 f"{tail_tol:.3e} at {len(probs)} indices",
-                best_estimate=None,
                 achieved_error=tail,
             )
         _check_budget(len(probs), m, radius)
@@ -647,23 +651,13 @@ def polydisk_moments(
         spectra[l].tail_bound * math.prod(sums[:l] + sums[l + 1 :])
         for l in range(len(spectra))
     )
-    report = MomentReport(
+    return MomentReport(
         mean=mean,
         variance=variance,
         ratio=ratio,
         route=Route.SPECTRUM,
         error_estimate=2.0 * tail_err + 1e-14 * mean,
     )
-    _check_underdispersion(report)
-    return report
-
-
-def _check_underdispersion(report: MomentReport) -> None:
-    slack = 1e-12 * report.mean + report.error_estimate
-    if report.variance > report.mean + slack:
-        raise InternalConsistencyError(
-            f"variance {report.variance!r} exceeds mean {report.mean!r}"
-        )
 
 
 def ball_moments(
@@ -671,8 +665,7 @@ def ball_moments(
 ) -> MomentReport:
     """Mean/variance/ratio for the ball window of the level-zero process;
     the ratio is NaN when the mean underflows to 0."""
-    dimension = _check_dimension(dimension)
-    radius = _check_radius(radius)
+    route = Route(route)
     mean = mean_ball(dimension, radius)
     if route == Route.CLOSED_FORM:
         variance = variance_ball_closed(dimension, radius)
@@ -684,15 +677,13 @@ def ball_moments(
         raise UnsupportedConfigurationError(
             f"route {route.value!r} does not apply to the ball closed forms"
         )
-    report = MomentReport(
+    return MomentReport(
         mean=mean,
         variance=variance,
         ratio=variance / mean if mean else math.nan,
         route=route,
         error_estimate=err,
     )
-    _check_underdispersion(report)
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from heisenberg_dpp import analysis
 from heisenberg_dpp.analysis import (
     CLASS_ONE_BAND,
     ClassLabel,
@@ -123,6 +124,25 @@ class TestSweepConstruction:
             run_sweep(
                 KernelSpec(1), WindowKind.POLYDISK, (1.0,), Route.MONTE_CARLO
             )
+
+    @pytest.mark.parametrize(
+        "spec, window, route, error",
+        [
+            (KernelSpec(2), WindowKind.POLYDISK, Route.INTEGRAL, UnsupportedConfigurationError),
+            (KernelSpec(1, (1,)), WindowKind.BALL, Route.CLOSED_FORM, UnsupportedConfigurationError),
+            (KernelSpec(2), WindowKind.BALL, Route.MONTE_CARLO, UnsupportedConfigurationError),
+            (KernelSpec(1), WindowKind.POLYDISK, Route.MONTE_CARLO, ValueError),
+        ],
+    )
+    def test_applicability_decided_before_any_row(
+        self, monkeypatch, spec, window, route, error
+    ):
+        def no_row(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(analysis, "_sweep_row", no_row)
+        with pytest.raises(error, match="route|spectrum representation"):
+            run_sweep(spec, window, (1.0, 2.0), route)
 
     def test_row_ordering_enforced(self):
         row = SweepRow(r=1.0, mean=1.0, variance=0.5, ratio=0.5, r_times_ratio=0.5)

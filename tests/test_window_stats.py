@@ -32,6 +32,7 @@ from heisenberg_dpp.exceptions import (
 from heisenberg_dpp.kernels import KernelSpec
 from heisenberg_dpp.window_stats import (
     BernoulliSpectrum,
+    MomentReport,
     Route,
     WindowKind,
     ball_moments,
@@ -388,6 +389,14 @@ class TestSpectrum:
         monkeypatch.setattr(ws, "SPECTRUM_SIZE_CAP", 5)
         with pytest.raises(NumericalBudgetError, match="needs 68 indices at radius 20,"):
             build_spectrum(0, 20.0)
+
+    def test_budget_refusal_carries_no_payload(self):
+        # R^2 is no error: from R = 2^512 it would even read inf
+        for refuse in (lambda: build_spectrum(0, 1e200), lambda: bernoulli_prob(10**8, 0, 1e4)):
+            with pytest.raises(NumericalBudgetError, match="size cap") as exc_info:
+                refuse()
+            assert exc_info.value.achieved_error is None
+            assert exc_info.value.best_estimate is None
 
     def test_budget_at_level_zero_is_the_index_count(self, monkeypatch):
         monkeypatch.setattr(ws, "_initial_truncation", lambda r, m: ws.SPECTRUM_SIZE_CAP)
@@ -893,6 +902,22 @@ class TestBallMoments:
     def test_rejected_route(self):
         with pytest.raises(UnsupportedConfigurationError):
             ball_moments(1, 1.0, route=Route.SPECTRUM)
+        with pytest.raises(UnsupportedConfigurationError, match="'spectrum' does not"):
+            ball_moments(1, 1.0, route="spectrum")
+        with pytest.raises(ValueError, match="'bogus' is not a valid Route"):
+            ball_moments(1, 1.0, route="bogus")
+
+    def test_route_by_name(self):
+        for route in Route.CLOSED_FORM, Route.INTEGRAL:
+            assert ball_moments(1, 2.0, route.value) == ball_moments(1, 2.0, route)
+
+    def test_report_rejects_over_dispersion(self):
+        # the slack is 1e-12 of the mean plus the error estimate
+        MomentReport(1.0, 1.0 + 2e-12, 1.0, Route.CLOSED_FORM, 1e-12)
+        with pytest.raises(InternalConsistencyError, match="exceeds mean 1.0"):
+            MomentReport(1.0, 1.0 + 2e-12, 1.0, Route.CLOSED_FORM, 0.0)
+        with pytest.raises(InternalConsistencyError, match="variance 3.5 exceeds"):
+            MomentReport(2.0, 3.5, 1.75, Route.SPECTRUM, 1.0)
 
     @pytest.mark.parametrize(
         "dim, r, route",
