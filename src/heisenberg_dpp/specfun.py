@@ -26,6 +26,8 @@ BESSEL_I_SERIES_CUTOFF = 30.0
 # The cosine-type Bessel series alternates, so it loses digits much
 # earlier than the modified one: at x = 30 the largest term is ~1e11 times
 # the result.  Crossovers chosen so every regime keeps ~1e-12 accuracy.
+# The Hankel expansion also waits for x >= nu^2/3: its terms first grow
+# by about nu^2/(2x) each.
 BESSEL_J_SERIES_CUTOFF = 10.0
 BESSEL_J_ASYMPTOTIC_CUTOFF = 30.0
 
@@ -311,9 +313,10 @@ def bessel_j(nu: int, x):
 
     ``x`` is a float or a 1-D float array; the result is of the same kind,
     and each element is bit-identical to the value of that element passed
-    alone.  Three regimes: ascending series for small x, normalized
+    alone.  Three regimes: ascending series for x <= 10, normalized
     backward recurrence in the middle, and the Hankel (P, Q) asymptotic
-    expansion for large x, where the optimally truncated error is ~e^(-2x).
+    expansion for x >= max(30, nu^2/3), where the optimally truncated
+    error is ~e^(-2x).
     Accurate to ~1e-10 relative through x = 1e4 away from zeros.
     """
     nu = _check_index("nu", nu)
@@ -323,7 +326,7 @@ def bessel_j(nu: int, x):
     if nu == 0:
         out[x == 0.0] = 1.0
     series = x <= BESSEL_J_SERIES_CUTOFF
-    hankel = x >= BESSEL_J_ASYMPTOTIC_CUTOFF
+    hankel = x >= max(BESSEL_J_ASYMPTOTIC_CUTOFF, nu * nu / 3.0)
     regimes = (
         (_bessel_j_series, series & (x > 0.0)),
         (_bessel_j_miller, ~series & ~hankel),

@@ -199,7 +199,7 @@ def scalar_bessel_j(nu: int, x: float) -> float:
             total += term
             if abs(term) < abs(total) * 1e-18 + 1e-300:
                 return total
-    if x < 30.0:
+    if x < max(30.0, nu * nu / 3.0):
         start = int(x + 18.0 * x ** (1.0 / 3.0)) + nu + 24
         if start % 2:
             start += 1
@@ -257,8 +257,9 @@ def bessel_points() -> np.ndarray:
 
 
 class TestBesselJ:
-    # nu = 90 skips the Miller rescale test (the growth bound rules it
-    # out); at nu = 300 the rescaling fires for x in (10, ~13.2)
+    # at nu = 90 and 300 the recurrence runs up to x = 2700 and 30000,
+    # where the Hankel expansion takes over; at nu = 300 the rescaling
+    # fires for x in (10, ~13.2)
     @pytest.mark.parametrize("nu", [*range(9), 90, 300])
     def test_bit_identical_to_scalar_oracle(self, nu):
         xs = bessel_points()
@@ -297,6 +298,22 @@ class TestBesselJ:
             assert bessel_j(nu, x) == pytest.approx(
                 float(sps.jv(nu, x)), rel=1e-9, abs=1e-11
             )
+
+    def test_high_orders_against_scipy(self):
+        # past nu ~ 10 the Hankel expansion is wrong at x = 30 (it gave 1961
+        # for J_1000(30)); the recurrence serves x < nu^2/3
+        rng = np.random.default_rng(90)
+        for nu in (10, 20, 33, 50, 71, 90):
+            edge = nu * nu / 3.0
+            xs = np.concatenate([
+                rng.uniform(0.0, 120.0, 60), 10.0 ** rng.uniform(0.0, 3.48, 60),
+                [30.0, 35.0, np.nextafter(edge, 0.0), edge, 3000.0],
+            ])
+            got, want = bessel_j(nu, xs), sps.jv(nu, xs)
+            assert np.all(np.abs(got) <= 1.0)
+            assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), 1e-3))
+        assert bessel_j(20, 35.0) == pytest.approx(float(sps.jv(20, 35.0)), rel=1e-12)
+        assert abs(bessel_j(1000, 30.0)) <= 1e-300
 
     def test_regime_boundaries(self):
         # |J'| <= 1, so the drift across a 2e-10 straddle is below 1e-9

@@ -145,6 +145,12 @@ class TestIntegralRoute:
         gap = abs(variance_ball_integral(dim, r) - variance_ball_closed(dim, r))
         assert gap <= ws._integral_tol(dim, r)
 
+    @pytest.mark.parametrize("dim, r", [(20, 5.0), (30, 4.0), (40, 5.0)])
+    def test_high_dimensions_match_closed_form(self, dim, r):
+        # J_D(kR) at D >= 20 needs the recurrence past x = 30 (it was refused)
+        closed = variance_ball_closed(dim, r)
+        assert variance_ball_integral(dim, r) == pytest.approx(closed, rel=1e-6)
+
     def test_reported_error_is_the_tolerance_held(self):
         for dim, r in ((1, 10.0), (3, 10.0)):
             report = ball_moments(dim, r, Route.INTEGRAL)
