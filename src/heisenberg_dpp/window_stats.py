@@ -38,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 from itertools import repeat
 from math import comb, factorial, perm
@@ -128,10 +129,21 @@ class MomentReport:
 
 
 def mean_ball(dimension: int, radius: float) -> float:
-    """Expected count in the ball of radius R: R^(2D) / D!."""
+    """Expected count in the ball of radius R: R^(2D) / D!, as
+    exp(2D ln R - lgamma(D + 1)) where R^(2D) or D! leaves the double range.
+    Raises OverflowError when the mean itself does."""
     dimension = _check_dimension(dimension)
     radius = _check_radius(radius)
-    return radius ** (2 * dimension) / factorial(dimension)
+    try:
+        return radius ** (2 * dimension) / factorial(dimension)
+    except OverflowError:
+        pass
+    try:
+        return math.exp(2 * dimension * math.log(radius) - math.lgamma(dimension + 1))
+    except OverflowError:
+        raise OverflowError(
+            f"the ball mean at D={dimension}, R={radius:g} overflows double range"
+        ) from None
 
 
 def variance_ball_closed(dimension: int, radius: float) -> float:
@@ -205,8 +217,12 @@ def variance_ball_integral(dimension: int, radius: float) -> float:
     """
     dimension = _check_dimension(dimension)
     radius = _check_radius(radius)
+    mean = mean_ball(dimension, radius)
     tol = _integral_tol(dimension, radius)
-    prefactor = 2.0 * radius ** (2 * dimension) / factorial(dimension - 1)
+    try:
+        prefactor = 2.0 * radius ** (2 * dimension) / factorial(dimension - 1)
+    except OverflowError:  # a factor leaves the double range
+        prefactor = 2.0 * dimension * mean
 
     def integrand(kappa: np.ndarray) -> np.ndarray:
         j = bessel_j(dimension, kappa * radius)
@@ -227,7 +243,7 @@ def variance_ball_integral(dimension: int, radius: float) -> float:
     coarse = math.fsum(values[count:])
     cutoff_bound = math.exp(-0.25 * cutoff**2) * 2.0 / cutoff**2
     achieved = prefactor * (abs(fine - coarse) + cutoff_bound)
-    value = mean_ball(dimension, radius) - prefactor * fine
+    value = mean - prefactor * fine
     if achieved > tol:
         raise NumericalBudgetError(
             f"variance integral achieved {achieved:.3e} (target {tol:.3e})",
@@ -518,6 +534,11 @@ def _log_prob_bound(n: int, m: int, radius: float) -> float:
     )
 
 
+def _count(n: int) -> str:
+    """n in full, or from 16 digits as d.ddde+k (a float overflows at 10^309)."""
+    return str(n) if n < 10**15 else format(Decimal(n), ".3e")
+
+
 def _check_budget(indices: int, level: int, radius: float, what: str = "spectrum") -> None:
     """Raise NumericalBudgetError when `indices` p_n at `level` weigh more
     than SPECTRUM_SIZE_CAP level-0 indices.
@@ -530,9 +551,9 @@ def _check_budget(indices: int, level: int, radius: float, what: str = "spectrum
     """
     work = indices * (level + 1) * (576 + level * level)  # 576 w(m) per index
     if work > 576 * SPECTRUM_SIZE_CAP:
-        weighed = f" at level {level} ({work // 576} at level 0)" if level else ""
+        weighed = f" at level {level} ({_count(work // 576)} at level 0)" if level else ""
         raise NumericalBudgetError(
-            f"{what} needs {indices} indices{weighed} at radius {radius:g}, "
+            f"{what} needs {_count(indices)} indices{weighed} at radius {radius:g}, "
             f"past the size cap {SPECTRUM_SIZE_CAP}"
         )
 
@@ -612,9 +633,9 @@ def build_spectrum(m: int, radius: float, tail_tol: float = _TAIL_TOL) -> Bernou
                 f"{tail_tol:.3e} at {len(probs)} indices",
                 achieved_error=tail,
             )
-        _check_budget(len(probs), m, radius)
         previous = tail
         grow = max(64, math.ceil(radius))
+        _check_budget(len(probs) + grow, m, radius)
         ladder.extend(n_top + grow + m)
         probs.extend(_assemble_probs(m, ladder, n_top + 1, n_top + grow))
         n_top += grow

@@ -242,7 +242,14 @@ class TestStats:
         # R^2 overflows a double, yet the spectrum is refused by its budget
         code, out, err = run_cli(capsys, [*argv, "--dimension", "1"])
         assert (code, out) == (3, "")
-        assert "size cap" in err
+        assert "needs 1.000e+400 indices at radius 1e+200, past the size cap" in err
+
+    def test_ball_mean_past_the_double_range_exits_2(self, capsys):
+        argv = ["stats", "--dimension", "1", "--window", "ball", "--route", "closed",
+                "--radius", "1e200"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: the ball mean at D=1, R=1e+200 overflows double range\n"
 
     def test_level_length_mismatch(self, capsys):
         code, _, err = run_cli(

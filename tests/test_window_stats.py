@@ -54,6 +54,19 @@ class TestBallClosedForm:
         assert mean_ball(3, 2.0) == pytest.approx(32.0 / 3.0, rel=1e-15)
         assert mean_ball(1, 1.5) == pytest.approx(2.25, rel=1e-15)
 
+    @pytest.mark.parametrize("dim, r", [(200, 3.0), (100, 40.0)])
+    def test_mean_past_the_double_range_of_its_factors(self, dim, r):
+        # 200! and 40^200 overflow a double; the means, 8.9e-185 and 2.8e162, do not
+        with mpmath.workdps(30):
+            want = float(mpmath.mpf(r) ** (2 * dim) / mpmath.factorial(dim))
+        assert mean_ball(dim, r) == pytest.approx(want, rel=1e-12)
+        closed = variance_ball_closed(dim, r)
+        assert variance_ball_integral(dim, r) == pytest.approx(closed, rel=1e-6)
+
+    def test_mean_beyond_the_double_range(self):
+        with pytest.raises(OverflowError, match=r"mean at D=1, R=1e\+200 overflows"):
+            mean_ball(1, 1e200)
+
     def test_frozen_variances(self):
         assert variance_ball_closed(1, 1.0) == pytest.approx(
             0.5237776118026087, rel=1e-14
@@ -357,6 +370,21 @@ class TestSpectrum:
         with pytest.raises(NumericalBudgetError, match="past the size cap"):
             build_spectrum(0, r)
 
+    def test_long_counts_read_in_scientific_notation(self, monkeypatch):
+        # 10^400 indices at R = 1e200 printed in full took 468 characters
+        self.no_ladder(monkeypatch)
+        with pytest.raises(NumericalBudgetError) as exc_info:
+            build_spectrum(0, 1e200)
+        assert str(exc_info.value) == (
+            "spectrum needs 1.000e+400 indices at radius 1e+200, "
+            "past the size cap 10000000"
+        )
+        with pytest.raises(NumericalBudgetError, match=r"s at level 40 \(1\.549e\+16 at"):
+            build_spectrum(40, 1e7)
+        assert ws._count(10**15 - 1) == "999999999999999"
+        assert ws._count(10**15) == "1.000e+15"
+        assert ws._count(99_996 * 10**300) == "1.000e+305"
+
     def test_unreachable_tail_target_raises(self):
         # below the rounding of sum p_n ~ R^2, so no extension can certify it
         with pytest.raises(NumericalBudgetError, match="stuck above the target"):
@@ -393,8 +421,17 @@ class TestSpectrum:
         # 4 indices pass a cap of 5; the first extension, to 68, does not
         monkeypatch.setattr(ws, "_initial_truncation", lambda r, m: 3)
         monkeypatch.setattr(ws, "SPECTRUM_SIZE_CAP", 5)
+        assembled = []
+        assemble = ws._assemble_probs
+
+        def recording(m, ladder, n_lo, n_hi):
+            assembled.append((n_lo, n_hi))
+            return assemble(m, ladder, n_lo, n_hi)
+
+        monkeypatch.setattr(ws, "_assemble_probs", recording)
         with pytest.raises(NumericalBudgetError, match="needs 68 indices at radius 20,"):
             build_spectrum(0, 20.0)
+        assert assembled == [(0, 3)]  # refused before indices 4-67 were built
 
     def test_budget_refusal_carries_no_payload(self):
         # R^2 is no error: from R = 2^512 it would even read inf
