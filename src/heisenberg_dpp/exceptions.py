@@ -22,8 +22,9 @@ class UnsupportedConfigurationError(HeisenbergDppError):
 class NumericalBudgetError(HeisenbergDppError):
     """A tolerance could not be met within the configured work budget.
 
-    Carries the best available estimate and the error actually achieved so
-    callers can decide whether the partial result is still useful.
+    The integral route sets best_estimate and achieved_error; the tail
+    certificate (the tail reached) and the cell-grid cap (the cells formed)
+    set achieved_error; the work budget sets neither.
     """
 
     def __init__(self, message, best_estimate=None, achieved_error=None):

@@ -798,6 +798,25 @@ class TestVerify:
 
 
 class TestParserBasics:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["constants", "--dimension", "2", "--level", "1,x"],
+             "error: --level must be comma-separated integers, got '1,x'\n"),
+            (["sweep", "--dimension", "1", "--r-grid", "1:2"],
+             "error: --r-grid as a range must be 'lo:hi:count'\n"),
+        ],
+        ids=["level", "r-grid"],
+    )
+    def test_malformed_lists_exit_2(self, capsys, argv, message):
+        assert run_cli(capsys, argv) == (2, "", message)
+
+    def test_emitters_reject_other_types(self):
+        with pytest.raises(TypeError, match=r"not a number: \(1\+2j\)"):
+            cli._num(1 + 2j)
+        with pytest.raises(TypeError, match="cannot serialize set"):
+            cli.emit_json({"rows": [{1.5}]})
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             cli.main(["--version"])

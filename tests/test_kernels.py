@@ -96,6 +96,32 @@ class TestHermitianInner:
             x, y = rand_point(dim), rand_point(dim)
             assert hermitian_inner(x, y) == hermitian_inner(y, x).conjugate()
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="points live in different dimensions"):
+            hermitian_inner(rand_point(1), rand_point(2))
+
+
+class TestPointArguments:
+    def test_plain_complex_sequence(self):
+        spec = KernelSpec(1)
+        want = kernel_eval(spec, ComplexPoint((1.0,), (2.0,)), ComplexPoint((0.5,), (0.0,)))
+        assert kernel_eval(spec, [1 + 2j], (0.5,)) == want
+
+    def test_wrong_dimension(self):
+        with pytest.raises(ValueError, match="point has dimension 2, spec wants 1"):
+            kernel_eval(KernelSpec(1), [1j, 2.0], [0j])
+        with pytest.raises(ValueError, match="point has dimension 1, spec wants 2"):
+            hermitized_kernel(KernelSpec(2), rand_point(2), rand_point(1))
+
+    def test_raw_kernel_overflows(self):
+        # the inner product's real part passes 709
+        with pytest.raises(OverflowError, match=r"exp\(900\) overflows; use hermitized"):
+            kernel_eval(KernelSpec(1), [30.0], [30.0])
+        # each Laguerre factor, L_40(1265^2) ~ 2e200, fits; their product does not
+        x, origin = ComplexPoint((1265.0, 1265.0), (0.0, 0.0)), [0j, 0j]
+        with pytest.raises(OverflowError, match="kernel_eval overflows double range"):
+            kernel_eval(KernelSpec(2, (40, 40)), x, origin)
+
 
 class TestKernelValues:
     def test_hermitized_frozen_value(self):

@@ -402,6 +402,11 @@ class TestHyp3F2:
         with pytest.raises(ValueError):
             hyp3f2_terminating(-0.5, -0.5, 3, -1.0, -3.5)
 
+    def test_overflow_raises(self):
+        # the second term is -2e400
+        with pytest.raises(OverflowError, match="hyp3f2_terminating overflows"):
+            hyp3f2_terminating(1e200, 1e200, 2, 1.0, 1.0)
+
 
 class TestSpecFunResult:
     def test_fields(self):

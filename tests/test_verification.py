@@ -1,13 +1,20 @@
 """Verification-suite plumbing (the checks themselves run in the
 acceptance tests; this file covers reporting and selection)."""
 
+import dataclasses
+import itertools
+
 import pytest
 
+from heisenberg_dpp import montecarlo, verification
+from heisenberg_dpp.analysis import ClassLabel, run_sweep
+from heisenberg_dpp.kernels import KernelSpec
 from heisenberg_dpp.verification import (
     ALL_CHECKS,
     CheckResult,
     run_checks,
 )
+from heisenberg_dpp.window_stats import Route, WindowKind
 
 
 class TestReporting:
@@ -57,3 +64,54 @@ class TestSelection:
         tight = run_checks(["ginibre-constant"], 0.0)[0]
         assert loose.passed and not tight.passed
         assert loose.max_delta == tight.max_delta > 0.0
+
+
+class TestFailedOutright:
+    """Each branch that fails a check without a delta, reached by patching."""
+
+    def outright(self, name: str) -> CheckResult:
+        (result,) = run_checks([name])
+        assert not result.passed and result.max_delta == float("inf")
+        assert result.raw_delta is None and result.raw_tolerance is None
+        return result
+
+    def test_same_seed_mismatch(self, monkeypatch):
+        count = itertools.count(1)
+        monkeypatch.setattr(
+            montecarlo, "estimate_moments",
+            lambda *args: montecarlo.McEstimate(next(count), 0.5, 0.1, 0.1, 2000),
+        )
+        result = self.outright("monte-carlo-gate")
+        assert result.detail == "identical seeds produced different estimates"
+
+    def test_over_dispersed_cell(self, monkeypatch):
+        # the exact moments, but with the variance raised to the mean
+        monkeypatch.setattr(verification, "mc_gate_cells", lambda: [(KernelSpec(1), 1.0)])
+        monkeypatch.setattr(
+            montecarlo, "estimate_moments",
+            lambda *args: montecarlo.McEstimate(1.0, 1.0, 0.01, 0.01, 100_000),
+        )
+        result = self.outright("monte-carlo-gate")
+        assert result.detail == "var_hat >= mean_hat in cells [((0,), 1.0)]"
+
+    def test_mislabelled_sweep(self, monkeypatch):
+        classify = verification.classify
+
+        def mislabel_d2(sweep):
+            report = classify(sweep)
+            if sweep.spec.dimension == 2 and report.class_label is ClassLabel.CLASS_I:
+                return dataclasses.replace(report, class_label=ClassLabel.CLASS_III)
+            return report
+
+        monkeypatch.setattr(verification, "classify", mislabel_d2)
+        assert self.outright("classification").detail == "D=2 sweep labeled ClassIII"
+
+    def test_mislabelled_control(self, monkeypatch):
+        # a hyperuniform sweep in place of the D=3 Poisson control
+        control = verification.poisson_control_sweep
+        monkeypatch.setattr(
+            verification, "poisson_control_sweep",
+            lambda dim, grid: run_sweep(KernelSpec(3), WindowKind.BALL, grid, Route.CLOSED_FORM)
+            if dim == 3 else control(dim, grid),
+        )
+        assert self.outright("classification").detail == "D=3 control labeled ClassI"

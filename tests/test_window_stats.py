@@ -455,6 +455,8 @@ class TestSpectrum:
             build_spectrum(0, 1.0, tail_tol=0.0)
         with pytest.raises(ValueError):
             BernoulliSpectrum(1.0, 2, np.array([0.1, 0.2]), 0.0)
+        with pytest.raises(ValueError, match="tail_bound must be >= 0"):
+            BernoulliSpectrum(1.0, 0, np.array([0.5]), -1e-300)
 
 
 def legacy_squared_coeffs(n: int, m: int) -> list[int]:
