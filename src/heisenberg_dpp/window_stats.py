@@ -581,8 +581,8 @@ def bernoulli_prob(n: int, m: int, radius: float) -> float:
             return 0.0
     except OverflowError:  # n past the double range: the budget answers
         pass
-    _check_budget(n + m, 0, radius, f"p_{n} at level {m}")
-    _check_budget(1, m, radius, f"p_{n}")
+    _check_budget(n + m, 0, radius, f"p_{_count(n)} at level {m}")
+    _check_budget(1, m, radius, f"p_{_count(n)}")
     ladder = _GammaLadder(radius, _working_prec(m, n + m))
     ladder.extend(n + m)
     return _assemble_probs(m, ladder, n, n)[0]

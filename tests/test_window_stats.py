@@ -314,7 +314,7 @@ class TestBernoulliProb:
         assert bernoulli_prob(300_000, 0, 1.0) == 0.0
 
     def test_index_past_the_double_range_meets_the_cap(self):
-        with pytest.raises(NumericalBudgetError):
+        with pytest.raises(NumericalBudgetError, match=r"^p_1\.000e\+400 at level 0 needs"):
             bernoulli_prob(10**400, 0, 1.0)
 
     @pytest.mark.parametrize("r", [1e154, 2.0**512, 1e200, 1.7976931348623157e308])
