@@ -27,7 +27,10 @@ forward-difference walk of one packed polynomial, and each p_n's sum is
 one dot product of them with integer weights, the signed ladder values
 times factorials, that a block of successive n shares.  The only rounding
 outside the ladder is the one to double on the finished probability, and
-it is toward zero, subnormals included.
+it is toward zero, subnormals included.  Below n + m = R^2 most p_n are
+certain: a Laguerre bound certifies 1 - p_n < 2^-55 there, so the assembly
+would return 1 - 2^-53 (p_n < 1 is held one ulp below 1), and those
+indices take that value without it, bit for bit.
 No level is out of range: one work budget, counted in level-0 indices,
 refuses a spectrum or a p_n before its ladder is built when it would take
 more than about 30 s.
@@ -364,7 +367,7 @@ class _GammaLadder:
     """
 
     def __init__(self, radius: float, prec: int):
-        self.prec = prec
+        self.radius, self.prec = radius, prec
         num, den = float(radius).as_integer_ratio()  # den is a power of two
         self.rsq = num * num, den * den  # R^2 = num/den exactly
         self._term = _exp_neg(num * num, 2 - 2 * den.bit_length(), prec)  # t_(len(_p))
@@ -455,10 +458,14 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
     of the unpacked D(n) with a slice of the weights, and
     p_n = S 2^e_min / (m! n!/base!) is rounded once, toward zero, to 53 bits.
     p_n < 1 at every finite R, so the result is held to [0, 1 - 2^-53].
+    That is what every index does whose 1 - p_n _log_defect_bound certifies
+    below 2^-55, so the indices before the first one it does not certify
+    (the bound rises with n: bisection finds it) take 1 - 2^-53 unassembled.
     """
     rungs = ladder._p
+    n0 = _first_uncertain(m, ladder.radius, n_lo, n_hi)
     if m == 0:
-        raws = [_to_float(man, exp) for man, exp in rungs[n_lo : n_hi + 1]]
+        raws = [_to_float(man, exp) for man, exp in rungs[n0 : n_hi + 1]]
     else:
         raws = []
         m_fact = factorial(m)
@@ -469,7 +476,7 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
         slot = (2 * top.bit_length() + (m + 1).bit_length() + 7) // 8
         slot_bits = 8 * slot
         diffs = []
-        for n in range(n_lo, min(n_hi, n_lo + 2 * m) + 1):
+        for n in range(n0, min(n_hi, n0 + 2 * m) + 1):
             packed = 0
             for i in range(m, -1, -1):
                 packed = (packed << slot_bits) + comb(n, m - i) * scaled[i]
@@ -482,7 +489,7 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
         width = span * slot
         slots = itemgetter(*[slice(k * slot, (k + 1) * slot) for k in range(span)])
         little = repeat("little")
-        for lo in range(n_lo, n_hi + 1, _BLOCK):
+        for lo in range(n0, n_hi + 1, _BLOCK):
             end = min(lo + _BLOCK, n_hi + 1)
             base = max(lo - m, 0)
             window = rungs[base : end + m]
@@ -504,12 +511,12 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
                 d = map(int.from_bytes, slots(squared), little)
                 total = sum(map(mul, d, weights[w : w + span]))
                 raws.append(_to_float(-total if (n - m) & 1 else total, e_min, denom))
-    for n, raw in enumerate(raws, n_lo):
+    for n, raw in enumerate(raws, n0):
         if not -PROB_CONSISTENCY_BAND <= raw <= 1.0 + PROB_CONSISTENCY_BAND:
             raise InternalConsistencyError(
                 f"p_{n} at level {m} evaluated to {raw!r}, outside [0, 1]"
             )
-    return [min(max(raw, 0.0), 1.0 - 2.0**-53) for raw in raws]
+    return [1.0 - 2.0**-53] * (n0 - n_lo) + [min(max(raw, 0.0), 1.0 - 2.0**-53) for raw in raws]
 
 
 # Natural log of 2^-1138: a p_n certified below it lies 64 binary orders
@@ -534,6 +541,51 @@ def _log_prob_bound(n: int, m: int, radius: float) -> float:
     )
 
 
+# Natural log of 2^-55: a 1 - p_n certified below it puts p_n in
+# (1 - 2^-54, 1), where the assembly, exact to far below 2^-54, truncates
+# and clamps every value to 1 - 2^-53.
+_LOG_SATURATED = -55 * math.log(2.0)
+
+
+def _log_defect_bound(n: int, m: int, radius: float) -> float:
+    """log of an upper bound on 1 - p_n(R, m); inf unless n + m < R^2.
+
+    With a = max(n, m), b = min(n, m) and u >= R^2 > a, the coefficients of
+    L_b^(a-b) bounded term by term (C(a, b-i) <= a^(b-i)/(b-i)!) give
+    |L_b^(a-b)(u)| <= (u + a)^b/b! <= (2u)^b/b!.  So with k = a + b,
+    1 - p_n = (b!/a!) int_(R^2)^inf u^(a-b) e^(-u) L^2 du is at most
+    4^b C(k, b) P(Poisson(R^2) <= k) <= 4^b C(k, b) e^(-R^2) (e R^2/k)^k
+    (Chernoff).  The bound falls as R^2 grows, so R^2 is rounded down; its
+    log is 2 log R, as the double R^2 overflows from R = 2^512.  Each term
+    is off by a few ulps of its own size: 2^-40 of their total covers that.
+    """
+    a, b = max(n, m), min(n, m)
+    k = a + b
+    rsq = math.nextafter(radius * radius, 0.0)
+    if not k < rsq:
+        return math.inf
+    log_rsq = 2.0 * math.log(radius)
+    log_k = math.log(k) if k else 0.0
+    terms = (
+        b * math.log(4.0), math.lgamma(k + 1), -math.lgamma(a + 1), -math.lgamma(b + 1),
+        k - rsq, k * (log_rsq - log_k),
+    )
+    size = sum(map(abs, terms[:4])) + rsq + k * (1.0 + abs(log_rsq) + log_k)
+    return sum(terms) + 2.0**-40 * size
+
+
+def _first_uncertain(m: int, radius: float, n_lo: int, n_hi: int) -> int:
+    """Least n in [n_lo, n_hi] that _log_defect_bound leaves uncertified,
+    n_hi + 1 if none: the bound rises with n, so bisect."""
+    while n_lo <= n_hi:
+        mid = (n_lo + n_hi) // 2
+        if _log_defect_bound(mid, m, radius) < _LOG_SATURATED:
+            n_lo = mid + 1
+        else:
+            n_hi = mid - 1
+    return n_lo
+
+
 def _count(n: int) -> str:
     """n in full, or from 16 digits as d.ddde+k (a float overflows at 10^309)."""
     return str(n) if n < 10**15 else format(Decimal(n), ".3e")
@@ -547,7 +599,9 @@ def _check_budget(indices: int, level: int, radius: float, what: str = "spectrum
     3 us w(m) bounds build_spectrum's time per index from above, within a
     factor of 3 (1.3 us at level 0, 27 us at 16, 110 us at 32 and 0.9 to
     1.2 ms at 64, CPU time on a 2-core VM), so the cap stands for at most
-    about 30 s of work at any level.
+    about 30 s of work at any level.  The count includes the indices that
+    the saturation certificate spares the assembly (over half of them from
+    R ~ 50), so the bound errs further high as R grows.
     """
     work = indices * (level + 1) * (576 + level * level)  # 576 w(m) per index
     if work > 576 * SPECTRUM_SIZE_CAP:
@@ -568,10 +622,12 @@ def bernoulli_prob(n: int, m: int, radius: float) -> float:
     Clamped to [0, 1 - 2^-53]; a value outside [0, 1] by more than the
     1e-12 consistency band raises InternalConsistencyError instead.
     Returns 0.0 without a ladder when Szego's bound certifies that p_n
-    rounds to it.  Otherwise the work budget (see _check_budget) counts the
-    n + m ladder rungs as level-0 indices and the one assembly as an index
-    at the lower level, and raises NumericalBudgetError, before the ladder,
-    when either passes it.
+    rounds to it, and 1 - 2^-53, as the assembly would, when
+    _log_defect_bound certifies 1 - p_n < 2^-55 (only for n + m < R^2).
+    Otherwise the work budget (see _check_budget) counts the n + m ladder
+    rungs as level-0 indices and the one assembly as an index at the lower
+    level, and raises NumericalBudgetError, before the ladder, when either
+    passes it.
     """
     n, m = _check_index("n", n), _check_index("m", m)
     radius = _check_radius(radius)
@@ -579,6 +635,8 @@ def bernoulli_prob(n: int, m: int, radius: float) -> float:
     try:
         if _log_prob_bound(n, m, radius) < _LOG_UNDERFLOW:
             return 0.0
+        if _log_defect_bound(n, m, radius) < _LOG_SATURATED:
+            return 1.0 - 2.0**-53
     except OverflowError:  # n past the double range: the budget answers
         pass
     _check_budget(n + m, 0, radius, f"p_{_count(n)} at level {m}")

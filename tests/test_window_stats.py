@@ -274,6 +274,25 @@ class TestBernoulliProb:
             times.append(time.perf_counter() - start)
         assert min(times) < 1e-3
 
+    def test_certified_saturation_builds_no_ladder(self, monkeypatch):
+        def no_ladder(*args):
+            raise AssertionError("ladder built for a certified 1 - 2^-53")
+
+        monkeypatch.setattr(ws, "_GammaLadder", no_ladder)
+        # 2 * 10^7 rungs are past the budget, 5 * 10^6 within it: both
+        # lie far below n + m = R^2 = 10^8, so neither needs a rung
+        for n, m, r in ((2 * 10**7, 0, 1e4), (5 * 10**6, 0, 1e4), (0, 5 * 10**6, 1e4), (3, 40, 20.0)):
+            assert bernoulli_prob(n, m, r) == 1.0 - 2.0**-53
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            bernoulli_prob(5 * 10**6, 0, 1e4)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 1e-3
+        # n + m = R^2 is no longer below R^2: the budget answers
+        with pytest.raises(NumericalBudgetError, match="size cap"):
+            bernoulli_prob(10**8, 0, 1e4)
+
     @pytest.mark.parametrize("m", [0, 3, 16])
     @pytest.mark.parametrize("r", [0.3, 2.0, 10.0])
     def test_certificate_returns_what_the_assembly_does(self, monkeypatch, m, r):
@@ -584,6 +603,96 @@ class TestExactAssembly:
             build_spectrum(m, 1.3)
         with pytest.raises(InternalConsistencyError):
             bernoulli_prob(2, m, 1.3)
+
+
+def uncertified(fn, *args):
+    """fn(*args) with the saturation certificate off: every index assembled."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ws, "_LOG_SATURATED", -math.inf)
+        return fn(*args)
+
+
+def spectrum_bytes(m: int, r: float) -> bytes:
+    spec = build_spectrum(m, r)
+    return np.asarray(spec.probs, dtype="<f8").tobytes() + struct.pack("<d", spec.tail_bound)
+
+
+def mp_log_defect_bound(n: int, m: int, radius: float) -> mpmath.mpf:
+    """_log_defect_bound at 50 digits with the exact R^2 and no slack."""
+    a, b = max(n, m), min(n, m)
+    k = a + b
+    with mpmath.workdps(50):
+        rsq = mpmath.mpf(radius) ** 2
+        chernoff = -rsq + k + k * (mpmath.log(rsq) - mpmath.log(k)) if k else -rsq
+        return (
+            b * mpmath.log(4) + mpmath.loggamma(k + 1) - mpmath.loggamma(a + 1)
+            - mpmath.loggamma(b + 1) + chernoff
+        )
+
+
+class TestSaturationCertificate:
+    """Indices whose 1 - p_n is certified below 2^-55 skip the assembly."""
+
+    @pytest.mark.parametrize("r", [20.0, 50.0, 100.0])
+    @pytest.mark.parametrize("m", [0, 1, 3, 16, 32])
+    def test_skip_is_bit_identical(self, m, r):
+        assert spectrum_bytes(m, r) == uncertified(spectrum_bytes, m, r)
+
+    def test_skip_inside_extensions_is_bit_identical(self, monkeypatch):
+        # a first truncation of 50 indices leaves most of the certified bulk
+        # to the extensions, each an assembly from n_lo > 0
+        monkeypatch.setattr(ws, "_initial_truncation", lambda r, m: 50)
+        for m in (0, 5):
+            assert ws._first_uncertain(m, 20.0, 51, 114) > 51
+            assert spectrum_bytes(m, 20.0) == uncertified(spectrum_bytes, m, 20.0)
+
+    @pytest.mark.parametrize("n, m, r", [(3, 40, 20.0), (40, 3, 20.0), (16, 300, 50.0), (0, 2000, 50.0)])
+    def test_swapped_indices_are_bit_identical(self, n, m, r):
+        assert ws._log_defect_bound(n, m, r) < ws._LOG_SATURATED
+        assert bernoulli_prob(n, m, r) == uncertified(bernoulli_prob, n, m, r) == 1.0 - 2.0**-53
+
+    @settings(max_examples=8, deadline=None)
+    @given(m=st.integers(0, 12), r=st.floats(5.0, 30.0))
+    def test_skip_is_bit_identical_at_random(self, m, r):
+        assert spectrum_bytes(m, r) == uncertified(spectrum_bytes, m, r)
+
+    @pytest.mark.parametrize("r", [20.0, 50.0])
+    @pytest.mark.parametrize("m", [0, 3, 16])
+    def test_last_certified_index_is_saturated(self, m, r):
+        n0 = ws._first_uncertain(m, r, 0, ws._initial_truncation(r, m))
+        assert n0 > 0
+        assert 1 - reference_prob(n0 - 1, m, r) < mpmath.mpf(2) ** -54
+
+    @pytest.mark.parametrize("r", [1e4, 1e8])
+    @pytest.mark.parametrize("m", [0, 3, 16])
+    def test_float_bound_certifies_no_more_than_exact_one(self, m, r):
+        # rounding makes the float bound jitter by ~100 nats at R^2 = 1e16,
+        # so probe every index around the bisection's answer
+        n0 = ws._first_uncertain(m, r, 0, int(r * r))
+        assert r * r / 2 < n0 < r * r
+        assert ws._log_defect_bound(n0 - 1, m, r) < ws._LOG_SATURATED
+        for n in [*range(n0 - 20, n0 + 20), n0 // 2, n0 // 7, 0]:
+            if ws._log_defect_bound(n, m, r) < ws._LOG_SATURATED:
+                assert mp_log_defect_bound(n, m, r) < ws._LOG_SATURATED, n
+
+    @pytest.mark.parametrize("m", [0, 3, 16])
+    def test_float_bound_is_sound_past_the_double_square(self, m):
+        # R^2 = 1e308: lgamma overflows from k ~ 2.5e305, and the terms'
+        # total size a little before that, where nothing is certified
+        certified = 0
+        for n in [10**j for j in range(0, 306, 5)] + [2 * 10**305]:
+            try:
+                if ws._log_defect_bound(n, m, 1e154) >= ws._LOG_SATURATED:
+                    continue
+            except OverflowError:
+                continue
+            assert mp_log_defect_bound(n, m, 1e154) < ws._LOG_SATURATED, n
+            certified += 1
+        assert certified >= 50
+
+    def test_skip_covers_half_the_first_truncation(self):
+        top = ws._initial_truncation(50.0, 16)
+        assert ws._first_uncertain(16, 50.0, 0, top) >= top / 2
 
 
 class TestGammaLadder:
