@@ -21,12 +21,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import InternalConsistencyError
-from .specfun import _check_dimension, _check_index, laguerre, laguerre_log
+from .specfun import _check_dimension, _check_index, _check_real, laguerre, laguerre_log
+from .specfun import _laguerre_float, _laguerre_scaled, _laguerre_scaled_rows
 
 MAX_CORRELATION_POINTS = 12
 
-# exp(re) underflows to zero well above this; bailing out early avoids
-# 0 * huge-Laguerre-factor = NaN for absurdly distant point pairs.
+# Below the first exponent exp() is subnormal or zero, so the hermitized
+# kernel takes its Laguerre factors as logs; a kernel whose log lies below
+# the second, where exp() is long zero, is returned as 0.
+_EXP_NORMAL_MIN = math.log(2.0**-1022)
 _EXP_UNDERFLOW_CUTOFF = -800.0
 
 
@@ -104,15 +107,6 @@ def hermitian_inner(x: ComplexPoint, y: ComplexPoint) -> complex:
     return complex(re, im)
 
 
-def _laguerre_factors(spec: KernelSpec, x, y, value: complex) -> complex:
-    """value * prod_l L_{m_l}(|x_l - y_l|^2), multiplied in coordinate order."""
-    for l, m in enumerate(spec.level):
-        dr = x.re[l] - y.re[l]
-        di = x.im[l] - y.im[l]
-        value *= laguerre(m, 0.0, dr * dr + di * di)
-    return value
-
-
 def kernel_eval(spec: KernelSpec, x, y) -> complex:
     """Raw kernel exp(x . conj(y)) * prod_l L_{m_l}(|x_l - y_l|^2).
 
@@ -127,7 +121,11 @@ def kernel_eval(spec: KernelSpec, x, y) -> complex:
         raise OverflowError(
             f"exp({inner.real:.6g}) overflows; use hermitized_kernel instead"
         )
-    value = _laguerre_factors(spec, x, y, cmath.exp(inner))
+    value = cmath.exp(inner)
+    for l, m in enumerate(spec.level):
+        dr = x.re[l] - y.re[l]
+        di = x.im[l] - y.im[l]
+        value *= laguerre(m, 0.0, dr * dr + di * di)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise OverflowError("kernel_eval overflows double range")
     return value
@@ -139,18 +137,37 @@ def hermitized_kernel(spec: KernelSpec, x, y) -> complex:
     Multiplying the raw kernel by exp(-(|x|^2+|y|^2)/2)/pi^D leaves every
     determinant (hence every correlation function) unchanged and makes the
     exponent's real part -|x - y|^2/2 <= 0.  The diagonal is exactly
-    1/pi^D, the one-point intensity.
+    1/pi^D, the one-point intensity.  Where exp() of that real part would
+    underflow, each e^(-t/2) L_m(t), t = |x_l - y_l|^2, is formed from
+    log |L_m(t)|, so a far pair keeps its value where L_m(t) overflows.
     """
     x = _as_point(x, spec.dimension)
     y = _as_point(y, spec.dimension)
-    inner = hermitian_inner(x, y)
-    norm_x = sum(r * r + i * i for r, i in zip(x.re, x.im))
-    norm_y = sum(r * r + i * i for r, i in zip(y.re, y.im))
-    exponent = complex(inner.real - 0.5 * (norm_x + norm_y), inner.imag)
-    if exponent.real < _EXP_UNDERFLOW_CUTOFF:
-        return 0.0 + 0.0j
+    re = im = norm_x = norm_y = 0.0
+    dist = []
+    for xr, xi, yr, yi in zip(x.re, x.im, y.re, y.im):
+        re += xr * yr + xi * yi
+        im += xi * yr - xr * yi
+        norm_x += xr * xr + xi * xi
+        norm_y += yr * yr + yi * yi
+        dr, di = xr - yr, xi - yi
+        dist.append(dr * dr + di * di)
+    exponent = complex(re - 0.5 * (norm_x + norm_y), im)
+    if exponent.real < _EXP_NORMAL_MIN:
+        if not all(map(math.isfinite, dist)):  # that factor's e^(-t/2) is 0
+            return 0.0 + 0.0j
+        logs = [laguerre_log(m, 0.0, t) for m, t in zip(spec.level, dist)]
+        log_mag = exponent.real + sum(log for log, _ in logs)
+        if log_mag < _EXP_UNDERFLOW_CUTOFF:
+            return 0.0 + 0.0j
+        value = cmath.exp(complex(log_mag, exponent.imag)) / math.pi ** spec.dimension
+        for _, sign in logs:
+            value *= sign
+        return value
     value = cmath.exp(exponent) / math.pi ** spec.dimension
-    return _laguerre_factors(spec, x, y, value)
+    for m, t in zip(spec.level, dist):
+        value *= _laguerre_float(m, 0.0, _check_real("x", t))
+    return value
 
 
 def gauge_transform(
@@ -236,46 +253,64 @@ def correlation_function(spec: KernelSpec, points: Sequence) -> float:
     return _det_with_check(matrix.entries, 1e-8)
 
 
+def _series_point(name: str, value) -> tuple[complex, float]:
+    """value as a finite complex number, with its squared modulus."""
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    try:
+        return value, abs(value) ** 2
+    except OverflowError:
+        raise OverflowError(f"|{name}|^2 overflows double range ({name} = {value!r})") from None
+
+
 def kernel_series_partial(m: int, x: complex, y: complex, n_terms: int) -> complex:
     """Partial sum (n = 0..n_terms) of the one-coordinate eigenfunction series.
 
     The full series telescopes to exp(x conj(y)) L_m(|x - y|^2) / m!.
     Terms below the diagonal (n < m) are rewritten with the flipped
     Laguerre index so no negative powers appear; all magnitudes accumulate
-    in log form so extreme arguments cannot overflow.
+    in log form so extreme arguments cannot overflow.  From the diagonal on,
+    one recurrence gives the Laguerre factors of every term.
     """
     m, n_terms = _check_index("m", m), _check_index("n_terms", n_terms)
-    x = complex(x)
-    y = complex(y)
+    x, sq_x = _series_point("x", x)
+    y, sq_y = _series_point("y", y)
     w = x * y.conjugate()
     abs_w = abs(w)
     arg_w = cmath.phase(w) if abs_w > 0.0 else 0.0
-    sq_x = abs(x) ** 2
-    sq_y = abs(y) ** 2
+    log_w = math.log(abs_w) if abs_w > 0.0 else 0.0
     log_m_fact = math.lgamma(m + 1)
 
+    # L at |x|^2 and |y|^2 for term n, as (value, shift): degree n and index
+    # m - n below the diagonal, degree m and index n - m from it on
+    rows = [[_laguerre_scaled(n, float(m - n), sq) for n in range(min(m, n_terms + 1))]
+            for sq in (sq_x, sq_y)]
+    value, shift = _laguerre_scaled_rows(m, np.arange(n_terms - m + 1.0), np.array([sq_x, sq_y]))
+    for row, v, e in zip(rows, value.tolist(), shift.tolist()):
+        row += zip(v, e)
+
+    log_2 = math.log(2.0)
     total = 0.0 + 0.0j
-    for n in range(n_terms + 1):
+    for n, ((va, ea), (vb, eb)) in enumerate(zip(*rows)):
         k = n - m
         if k == 0:
             power_log, power_arg = 0.0, 0.0
         elif abs_w == 0.0:
             continue
         else:
-            power_log = abs(k) * math.log(abs_w)
+            power_log = abs(k) * log_w
             power_arg = k * arg_w
+        if va == 0.0 or vb == 0.0:
+            continue
+        la = math.log(abs(va)) + ea * log_2
+        lb = math.log(abs(vb)) + eb * log_2
         if k >= 0:
-            la, sa = laguerre_log(m, float(k), sq_x)
-            lb, sb = laguerre_log(m, float(k), sq_y)
             log_mag = la + lb + power_log - math.lgamma(n + 1)
         else:
-            la, sa = laguerre_log(n, float(-k), sq_x)
-            lb, sb = laguerre_log(n, float(-k), sq_y)
             log_mag = la + lb + power_log + math.lgamma(n + 1) - 2.0 * log_m_fact
-        sign = sa * sb
-        if sign == 0.0 or log_mag == -math.inf:
-            continue
         if log_mag > 700.0:
             raise OverflowError("series term overflows double range")
+        sign = math.copysign(1.0, va) * math.copysign(1.0, vb)
         total += sign * math.exp(log_mag) * cmath.exp(1j * power_arg)
     return total

@@ -103,10 +103,8 @@ def _laguerre_scaled(n: int, alpha: float, x: float) -> tuple[float, int]:
     A step that would still overflow (|x| near the double range) is redone
     after scaling both iterates below 1 by an exact power of two.  Raises
     OverflowError when 1 + alpha - x, the slope of every step, overflows.
+    Checks nothing: n is an int >= 0 and alpha, x are finite floats.
     """
-    n = _check_index("n", n)
-    alpha = _check_real("alpha", alpha)
-    x = _check_real("x", x)
     if n == 0:
         return 1.0, 0
     prev = 1.0
@@ -128,16 +126,42 @@ def _laguerre_scaled(n: int, alpha: float, x: float) -> tuple[float, int]:
     return cur, shift
 
 
-def laguerre(n: int, alpha: float, x: float) -> float:
-    """Generalized Laguerre polynomial L_n^(alpha)(x), by the rescaled
-    recurrence shared with :func:`laguerre_log`: any value that fits in a
-    double is returned, however large the iterates grew on the way.
+def _laguerre_scaled_rows(n: int, alpha: np.ndarray, x: np.ndarray):
+    """:func:`_laguerre_scaled` at degree n for every pair (x[i], alpha[j]),
+    as arrays value[i, j] and shift[i, j], bit for bit: numpy's + - * /
+    round as the float operations do.  Where an iterate passes 2**512, and
+    the scalar recurrence would rescale, the pair is taken from it.
     """
+    x = x[:, None]
+    shift = np.zeros((x.size, alpha.size), dtype=int)
+    if n == 0:
+        return np.ones(shift.shape), shift
+    prev, cur = 1.0, 1.0 + alpha - x
+    peak = np.abs(cur)
+    with np.errstate(over="ignore", invalid="ignore"):  # such pairs are redone below
+        for k in range(1, n):
+            prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+            np.maximum(peak, np.abs(cur), out=peak)  # NaN propagates
+    for i, j in zip(*np.nonzero(~(peak <= math.ldexp(1.0, 512)))):
+        cur[i, j], shift[i, j] = _laguerre_scaled(n, float(alpha[j]), float(x[i, 0]))
+    return cur, shift
+
+
+def _laguerre_float(n: int, alpha: float, x: float) -> float:
+    """:func:`laguerre` without its argument checks."""
     value, shift = _laguerre_scaled(n, alpha, x)
     # |value| < 2**e, so value * 2**shift is finite exactly when e + shift <= 1024
     if math.isfinite(value) and math.frexp(value)[1] + shift <= 1024:
         return math.ldexp(value, shift)
     raise OverflowError(f"laguerre({n}, {alpha}, {x}) overflows double range")
+
+
+def laguerre(n: int, alpha: float, x: float) -> float:
+    """Generalized Laguerre polynomial L_n^(alpha)(x), by the rescaled
+    recurrence shared with :func:`laguerre_log`: any value that fits in a
+    double is returned, however large the iterates grew on the way.
+    """
+    return _laguerre_float(_check_index("n", n), _check_real("alpha", alpha), _check_real("x", x))
 
 
 def laguerre_log(n: int, alpha: float, x: float) -> tuple[float, float]:
@@ -146,6 +170,7 @@ def laguerre_log(n: int, alpha: float, x: float) -> tuple[float, float]:
     sign is 0.0 when the value is exactly zero (log-magnitude -inf).
     Raises OverflowError, as :func:`laguerre` does, when 1 + alpha - x does.
     """
+    n, alpha, x = _check_index("n", n), _check_real("alpha", alpha), _check_real("x", x)
     value, shift = _laguerre_scaled(n, alpha, x)
     if value == 0.0:
         return -math.inf, 0.0

@@ -249,9 +249,13 @@ def check_gauge_invariance() -> _Worst:
                 s += coeffs[2 * j] * p.re[j] + coeffs[2 * j + 1] * p.im[j]
             return cmath.exp(complex(s, 0.3 * s))
 
-        base = lambda a, b: hermitized_kernel(spec, a, b)
-        plain = correlation_det(base, points)
-        gauged = correlation_det(gauge_transform(base, gauge), points, imag_tol=1e-6)
+        # both determinants read one kernel matrix, indexed by point number
+        matrix = [[hermitized_kernel(spec, a, b) for b in points] for a in points]
+        base = lambda i, j: matrix[i][j]
+        gauges = [gauge(p) for p in points]
+        index = range(n_pts)
+        plain = correlation_det(base, index)
+        gauged = correlation_det(gauge_transform(base, gauges.__getitem__), index, imag_tol=1e-6)
         scale = max(abs(plain), 1e-300)
         worst.add(abs(gauged - plain) / scale, 1e-9, f"trial {trial} D={dim} n={n_pts}")
     return worst

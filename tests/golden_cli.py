@@ -50,6 +50,9 @@ CASES: list[tuple[str, list[list[str]]]] = [
                              "--format", "csv"]]),
     ("kernel-eval-out", [["kernel-eval", *_D1, "--level", "3", "--x", "0.7,0.1",
                           "--y", "0.2,-0.4", "--out", "k.json"]]),
+    # exponent -841: the hermitized value needs the Laguerre factors as logs
+    ("kernel-eval-far-high-level", [["kernel-eval", *_D2, "--level", "400,300",
+                                     "--x=-14.5,0;-14.5,0", "--y", "14.5,0;14.5,0"]]),
     # stats on every route
     ("stats-closed", [["stats", *_D1, *_BALL, "--radius", "2.5", "--route", "closed"]]),
     ("stats-integral-csv", [["stats", *_D2, *_BALL, "--radius", "4", "--route",

@@ -9,6 +9,10 @@ m=2 series identity value at (x, y) = (1, 0.5) is 0.4379415875297215.
 import cmath
 import math
 
+import hashlib
+import struct
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +33,8 @@ from heisenberg_dpp.kernels import (
     kernel_eval,
     kernel_series_partial,
 )
-from heisenberg_dpp.specfun import laguerre
+from heisenberg_dpp.kernels import _EXP_NORMAL_MIN
+from heisenberg_dpp.specfun import laguerre, laguerre_log
 
 RNG = np.random.default_rng(777)
 
@@ -162,20 +167,24 @@ class TestKernelValues:
         y = ComplexPoint((0.3, 0.0), (0.1, 0.0))
         assert abs(kernel_eval(spec, x, y)) == pytest.approx(0.0, abs=1e-15)
 
-    def test_far_pair_underflows_to_exact_zero(self):
-        # exponent -|x - y|^2/2 = -850 is past the cutoff, where the level-300
-        # Laguerre factor alone would overflow
-        spec = KernelSpec(1, (300,))
+    @pytest.mark.parametrize("m, t", [(300, 1700.0), (1000, 1700.0), (400, 1500.0)])
+    def test_far_pair_at_high_level_matches_mpmath(self, m, t):
+        # exp(-t/2) underflows and L_m(t) alone overflows, yet
+        # e^(-t/2) L_m(t) is 2.94e-44, -0.01297 and -0.00409 here
+        spec = KernelSpec(1, (m,))
         x = ComplexPoint((0.0,), (0.0,))
-        y = ComplexPoint((math.sqrt(1700.0),), (0.0,))
+        y = ComplexPoint((math.sqrt(t),), (0.0,))
+        t = y.re[0] * y.re[0]  # the |x - y|^2 the kernel sees
         with pytest.raises(OverflowError):
-            laguerre(300, 0.0, 1700.0)
+            laguerre(m, 0.0, t)
+        with mpmath.workdps(40):
+            want = float(mpmath.exp(-mpmath.mpf(t) / 2) * mpmath.laguerre(m, 0, t) / mpmath.pi)
         for a, b in ((x, y), (y, x)):
             value = hermitized_kernel(spec, a, b)
-            assert value == 0j and isinstance(value, complex)
+            assert isinstance(value, complex) and value.imag == 0.0
+            assert value.real == pytest.approx(want, rel=1e-10)
         rho = correlation_function(spec, [x, y])
-        assert math.isfinite(rho)
-        assert rho == pytest.approx(1.0 / math.pi**2, rel=1e-12)
+        assert rho == pytest.approx(1.0 / math.pi**2 - want**2, rel=1e-12)
 
     def test_hermiticity(self):
         spec = KernelSpec(2, (2, 1))
@@ -354,8 +363,159 @@ class TestSeriesIdentity:
         assert kernel_series_partial(0, 0j, 0j, 50) == pytest.approx(1.0)
         assert kernel_series_partial(2, 0j, 0j, 50) == pytest.approx(0.5)
 
+    def test_bad_points_are_named(self):
+        with pytest.raises(ValueError, match=r"y must be finite, got \(inf\+0j\)"):
+            kernel_series_partial(1, 1.0, math.inf, 10)
+        with pytest.raises(ValueError, match="x must be finite"):
+            kernel_series_partial(1, complex(0.0, math.nan), 1.0, 10)
+        # |x| past sqrt(DBL_MAX) = 1.34e154: |x|^2 leaves the double range
+        with pytest.raises(OverflowError, match=r"\|x\|\^2 overflows double range"):
+            kernel_series_partial(1, 1.35e154, 1.0, 10)
+        with pytest.raises(OverflowError, match=r"\|y\|\^2 overflows double range"):
+            kernel_series_partial(0, 0j, complex(1e308, 1e308), 3)
+
     def test_truncation_converges(self):
         x, y = 1.2 + 0.3j, -0.4 + 0.9j
         full = kernel_series_partial(3, x, y, 160)
         short = kernel_series_partial(3, x, y, 40)
         assert abs(full - short) < 1e-12
+
+
+def _bits(value: complex) -> bytes:
+    return struct.pack("<dd", value.real, value.imag)
+
+
+def reference_series(m: int, x: complex, y: complex, n_terms: int) -> complex:
+    """kernel_series_partial with one laguerre_log call per factor and term."""
+    w = x * y.conjugate()
+    abs_w = abs(w)
+    arg_w = cmath.phase(w) if abs_w > 0.0 else 0.0
+    sq_x = abs(x) ** 2
+    sq_y = abs(y) ** 2
+    log_m_fact = math.lgamma(m + 1)
+    total = 0.0 + 0.0j
+    for n in range(n_terms + 1):
+        k = n - m
+        if k == 0:
+            power_log, power_arg = 0.0, 0.0
+        elif abs_w == 0.0:
+            continue
+        else:
+            power_log = abs(k) * math.log(abs_w)
+            power_arg = k * arg_w
+        if k >= 0:
+            la, sa = laguerre_log(m, float(k), sq_x)
+            lb, sb = laguerre_log(m, float(k), sq_y)
+            log_mag = la + lb + power_log - math.lgamma(n + 1)
+        else:
+            la, sa = laguerre_log(n, float(-k), sq_x)
+            lb, sb = laguerre_log(n, float(-k), sq_y)
+            log_mag = la + lb + power_log + math.lgamma(n + 1) - 2.0 * log_m_fact
+        sign = sa * sb
+        if sign == 0.0 or log_mag == -math.inf:
+            continue
+        if log_mag > 700.0:
+            raise OverflowError("series term overflows double range")
+        total += sign * math.exp(log_mag) * cmath.exp(1j * power_arg)
+    return total
+
+
+def reference_hermitized(spec: KernelSpec, x: ComplexPoint, y: ComplexPoint) -> complex:
+    """hermitized_kernel as the inner product, two norm sums and one
+    laguerre call per coordinate, zero below the exponent -800."""
+    inner = hermitian_inner(x, y)
+    norm_x = sum(r * r + i * i for r, i in zip(x.re, x.im))
+    norm_y = sum(r * r + i * i for r, i in zip(y.re, y.im))
+    exponent = complex(inner.real - 0.5 * (norm_x + norm_y), inner.imag)
+    if exponent.real < -800.0:
+        return 0.0 + 0.0j
+    value = cmath.exp(exponent) / math.pi ** spec.dimension
+    for l, m in enumerate(spec.level):
+        dr = x.re[l] - y.re[l]
+        di = x.im[l] - y.im[l]
+        value *= laguerre(m, 0.0, dr * dr + di * di)
+    return value
+
+
+_coord = st.floats(-25.0, 25.0)
+
+
+class TestBitIdentity:
+    """The vectorised series and the fused hermitized kernel against the
+    per-call forms above, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(0, 8),
+        n_terms=st.integers(0, 150),
+        parts=st.lists(st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), min_size=4, max_size=4),
+    )
+    def test_series_matches_per_term_reference(self, m, n_terms, parts):
+        x, y = complex(*parts[:2]), complex(*parts[2:])
+        want = reference_series(m, x, y, n_terms)
+        assert _bits(kernel_series_partial(m, x, y, n_terms)) == _bits(want)
+
+    def test_series_where_the_recurrence_rescales(self):
+        # L_200^(k)(|x|^2) passes 2^512 for the larger indices k
+        from heisenberg_dpp.specfun import _laguerre_scaled
+
+        x, y = 1.0 + 0.5j, -0.7 + 1.2j
+        assert _laguerre_scaled(200, 1000.0, abs(x) ** 2)[1] > 0
+        want = reference_series(200, x, y, 1200)
+        assert _bits(kernel_series_partial(200, x, y, 1200)) == _bits(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        level=st.lists(st.integers(0, 6), min_size=1, max_size=3),
+        coords=st.lists(_coord, min_size=12, max_size=12),
+    )
+    def test_hermitized_matches_per_call_reference(self, level, coords):
+        dim = len(level)
+        spec = KernelSpec(dim, tuple(level))
+        x = ComplexPoint(tuple(coords[0:dim]), tuple(coords[3:3 + dim]))
+        y = ComplexPoint(tuple(coords[6:6 + dim]), tuple(coords[9:9 + dim]))
+        inner = hermitian_inner(x, y)
+        norms = sum(v * v for v in x.re + x.im) + sum(v * v for v in y.re + y.im)
+        if any(level) and inner.real - 0.5 * norms < _EXP_NORMAL_MIN + 1.0:
+            return  # far pair: exp() underflows and the factors enter as logs
+        want = reference_hermitized(spec, x, y)
+        assert _bits(hermitized_kernel(spec, x, y)) == _bits(want)
+
+    # sha256 of (re, im) little-endian doubles over the grids below, as the
+    # per-term laguerre_log series and the per-coordinate laguerre kernel
+    # computed them
+    PINNED_HERMITIZED = "90167641d94caf689973507b1b4345d29e24548b8a4c22f6041be79de12a0e84"
+    PINNED_SERIES = "40afa1d4e298be390d456970fcd8512105179483c086711bb60c6a9d3c8e559a"
+
+    def test_hermitized_grid_digest(self):
+        coords = (0.0, 0.7, -1.3, 2.9, -6.1, 14.2)
+        one = [ComplexPoint((a,), (b,)) for a in coords for b in coords[:3]]
+        two = [ComplexPoint((a, b), (b, -a)) for a in coords[:5] for b in coords[1:4]]
+        three = [ComplexPoint((a, b, 0.5), (b, a, -a)) for a in coords[:4] for b in coords[:3]]
+        # level-0 pairs with the exponent near -3200, -800 and in (-800, -708)
+        far = [ComplexPoint((s * 40.0,), (s * 3.0,)) for s in (-1.0, 1.0)]
+        far += [ComplexPoint((38.5,), (0.0,)), ComplexPoint((-39.5,), (1.0,))]
+        cases = [
+            *[(KernelSpec(1, (m,)), one) for m in (0, 1, 3, 12, 40)],
+            *[(KernelSpec(2, lv), two) for lv in ((0, 0), (2, 1), (5, 0))],
+            (KernelSpec(3, (0, 1, 2)), three),
+            (KernelSpec(1), far + one[:3]),
+        ]
+        digest = hashlib.sha256()
+        for spec, pts in cases:
+            for a in pts:
+                for b in pts:
+                    digest.update(_bits(hermitized_kernel(spec, a, b)))
+        assert digest.hexdigest() == self.PINNED_HERMITIZED
+
+    def test_series_grid_digest(self):
+        pts = (0j, 1 + 0j, 0.5 - 0.25j, -1.2 + 0.7j, 2.5 + 1.5j, 3j)
+        digest = hashlib.sha256()
+        for m in (0, 1, 2, 5, 9):
+            for n_terms in (0, 1, 4, 30, 100):
+                for x in pts:
+                    for y in pts:
+                        digest.update(_bits(kernel_series_partial(m, x, y, n_terms)))
+        for x, y in ((1.0 + 0.5j, -0.7 + 1.2j), (0.3j, 0.2 + 0j)):
+            digest.update(_bits(kernel_series_partial(200, x, y, 1200)))
+        assert digest.hexdigest() == self.PINNED_SERIES

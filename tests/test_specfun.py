@@ -16,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisenberg_dpp.specfun import (
+    _laguerre_scaled,
+    _laguerre_scaled_rows,
     SpecFunResult,
     bessel_i_scaled,
     bessel_j,
@@ -126,6 +128,22 @@ class TestLaguerre:
         assert sign == (math.copysign(1.0, direct) if direct else 0.0)
         if direct:
             assert log_abs == pytest.approx(math.log(abs(direct)), abs=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(0, 300),
+        alphas=st.lists(st.floats(-1.0, 1500.0), min_size=1, max_size=8),
+        xs=st.lists(st.one_of(st.floats(0.0, 3000.0), st.floats(0.0, 1e300)),
+                    min_size=1, max_size=3),
+    )
+    def test_rows_match_the_scalar_recurrence(self, n, alphas, xs):
+        # bit for bit, rescaled pairs included
+        value, shift = _laguerre_scaled_rows(n, np.array(alphas), np.array(xs))
+        for i, x in enumerate(xs):
+            for j, alpha in enumerate(alphas):
+                want_value, want_shift = _laguerre_scaled(n, alpha, x)
+                assert float(value[i, j]).hex() == want_value.hex()
+                assert shift[i, j] == want_shift
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
