@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -281,6 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main() parses every call with this one parser; building it takes about a
+# millisecond, more than many commands take to run.
+_parser = functools.cache(build_parser)
+
+
 def _cmd_kernel_eval(args) -> int:
     spec = KernelSpec(args.dimension, _parse_level(args.level, args.dimension))
     x = _parse_point(args.x, spec.dimension)
@@ -460,8 +466,7 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except NumericalBudgetError as exc:

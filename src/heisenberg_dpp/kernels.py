@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -30,6 +31,8 @@ MAX_CORRELATION_POINTS = 12
 # kernel takes its Laguerre factors as logs; a kernel whose log lies below
 # the second, where exp() is long zero, is returned as 0.
 _EXP_NORMAL_MIN = math.log(2.0**-1022)
+# exp() of a larger exponent overflows
+_EXP_MAX = math.log(sys.float_info.max)
 _EXP_UNDERFLOW_CUTOFF = -800.0
 
 
@@ -111,7 +114,9 @@ def kernel_eval(spec: KernelSpec, x, y) -> complex:
     """Raw kernel exp(x . conj(y)) * prod_l L_{m_l}(|x_l - y_l|^2).
 
     This form grows like exp(|x||y|); arguments whose inner product would
-    overflow the double exponent range raise OverflowError.  Use
+    overflow the double exponent range raise OverflowError, as does a
+    value outside it.  Where a Laguerre factor alone leaves the range, the
+    value is formed from the factors' log magnitudes and signs.  Use
     :func:`hermitized_kernel` for a bounded, gauge-equivalent variant.
     """
     x = _as_point(x, spec.dimension)
@@ -121,13 +126,27 @@ def kernel_eval(spec: KernelSpec, x, y) -> complex:
         raise OverflowError(
             f"exp({inner.real:.6g}) overflows; use hermitized_kernel instead"
         )
+    dist = []
+    for xr, xi, yr, yi in zip(x.re, x.im, y.re, y.im):
+        dr, di = xr - yr, xi - yi
+        dist.append(dr * dr + di * di)
     value = cmath.exp(inner)
-    for l, m in enumerate(spec.level):
-        dr = x.re[l] - y.re[l]
-        di = x.im[l] - y.im[l]
-        value *= laguerre(m, 0.0, dr * dr + di * di)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+    try:
+        for m, t in zip(spec.level, dist):
+            value *= laguerre(m, 0.0, t)
+        if math.isfinite(value.real) and math.isfinite(value.imag):
+            return value
+    except OverflowError:
+        pass
+    # a Laguerre factor or a partial product left the double range: add
+    # the factors' log magnitudes to Re(x . conj(y)) instead
+    logs = [laguerre_log(m, 0.0, t) for m, t in zip(spec.level, dist)]
+    log_mag = inner.real + sum(log for log, _ in logs)
+    if log_mag > _EXP_MAX:
         raise OverflowError("kernel_eval overflows double range")
+    value = cmath.exp(complex(log_mag, inner.imag))
+    for _, sign in logs:
+        value *= sign
     return value
 
 
@@ -143,16 +162,15 @@ def hermitized_kernel(spec: KernelSpec, x, y) -> complex:
     """
     x = _as_point(x, spec.dimension)
     y = _as_point(y, spec.dimension)
-    re = im = norm_x = norm_y = 0.0
+    im = 0.0
     dist = []
     for xr, xi, yr, yi in zip(x.re, x.im, y.re, y.im):
-        re += xr * yr + xi * yi
         im += xi * yr - xr * yi
-        norm_x += xr * xr + xi * xi
-        norm_y += yr * yr + yi * yi
         dr, di = xr - yr, xi - yi
         dist.append(dr * dr + di * di)
-    exponent = complex(re - 0.5 * (norm_x + norm_y), im)
+    # Re(x . conj(y)) - (|x|^2 + |y|^2)/2 = -|x - y|^2/2, formed from the
+    # distances: the left side cancels at large coordinates
+    exponent = complex(-0.5 * sum(dist), im)
     if exponent.real < _EXP_NORMAL_MIN:
         if not all(map(math.isfinite, dist)):  # that factor's e^(-t/2) is 0
             return 0.0 + 0.0j

@@ -11,13 +11,17 @@ binomial draw whose per-trial probability is the pooled mean divided by
 the pooled cell count, which preserves the aggregate mean exactly.
 
 The kept cells are split by q = min(p, 1 - p).  A dense cell, with
-q >= ``DENSE_Q``, is drawn directly: it is hit when one uniform double
-falls below p.  Every other kept cell is sampled by exact thinning.  A
-sparse cell with p > 1/2 counts as a sure hit minus a Bernoulli(1 - p)
-miss, so it is drawn through q < ``DENSE_Q``, and cells with p in {0, 1}
-cost nothing.  Since 1{Poisson(lambda) >= 1} is Bernoulli(1 - exp(-lambda)),
-a cell with lambda = -log1p(-q) is hit exactly when a Poisson process of
-rate lambda puts a point on it.  The sparse cells are grouped into dyadic
+q >= ``DENSE_Q``, is drawn directly from one 32-bit half w of a raw
+generator word: it is hit when w < T = floor(p 2^32), and at a tie
+w = T (probability 2^-32) when one uniform double falls below the
+fraction p 2^32 - T.  For p >= 2^-33 that fraction is a multiple of
+2^-53, which a 53-bit uniform compares exactly, so P(hit) is exactly p.
+Every other kept cell is sampled by exact thinning.  A sparse cell with
+p > 1/2 counts as a sure hit minus a Bernoulli(1 - p) miss, so it is
+drawn through q < ``DENSE_Q``, and cells with p in {0, 1} cost nothing.
+Since 1{Poisson(lambda) >= 1} is Bernoulli(1 - exp(-lambda)), a cell
+with lambda = -log1p(-q) is hit exactly when a Poisson process of rate
+lambda puts a point on it.  The sparse cells are grouped into dyadic
 bands of lambda.  Replicas are drawn in steps of r whole rows, with r
 chosen so that a step expects about ``STEP_CANDIDATES`` candidates.  A
 step draws, for each band of k cells with largest rate lambda_max,
@@ -27,30 +31,40 @@ Poisson(k lambda_max) candidates per replica at uniform cell indices
 (Devroye 1986, splitting of a Poisson process).  Each candidate is kept
 with probability lambda_j / lambda_max, and one sort over every band of
 the step finds the distinct kept (cell, replica) pairs, whose count per
-replica, signed by band, is the replica's band count.  Both draws are
-exact in distribution up to the rounding of p, q, lambda and the
-acceptance ratio in doubles.  A dense cell has p(1 - p) >= DENSE_Q
-(1 - DENSE_Q), and a band's candidate rate is below 2 sum(lambda), which
-is below 6 times its cells' variance; so a replica costs at most
-kappa_2 (1 / (DENSE_Q (1 - DENSE_Q)) + 6) uniforms and candidates, with
-kappa_2 the variance of the kept cells' count, instead of one uniform per
-cell.  A dense uniform costs about 7 ns and a candidate (a position, a
-uniform, a sort and a count) about 60 ns (2-core Xeon VM, levels (0, 0)
-and (2, 2) at R = 5 and 10), which is why cells near q = 1/2 are not
-thinned.
+replica, signed by band, is the replica's band count.  The thinning is
+exact in distribution up to the rounding of q, lambda and the acceptance
+ratio in doubles.  A dense cell has p(1 - p) >= DENSE_Q (1 - DENSE_Q),
+and a band's candidate rate is below 2 sum(lambda), which is below 6
+times its cells' variance; so a replica costs at most
+kappa_2 (1 / (DENSE_Q (1 - DENSE_Q)) + 6) dense draws and candidates,
+with kappa_2 the variance of the kept cells' count, instead of one draw
+per cell.  A dense draw costs about 1.4-1.6 ns and a candidate (a
+position, a uniform, a sort and a count) about 28 ns (2-core Xeon VM,
+levels (0, 0) and (2, 2) at R = 10), so a cell is cheaper to thin than
+to draw below q ~ 1.5 / 28.  ``DENSE_Q`` = 0.05 comes from the
+benchmark's mc-gate workload (``bench/run.py``, 10 s runs at seeds 103
+and 104, reference seconds per pass): 0.179 / 0.179 at DENSE_Q = 0.03,
+0.178 / 0.179 at 0.04, 0.175 / 0.177 at 0.05, 0.179 / 0.180 at 0.06,
+0.185 / 0.171 at 0.08 and 0.195 / 0.193 at 0.10, against 0.237 / 0.225
+at the former 0.15 (seeds 101 and 102).
 
 Determinism contract: replicas are split into consecutive blocks of
 ``BLOCK_REPLICAS`` (the last one may be shorter), and block b draws all
-of its replicas (the dense uniforms row by row, then the band steps, each
-a Poisson count per band, the positions and the acceptance uniforms, then
-the pooled binomial) from one PCG64DXSM generator seeded by
+of its replicas from one PCG64DXSM generator seeded by
 SeedSequence(master_seed, spawn_key=(b,)), an independent child of the
-master seed.  Results are bit-for-bit reproducible for a fixed
-(seed, replicas, spec, R, floor), and each block's counts depend only on
-(seed, b, its replica count, the cell model), so blocks can be evaluated
-in any order.  The generator, ``BLOCK_REPLICAS``, ``STEP_CANDIDATES`` and
-``DENSE_Q`` are part of that contract: changing any of them changes the
-streams.  They are module constants, not settings.
+master seed.  Within a block come first the dense words: the (replica,
+cell) pairs in row-major order take the 32-bit halves of consecutive
+raw 64-bit words, low half first (the value mod 2^32, then the value
+div 2^32, on any host), and an odd number of pairs leaves the last
+word's high half unused.  Then one double per tie, in the same order;
+then the band steps, each a Poisson count per band, the positions and
+the acceptance uniforms; then the pooled binomial.  Results are
+bit-for-bit reproducible for a fixed (seed, replicas, spec, R, floor),
+and each block's counts depend only on (seed, b, its replica count, the
+cell model), so blocks can be evaluated in any order.  The generator,
+the word layout, ``BLOCK_REPLICAS``, ``STEP_CANDIDATES`` and ``DENSE_Q``
+are part of that contract: changing any of them changes the streams.
+They are module constants, not settings.
 """
 
 from __future__ import annotations
@@ -74,13 +88,15 @@ _OUTER_CHUNK_CELLS = 1 << 20
 # Replicas drawn from one generator, the expected thinning candidates of
 # one step of whole replica rows (~0.2 MB of temporaries; a step holds at
 # least one replica), and the smallest q = min(p, 1 - p) of a cell drawn
-# by one uniform instead of by thinning.  All three are part of the
+# from a raw word instead of by thinning.  All three are part of the
 # determinism contract: changing any changes the streams.
 BLOCK_REPLICAS = 256
 STEP_CANDIDATES = 1 << 12
-DENSE_Q = 0.15
-# Dense uniforms drawn at a time (64 kB, and at least one replica's row).
-# Rows are consumed in row-major order, so this does not change the stream.
+DENSE_Q = 0.05
+# Dense draws made at a time (5 bytes each: a word half and a mask byte),
+# in whole rows: at least one, and an even number when a row is odd.  The
+# rows take the words in row-major order, so this does not change the
+# stream.
 _DENSE_CHUNK = 1 << 13
 
 
@@ -119,11 +135,12 @@ class _CellModel:
     """Flattened multi-index grid: kept cell parameters plus pooled rest.
 
     Every kept cell is in exactly one of three groups.  ``dense`` holds p of
-    the cells with q = min(p, 1 - p) >= DENSE_Q, each drawn as u < p.  The
-    others form a thinning plan: ``sure`` counts those with p > 1/2, and
-    the cells with q > 0 are cut into dyadic bands of lambda = -log1p(-q),
-    first the bands of cells with p <= 1/2 (sign +1), then those with
-    p > 1/2 (sign -1).  ``ratios`` holds every band's acceptance ratios
+    the cells with q = min(p, 1 - p) >= DENSE_Q, ``dense_words`` their
+    thresholds T = floor(p 2^32) as uint32 and ``dense_ties`` the
+    fractions p 2^32 - T that decide a tie.  The others form a thinning
+    plan: ``sure`` counts those with p > 1/2, and the cells with q > 0 are
+    cut into dyadic bands of lambda = -log1p(-q), first the bands of cells
+    with p <= 1/2 (sign +1), then those with p > 1/2 (sign -1).  ``ratios`` holds every band's acceptance ratios
     lambda / lambda_max end to end; band b owns the ``band_sizes[b]``
     ratios from ``band_starts[b]`` on, has the sign ``band_signs[b]`` and
     the Poisson candidate rate ``band_rates[b]`` = k * lambda_max per
@@ -132,6 +149,8 @@ class _CellModel:
 
     kept: np.ndarray
     dense: np.ndarray
+    dense_words: np.ndarray
+    dense_ties: np.ndarray
     pooled_count: int
     pooled_prob: float
     pooled_mass: float
@@ -191,15 +210,21 @@ def _build_cells(spectra: list[BernoulliSpectrum], floor: float) -> _CellModel:
     pooled_count = total_cells - kept.size
     pooled_prob = pooled_mass / pooled_count if pooled_count > 0 else 0.0
     # 1 - p is exact for p >= 1/2, so the complement loses nothing.
-    dense = (kept >= DENSE_Q) & (1.0 - kept >= DENSE_Q)
-    sparse = kept[~dense]
+    is_dense = (kept >= DENSE_Q) & (1.0 - kept >= DENSE_Q)
+    sparse = kept[~is_dense]
     high = sparse > 0.5
     low_ratios, low_sizes, low_rates = _thinning_bands(sparse[~high])
     high_ratios, high_sizes, high_rates = _thinning_bands(1.0 - sparse[high])
     sizes = np.concatenate([low_sizes, high_sizes])
+    dense = kept[is_dense]
+    # p 2^32 is exact, so T = floor(p 2^32) and its fraction are too
+    scaled = np.ldexp(dense, 32)
+    words = np.floor(scaled)
     return _CellModel(
         kept=kept,
-        dense=kept[dense],
+        dense=dense,
+        dense_words=words.astype(np.uint32),
+        dense_ties=scaled - words,
         pooled_count=int(pooled_count),
         pooled_prob=min(pooled_prob, 1.0),
         pooled_mass=pooled_mass,
@@ -212,14 +237,48 @@ def _build_cells(spectra: list[BernoulliSpectrum], floor: float) -> _CellModel:
     )
 
 
+def _dense_hits(model: _CellModel, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """Dense hits of ``rows`` replicas: the (replica, cell) pairs in
+    row-major order take the 32-bit halves of raw words in turn, low half
+    first; the ties, in the same order, then take one double each."""
+    size = model.dense.size
+    words = model.dense_words
+    hits = np.zeros(rows, dtype=np.int64)
+    # a row sums fewer than 2^16 ones in 16 bits, which numpy adds fastest
+    dtype = np.uint16 if size < 1 << 16 else np.int64
+    # an even number of rows when the row is odd: a chunk uses every half of
+    # its words, only the block's last chunk may leave its last half unused
+    step = max(1, _DENSE_CHUNK // size)
+    step += step & size & 1
+    tie_rows, tie_cells = [], []
+    for r0 in range(0, rows, step):
+        r = min(step, rows - r0)
+        raw = rng.bit_generator.random_raw((r * size + 1) // 2)
+        # little-endian words seen as little-endian halves: low half first
+        # on any host (the conversion copies nothing on a little-endian one)
+        halves = raw.astype("<u8", copy=False).view("<u4")[: r * size].reshape(r, size)
+        below = halves < words
+        if r == 1:  # a whole-array count is several times faster than a row sum
+            hits[r0] += np.count_nonzero(below)
+        else:
+            hits[r0 : r0 + r] += np.add.reduce(below.view(np.uint8), axis=1, dtype=dtype)
+        tie = np.equal(halves, words, out=below)
+        if np.count_nonzero(tie):  # probability 2^-32 per pair
+            at_row, at_cell = np.nonzero(tie)
+            tie_rows.append(at_row + r0)
+            tie_cells.append(at_cell)
+    if tie_rows:
+        at_row, at_cell = np.concatenate(tie_rows), np.concatenate(tie_cells)
+        won = rng.random(at_row.size) < model.dense_ties[at_cell]
+        np.add.at(hits, at_row[won], 1)
+    return hits
+
+
 def _draw_block(model: _CellModel, rows: int, rng: np.random.Generator) -> np.ndarray:
     """Counts of ``rows`` replicas, all drawn from the one generator ``rng``."""
     counts = np.full(rows, model.sure, dtype=np.int64)
     if model.dense.size:
-        step = max(1, _DENSE_CHUNK // model.dense.size)
-        for r0 in range(0, rows, step):
-            u = rng.random((min(step, rows - r0), model.dense.size))
-            counts[r0 : r0 + step] += np.count_nonzero(u < model.dense, axis=1)
+        counts += _dense_hits(model, rows, rng)
     if model.band_rates.size:
         # the cells of the sign +1 bands come first in ``ratios``
         plus = int(np.sum(model.band_sizes[model.band_signs > 0]))

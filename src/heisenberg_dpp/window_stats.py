@@ -164,9 +164,8 @@ def variance_ratio_ball(dimension: int, radius: float) -> float:
     dimension = _check_dimension(dimension)
     radius = _check_radius(radius)
     x = 2.0 * radius * radius
-    return math.fsum(
-        bessel_i_scaled(n, x) + bessel_i_scaled(n + 1, x) for n in range(dimension)
-    )
+    scaled = [bessel_i_scaled(n, x) for n in range(dimension + 1)]
+    return math.fsum(scaled[n] + scaled[n + 1] for n in range(dimension))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Capture golden outputs of the command line for a byte-for-byte comparison.
 
-Usage: PYTHONPATH=src python tests/golden_cli.py OUTDIR
+Usage: PYTHONPATH=src python tests/golden_cli.py OUTDIR [CASE ...]
 
-Runs a fixed list of argv cases in process through ``cli.main``.  Each
+Runs a fixed list of argv cases in process through ``cli.main``, or only
+the named ones (say, the ``mc-*`` cases after a change to the Monte Carlo
+streams, without the minute-long full capture).  Each
 case gets its own directory under OUTDIR, runs there (so ``--out`` and
 ``--in`` paths are relative and every output is independent of OUTDIR),
 and keeps, per step, ``<i>.code``, ``<i>.stdout`` and ``<i>.stderr``
@@ -157,13 +159,20 @@ def run_step(argv: list[str]) -> tuple[int, str, str]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    names = {name for name, _ in CASES}
+    unknown = [name for name in argv[1:] if name not in names]
+    if not argv or unknown:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        if unknown:
+            print(f"unknown case: {', '.join(unknown)}", file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
+    wanted = set(argv[1:]) or names
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
     home = os.getcwd()
     for name, steps in CASES:
+        if name not in wanted:
+            continue
         case_dir = root / name
         case_dir.mkdir(parents=True, exist_ok=True)
         os.chdir(case_dir)

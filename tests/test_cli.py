@@ -159,6 +159,17 @@ class TestKernelEval:
         assert code == 2
         assert "error" in err
 
+    def test_raw_kernel_past_a_laguerre_overflow(self, capsys):
+        # L_1000(1700) overflows a double; e^(-425) L_1000(1700) ~ -5e182 does not
+        code, out, err = run_cli(
+            capsys,
+            ["kernel-eval", "--dimension", "1", "--level", "1000",
+             "--x=-20.615528128088304,0", "--y", "20.615528128088304,0"],
+        )
+        assert (code, err) == (0, "")
+        row = json.loads(out)["rows"][0]
+        assert -6e182 < row["kernel_re"] < -4e182 and row["kernel_im"] == 0.0
+
     def test_point_with_wrong_coordinate_count(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -816,6 +827,17 @@ class TestParserBasics:
             cli._num(1 + 2j)
         with pytest.raises(TypeError, match="cannot serialize set"):
             cli.emit_json({"rows": [{1.5}]})
+
+    def test_main_reuses_one_parser(self, capsys):
+        parser = cli._parser()
+        with pytest.raises(SystemExit):
+            cli.main(["stats", "--radius", "1.0"])  # a usage error leaves nothing behind
+        code, out, _ = run_cli(capsys, ["constants", "--dimension", "1"])
+        assert code == 0 and json.loads(out)["rows"]
+        assert cli._parser() is parser
+        # build_parser stays public and builds a new tree on each call
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser().format_help() == parser.format_help()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc_info:

@@ -128,7 +128,37 @@ class TestPointArguments:
             kernel_eval(KernelSpec(2, (40, 40)), x, origin)
 
 
+    def test_raw_kernel_past_a_laguerre_overflow_matches_mpmath(self):
+        # L_1000(1700) overflows, e^(-425) L_1000(1700) ~ -5e182 does not
+        spec, root = KernelSpec(1, (1000,)), math.sqrt(425.0)
+        x, y = ComplexPoint((-root,), (0.0,)), ComplexPoint((root,), (0.0,))
+        inner, t = -root * root, (2.0 * root) * (2.0 * root)  # as the kernel forms them
+        with pytest.raises(OverflowError):
+            laguerre(1000, 0.0, t)
+        with mpmath.workdps(40):
+            want = float(mpmath.exp(inner) * mpmath.laguerre(1000, 0, t))
+        for a, b in ((x, y), (y, x)):
+            value = kernel_eval(spec, a, b)
+            assert value.imag == 0.0
+            assert value.real == pytest.approx(want, rel=1e-11)
+        # the log route keeps the phase of exp(x . conj(y))
+        xi, yi = ComplexPoint((-root,), (0.5,)), ComplexPoint((root,), (0.25,))
+        inner = complex(-root * root + 0.125, 0.5 * root + root * 0.25)
+        with mpmath.workdps(40):
+            t = (2.0 * root) * (2.0 * root) + 0.0625
+            want = complex(mpmath.exp(mpmath.mpc(inner)) * mpmath.laguerre(1000, 0, t))
+        assert kernel_eval(spec, xi, yi) == pytest.approx(want, rel=1e-11)
+
+
 class TestKernelValues:
+    @pytest.mark.parametrize("x, y, want", [
+        (1e8, 1e8 + 1.0, math.exp(-0.5) / math.pi),  # Re(x conj(y)) - |x|^2/2 - |y|^2/2 cancels
+        (1e200, 1e200, 1.0 / math.pi),  # |x|^2 overflows
+    ])
+    def test_hermitized_at_large_coordinates(self, x, y, want):
+        value = hermitized_kernel(KernelSpec(1), [x], [y])
+        assert value == complex(want, 0.0)
+
     def test_hermitized_frozen_value(self):
         spec = KernelSpec(1)
         x = ComplexPoint((1.0,), (0.0,))
@@ -420,20 +450,23 @@ def reference_series(m: int, x: complex, y: complex, n_terms: int) -> complex:
     return total
 
 
+def _distances(x: ComplexPoint, y: ComplexPoint) -> list[float]:
+    """|x_l - y_l|^2 per coordinate."""
+    return [(xr - yr) * (xr - yr) + (xi - yi) * (xi - yi)
+            for xr, xi, yr, yi in zip(x.re, x.im, y.re, y.im)]
+
+
 def reference_hermitized(spec: KernelSpec, x: ComplexPoint, y: ComplexPoint) -> complex:
-    """hermitized_kernel as the inner product, two norm sums and one
-    laguerre call per coordinate, zero below the exponent -800."""
-    inner = hermitian_inner(x, y)
-    norm_x = sum(r * r + i * i for r, i in zip(x.re, x.im))
-    norm_y = sum(r * r + i * i for r, i in zip(y.re, y.im))
-    exponent = complex(inner.real - 0.5 * (norm_x + norm_y), inner.imag)
+    """hermitized_kernel as the inner product's imaginary part, the real
+    part -sum |x_l - y_l|^2 / 2 and one laguerre call per coordinate, zero
+    below the exponent -800."""
+    dist = _distances(x, y)
+    exponent = complex(-0.5 * sum(dist), hermitian_inner(x, y).imag)
     if exponent.real < -800.0:
         return 0.0 + 0.0j
     value = cmath.exp(exponent) / math.pi ** spec.dimension
-    for l, m in enumerate(spec.level):
-        dr = x.re[l] - y.re[l]
-        di = x.im[l] - y.im[l]
-        value *= laguerre(m, 0.0, dr * dr + di * di)
+    for m, t in zip(spec.level, dist):
+        value *= laguerre(m, 0.0, t)
     return value
 
 
@@ -474,9 +507,7 @@ class TestBitIdentity:
         spec = KernelSpec(dim, tuple(level))
         x = ComplexPoint(tuple(coords[0:dim]), tuple(coords[3:3 + dim]))
         y = ComplexPoint(tuple(coords[6:6 + dim]), tuple(coords[9:9 + dim]))
-        inner = hermitian_inner(x, y)
-        norms = sum(v * v for v in x.re + x.im) + sum(v * v for v in y.re + y.im)
-        if any(level) and inner.real - 0.5 * norms < _EXP_NORMAL_MIN + 1.0:
+        if any(level) and -0.5 * sum(_distances(x, y)) < _EXP_NORMAL_MIN + 1.0:
             return  # far pair: exp() underflows and the factors enter as logs
         want = reference_hermitized(spec, x, y)
         assert _bits(hermitized_kernel(spec, x, y)) == _bits(want)
@@ -484,7 +515,7 @@ class TestBitIdentity:
     # sha256 of (re, im) little-endian doubles over the grids below, as the
     # per-term laguerre_log series and the per-coordinate laguerre kernel
     # computed them
-    PINNED_HERMITIZED = "90167641d94caf689973507b1b4345d29e24548b8a4c22f6041be79de12a0e84"
+    PINNED_HERMITIZED = "7c555dbe46106473c13d683f1cc467c7e881752dd4aa91f08a8fb3c2c94a79dd"
     PINNED_SERIES = "40afa1d4e298be390d456970fcd8512105179483c086711bb60c6a9d3c8e559a"
 
     def test_hermitized_grid_digest(self):

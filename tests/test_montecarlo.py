@@ -239,12 +239,28 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("rows_per_step", [1, 7, mc.BLOCK_REPLICAS])
     def test_dense_chunk_leaves_the_stream(self, monkeypatch, rows_per_step):
-        # 300 replicas: a full block and a 44-row block, which 7 divides in neither
-        model = mc._build_cells([build_spectrum(m, 3.0, 1e-9) for m in (0, 1)], 0.0)
-        assert model.dense.size and model.band_rates.size
-        whole = block_counts(model, 300, 4242)
-        monkeypatch.setattr(mc, "_DENSE_CHUNK", rows_per_step * model.dense.size)
-        assert np.array_equal(block_counts(model, 300, 4242), whole)
+        # 300 replicas: a full block and a 44-row block, which 7 divides in
+        # neither; an odd row ends any odd number of rows in mid-word
+        spectra = [build_spectrum(m, 3.0, 1e-9) for m in (0, 1)]
+        odd = mc._build_cells([toy_spectrum(ODD_DENSE_PROBS)], 0.0)
+        assert odd.dense.size % 2 == 1
+        for model in (mc._build_cells(spectra, 0.0), odd):
+            assert model.dense.size and model.band_rates.size
+            whole = block_counts(model, 300, 4242)
+            with monkeypatch.context() as patch:
+                patch.setattr(mc, "_DENSE_CHUNK", rows_per_step * model.dense.size)
+                assert np.array_equal(block_counts(model, 300, 4242), whole)
+
+    @pytest.mark.parametrize("rows", [1, 5, 6])
+    def test_dense_halves_in_row_major_order_low_half_first(self, rows):
+        # three dense cells: the pair (replica i, cell j) takes half 3 i + j
+        probs = [0.2, 0.5, 0.7]
+        model = mc._build_cells([toy_spectrum(probs)], 0.0)
+        words = mc._block_rng(77, 0).bit_generator.random_raw((3 * rows + 1) // 2)
+        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()[: 3 * rows]
+        want = np.count_nonzero(halves.reshape(rows, 3) < model.dense_words, axis=1)
+        assert model.dense_words.tolist() == [math.floor(p * 2**32) for p in probs]
+        assert np.array_equal(mc._draw_block(model, rows, mc._block_rng(77, 0)), want)
 
     def test_block_generators_are_disjoint(self):
         # same master seed, different block index: independent streams
@@ -321,9 +337,15 @@ EDGE_PROBS = [0.0, 1.0, 1.0 - 2.0**-53, 0.5, 1e-300, 1e-3, 0.3, 0.8]
 # about 1/2, so drawing 1 - p for p would show
 ALL_DENSE_PROBS = [0.2, 0.35, 0.5, 0.65, 0.8, 0.25, 0.3, 0.4, 0.6, 0.75]
 # sparse cells of both signs whose band rates add up past STEP_CANDIDATES,
-# so that every band step holds a single replica
-_SPARSE_Q = np.linspace(0.05, 0.149, 1 << 14)
+# so that every band step holds a single replica: each cell adds at least
+# its lambda > q >= 0.9 DENSE_Q, and the 2 ceil(0.6 STEP_CANDIDATES /
+# DENSE_Q) cells add at least 1.08 STEP_CANDIDATES
+_SPARSE_Q = np.linspace(
+    0.9 * mc.DENSE_Q, mc.DENSE_Q, math.ceil(0.6 * mc.STEP_CANDIDATES / mc.DENSE_Q), endpoint=False
+)
 MANY_SPARSE_PROBS = np.r_[_SPARSE_Q, 1.0 - _SPARSE_Q].tolist()
+# 101 dense cells (an odd row of halves) beside three sparse ones
+ODD_DENSE_PROBS = [*np.linspace(0.3, 0.7, 101), 0.01, 0.002, 0.999]
 # every sparse cell has p > 1/2: sign -1 bands only, beside dense and sure cells
 HIGH_SPARSE_PROBS = [[0.9, 0.95, 0.99, 0.999, 0.86, 1.0], [1.0, 0.97, 0.5]]
 
@@ -395,11 +417,71 @@ class TestExactness:
             assert z <= 4.0, (r, z)
 
 
+class TiedWords:
+    """A stand-in block generator: its raw words put the half of every dense
+    (replica, cell) pair at the cell's threshold T plus ``offset``, and its
+    doubles come from a real generator."""
+
+    def __init__(self, model, offset: int, seed: int):
+        self.bit_generator = self
+        self.doubles = np.random.default_rng(seed)
+        self.halves = (model.dense_words.astype(np.int64) + offset).astype(np.uint64)
+
+    def random_raw(self, size):
+        # every chunk of the dense draw starts a row, so its half k belongs
+        # to cell k mod (dense cells)
+        halves = np.resize(self.halves, 2 * size)
+        return halves[0::2] | halves[1::2] << np.uint64(32)
+
+    def random(self, size):
+        return self.doubles.random(size)
+
+
+class TestDenseTies:
+    # p = (T + f) 2^-32 with T = floor(p 2^32): a half w hits below T, misses
+    # above it, and at w == T hits with probability f exactly
+    FRACS = [0.25, 0.5, 0.75, 0.0, 2.0**-21]
+
+    def model(self):
+        probs = [math.ldexp(math.floor((0.3 + 0.1 * j) * 2**32) + f, -32)
+                 for j, f in enumerate(self.FRACS)]
+        model = mc._build_cells([toy_spectrum(probs)], 0.0)
+        assert model.dense.tolist() == probs and model.dense_ties.tolist() == self.FRACS
+        return model
+
+    @pytest.mark.parametrize("offset, hits", [(-1, 5), (1, 0)])
+    def test_threshold_neighbours_decide_without_a_double(self, offset, hits):
+        rng = TiedWords(self.model(), offset, 1)
+        state = rng.doubles.bit_generator.state
+        assert mc._draw_block(self.model(), 300, rng).tolist() == [hits] * 300
+        assert rng.doubles.bit_generator.state == state
+
+    @pytest.mark.parametrize("rows_per_step", [7, mc.BLOCK_REPLICAS])
+    def test_ties_take_one_double_each_in_row_major_order(self, monkeypatch, rows_per_step):
+        model = self.model()
+        monkeypatch.setattr(mc, "_DENSE_CHUNK", rows_per_step * model.dense.size)
+        rows = 4000
+        counts = mc._draw_block(model, rows, TiedWords(model, 0, 2))
+        u = np.random.default_rng(2).random((rows, model.dense.size))
+        assert np.array_equal(counts, np.count_nonzero(u < model.dense_ties, axis=1))
+        # the hit rate at a tie is its fraction: within 4 sigma of sum f
+        fracs = np.array(self.FRACS)
+        sigma = math.sqrt(rows * float(np.sum(fracs * (1.0 - fracs))))
+        assert abs(int(counts.sum()) - rows * float(fracs.sum())) <= 4.0 * sigma
+
+
 def draws_within_bound(model) -> bool:
-    """Dense uniforms plus expected band candidates per replica, against kappa_2."""
+    """Dense draws plus expected band candidates per replica, against kappa_2."""
     kappa2 = float(np.sum(model.kept * (1.0 - model.kept)))
     draws = model.dense.size + float(np.sum(model.band_rates))
     return draws <= kappa2 * (1.0 / (mc.DENSE_Q * (1.0 - mc.DENSE_Q)) + 6.0)
+
+
+def candidates_within_bound(model) -> bool:
+    """Expected band candidates per replica, against the sparse cells' variance."""
+    p = model.kept
+    sparse = p[np.minimum(p, 1.0 - p) < mc.DENSE_Q]
+    return float(np.sum(model.band_rates)) <= 6.0 * float(np.sum(sparse * (1.0 - sparse)))
 
 
 class TestCost:
@@ -407,6 +489,7 @@ class TestCost:
     def test_draws_per_replica_bounded_by_variance(self, level, radius):
         model = mc._build_cells([build_spectrum(m, radius, 1e-9) for m in level], 1e-12)
         assert draws_within_bound(model)
+        assert candidates_within_bound(model)
 
 
 class TestStreamIdentity:
@@ -415,9 +498,9 @@ class TestStreamIdentity:
     # DENSE_Q, BLOCK_REPLICAS, STEP_CANDIDATES and the draw order inside a
     # block fix these streams
     PINNED = {
-        "edge": "8f4785afcc892f1f0bd6c73cc48a5d690619f4ba2a33181a3fad9f249d049ebf",
-        "level-00": "d1a42da304b5560b1cd1d18ef1c18af598d9d6033e62d8bebacc6eb1c0b55187",
-        "level-12-floor": "e958083fe7db487db5ed314c0fbd62e5c9cd3593024272a274b50e1c0aad3a08",
+        "edge": "ab37f654fe28618f4bf27783c7c18ecd14414ba9eefef62aa5f4ee6921d64d86",
+        "level-00": "56e9f3711c82355636d486e0d6a7bab1e81831500b607999bc783110649637cf",
+        "level-12-floor": "03ae69de38cf42e5d8bb20a944cd9037c63a3b2ecbb192547462e6a691583573",
     }
 
     @staticmethod
@@ -466,3 +549,4 @@ class TestProperties:
         model = mc._build_cells([toy_spectrum(p) for p in probs], floor)
         assert_cell_partition(model)
         assert draws_within_bound(model)
+        assert candidates_within_bound(model)
