@@ -98,15 +98,37 @@ def _as_point(p, dimension: int) -> ComplexPoint:
     return p
 
 
+def _pair_terms(x: ComplexPoint, y: ComplexPoint) -> tuple[float, float, list[float]]:
+    """Re and Im of x . conj(y) and each t_l = |x_l - y_l|^2, in one pass."""
+    re = im = 0.0
+    dist = []
+    for xr, xi, yr, yi in zip(x.re, x.im, y.re, y.im):
+        re += xr * yr + xi * yi
+        im += xi * yr - xr * yi
+        dr, di = xr - yr, xi - yi
+        dist.append(dr * dr + di * di)
+    return re, im, dist
+
+
+def _from_logs(level, dist, base_re: float, imag: float, divisor: float = 1.0):
+    """exp(base_re + i imag) / divisor * prod_l L_{m_l}(t_l) formed from each
+    factor's log magnitude and sign, with its log magnitude.  The value is
+    None where exp() of that log magnitude overflows."""
+    logs = [laguerre_log(m, 0.0, t) for m, t in zip(level, dist)]
+    log_mag = base_re + sum(log for log, _ in logs)
+    if log_mag > _EXP_MAX:
+        return log_mag, None
+    value = cmath.exp(complex(log_mag, imag)) / divisor
+    for _, sign in logs:
+        value *= sign
+    return log_mag, value
+
+
 def hermitian_inner(x: ComplexPoint, y: ComplexPoint) -> complex:
     """Hermitian inner product x . conj(y) (conjugation in the second slot)."""
     if x.dimension != y.dimension:
         raise ValueError("points live in different dimensions")
-    re = 0.0
-    im = 0.0
-    for xr, xi, yr, yi in zip(x.re, x.im, y.re, y.im):
-        re += xr * yr + xi * yi
-        im += xi * yr - xr * yi
+    re, im, _ = _pair_terms(x, y)
     return complex(re, im)
 
 
@@ -121,16 +143,10 @@ def kernel_eval(spec: KernelSpec, x, y) -> complex:
     """
     x = _as_point(x, spec.dimension)
     y = _as_point(y, spec.dimension)
-    inner = hermitian_inner(x, y)
-    if inner.real > 709.0:
-        raise OverflowError(
-            f"exp({inner.real:.6g}) overflows; use hermitized_kernel instead"
-        )
-    dist = []
-    for xr, xi, yr, yi in zip(x.re, x.im, y.re, y.im):
-        dr, di = xr - yr, xi - yi
-        dist.append(dr * dr + di * di)
-    value = cmath.exp(inner)
+    re, im, dist = _pair_terms(x, y)
+    if re > 709.0:
+        raise OverflowError(f"exp({re:.6g}) overflows; use hermitized_kernel instead")
+    value = cmath.exp(complex(re, im))
     try:
         for m, t in zip(spec.level, dist):
             value *= laguerre(m, 0.0, t)
@@ -138,15 +154,10 @@ def kernel_eval(spec: KernelSpec, x, y) -> complex:
             return value
     except OverflowError:
         pass
-    # a Laguerre factor or a partial product left the double range: add
-    # the factors' log magnitudes to Re(x . conj(y)) instead
-    logs = [laguerre_log(m, 0.0, t) for m, t in zip(spec.level, dist)]
-    log_mag = inner.real + sum(log for log, _ in logs)
-    if log_mag > _EXP_MAX:
+    # a Laguerre factor or a partial product left the double range
+    _, value = _from_logs(spec.level, dist, re, im)
+    if value is None:
         raise OverflowError("kernel_eval overflows double range")
-    value = cmath.exp(complex(log_mag, inner.imag))
-    for _, sign in logs:
-        value *= sign
     return value
 
 
@@ -162,25 +173,18 @@ def hermitized_kernel(spec: KernelSpec, x, y) -> complex:
     """
     x = _as_point(x, spec.dimension)
     y = _as_point(y, spec.dimension)
-    im = 0.0
-    dist = []
-    for xr, xi, yr, yi in zip(x.re, x.im, y.re, y.im):
-        im += xi * yr - xr * yi
-        dr, di = xr - yr, xi - yi
-        dist.append(dr * dr + di * di)
+    _, im, dist = _pair_terms(x, y)
     # Re(x . conj(y)) - (|x|^2 + |y|^2)/2 = -|x - y|^2/2, formed from the
     # distances: the left side cancels at large coordinates
     exponent = complex(-0.5 * sum(dist), im)
     if exponent.real < _EXP_NORMAL_MIN:
         if not all(map(math.isfinite, dist)):  # that factor's e^(-t/2) is 0
             return 0.0 + 0.0j
-        logs = [laguerre_log(m, 0.0, t) for m, t in zip(spec.level, dist)]
-        log_mag = exponent.real + sum(log for log, _ in logs)
+        log_mag, value = _from_logs(
+            spec.level, dist, exponent.real, im, math.pi ** spec.dimension
+        )
         if log_mag < _EXP_UNDERFLOW_CUTOFF:
             return 0.0 + 0.0j
-        value = cmath.exp(complex(log_mag, exponent.imag)) / math.pi ** spec.dimension
-        for _, sign in logs:
-            value *= sign
         return value
     value = cmath.exp(exponent) / math.pi ** spec.dimension
     for m, t in zip(spec.level, dist):

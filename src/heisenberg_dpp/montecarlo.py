@@ -42,11 +42,13 @@ per cell.  A dense draw costs about 1.4-1.6 ns and a candidate (a
 position, a uniform, a sort and a count) about 28 ns (2-core Xeon VM,
 levels (0, 0) and (2, 2) at R = 10), so a cell is cheaper to thin than
 to draw below q ~ 1.5 / 28.  ``DENSE_Q`` = 0.05 comes from the
-benchmark's mc-gate workload (``bench/run.py``, 10 s runs at seeds 103
-and 104, reference seconds per pass): 0.179 / 0.179 at DENSE_Q = 0.03,
-0.178 / 0.179 at 0.04, 0.175 / 0.177 at 0.05, 0.179 / 0.180 at 0.06,
-0.185 / 0.171 at 0.08 and 0.195 / 0.193 at 0.10, against 0.237 / 0.225
-at the former 0.15 (seeds 101 and 102).
+benchmark's mc-gate workload (``bench/run.py``, 10 s runs of this
+sampler at seeds 103 and 104, reference seconds per pass): 0.179 / 0.179
+at DENSE_Q = 0.03, 0.178 / 0.179 at 0.04, 0.175 / 0.177 at 0.05,
+0.179 / 0.180 at 0.06, 0.185 / 0.171 at 0.08 and 0.195 / 0.193 at 0.10.
+Over 0.03-0.06 these differ by less than the spread of repeated runs
+(0.173-0.177 between quartiles), so any value there serves; 0.10 is
+measurably slower.
 
 Determinism contract: replicas are split into consecutive blocks of
 ``BLOCK_REPLICAS`` (the last one may be shorter), and block b draws all
@@ -135,22 +137,22 @@ class _CellModel:
     """Flattened multi-index grid: kept cell parameters plus pooled rest.
 
     Every kept cell is in exactly one of three groups.  ``dense`` holds p of
-    the cells with q = min(p, 1 - p) >= DENSE_Q, ``dense_words`` their
-    thresholds T = floor(p 2^32) as uint32 and ``dense_ties`` the
-    fractions p 2^32 - T that decide a tie.  The others form a thinning
+    the cells with q = min(p, 1 - p) >= DENSE_Q and ``dense_words`` their
+    thresholds T = floor(p 2^32) as uint32; a tie is decided by the
+    fraction p 2^32 - T, formed when one occurs.  The others form a thinning
     plan: ``sure`` counts those with p > 1/2, and the cells with q > 0 are
     cut into dyadic bands of lambda = -log1p(-q), first the bands of cells
-    with p <= 1/2 (sign +1), then those with p > 1/2 (sign -1).  ``ratios`` holds every band's acceptance ratios
-    lambda / lambda_max end to end; band b owns the ``band_sizes[b]``
-    ratios from ``band_starts[b]`` on, has the sign ``band_signs[b]`` and
-    the Poisson candidate rate ``band_rates[b]`` = k * lambda_max per
-    replica.  Cells with q = 0 are certain and sit in no band.
+    with p <= 1/2 (sign +1), then those with p > 1/2 (sign -1).  ``ratios``
+    holds every band's acceptance ratios lambda / lambda_max end to end;
+    band b owns the ``band_sizes[b]`` ratios from ``band_starts[b]`` on,
+    has the sign ``band_signs[b]`` and the Poisson candidate rate
+    ``band_rates[b]`` = k * lambda_max per replica.  Cells with q = 0 are
+    certain and sit in no band.
     """
 
     kept: np.ndarray
     dense: np.ndarray
     dense_words: np.ndarray
-    dense_ties: np.ndarray
     pooled_count: int
     pooled_prob: float
     pooled_mass: float
@@ -217,14 +219,10 @@ def _build_cells(spectra: list[BernoulliSpectrum], floor: float) -> _CellModel:
     high_ratios, high_sizes, high_rates = _thinning_bands(1.0 - sparse[high])
     sizes = np.concatenate([low_sizes, high_sizes])
     dense = kept[is_dense]
-    # p 2^32 is exact, so T = floor(p 2^32) and its fraction are too
-    scaled = np.ldexp(dense, 32)
-    words = np.floor(scaled)
     return _CellModel(
         kept=kept,
         dense=dense,
-        dense_words=words.astype(np.uint32),
-        dense_ties=scaled - words,
+        dense_words=np.ldexp(dense, 32).astype(np.uint32),
         pooled_count=int(pooled_count),
         pooled_prob=min(pooled_prob, 1.0),
         pooled_mass=pooled_mass,
@@ -244,7 +242,8 @@ def _dense_hits(model: _CellModel, rows: int, rng: np.random.Generator) -> np.nd
     size = model.dense.size
     words = model.dense_words
     hits = np.zeros(rows, dtype=np.int64)
-    # a row sums fewer than 2^16 ones in 16 bits, which numpy adds fastest
+    # a row sums fewer than 2^16 ones in 16 bits, which numpy adds fastest:
+    # mc-gate ran 6% slower with count_nonzero(axis=1) (6 of 6 paired runs)
     dtype = np.uint16 if size < 1 << 16 else np.int64
     # an even number of rows when the row is odd: a chunk uses every half of
     # its words, only the block's last chunk may leave its last half unused
@@ -258,7 +257,10 @@ def _dense_hits(model: _CellModel, rows: int, rng: np.random.Generator) -> np.nd
         # on any host (the conversion copies nothing on a little-endian one)
         halves = raw.astype("<u8", copy=False).view("<u4")[: r * size].reshape(r, size)
         below = halves < words
-        if r == 1:  # a whole-array count is several times faster than a row sum
+        # one row (an even row past _DENSE_CHUNK / 2 cells, as on mc-gate's
+        # D=2 level (2, 2) R=10 cell): a whole-array count, without which
+        # mc-gate ran 3% slower (6 of 6 paired runs)
+        if r == 1:
             hits[r0] += np.count_nonzero(below)
         else:
             hits[r0 : r0 + r] += np.add.reduce(below.view(np.uint8), axis=1, dtype=dtype)
@@ -269,7 +271,9 @@ def _dense_hits(model: _CellModel, rows: int, rng: np.random.Generator) -> np.nd
             tie_cells.append(at_cell)
     if tie_rows:
         at_row, at_cell = np.concatenate(tie_rows), np.concatenate(tie_cells)
-        won = rng.random(at_row.size) < model.dense_ties[at_cell]
+        # p 2^32 is exact, and so is its fraction p 2^32 - T
+        frac = np.ldexp(model.dense[at_cell], 32) - model.dense_words[at_cell]
+        won = rng.random(at_row.size) < frac
         np.add.at(hits, at_row[won], 1)
     return hits
 

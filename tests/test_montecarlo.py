@@ -437,6 +437,11 @@ class TiedWords:
         return self.doubles.random(size)
 
 
+def tie_fractions(model) -> np.ndarray:
+    """The fraction p 2^32 - T of each dense cell, which decides its ties."""
+    return np.ldexp(model.dense, 32) - model.dense_words
+
+
 class TestDenseTies:
     # p = (T + f) 2^-32 with T = floor(p 2^32): a half w hits below T, misses
     # above it, and at w == T hits with probability f exactly
@@ -446,7 +451,7 @@ class TestDenseTies:
         probs = [math.ldexp(math.floor((0.3 + 0.1 * j) * 2**32) + f, -32)
                  for j, f in enumerate(self.FRACS)]
         model = mc._build_cells([toy_spectrum(probs)], 0.0)
-        assert model.dense.tolist() == probs and model.dense_ties.tolist() == self.FRACS
+        assert model.dense.tolist() == probs and tie_fractions(model).tolist() == self.FRACS
         return model
 
     @pytest.mark.parametrize("offset, hits", [(-1, 5), (1, 0)])
@@ -463,7 +468,7 @@ class TestDenseTies:
         rows = 4000
         counts = mc._draw_block(model, rows, TiedWords(model, 0, 2))
         u = np.random.default_rng(2).random((rows, model.dense.size))
-        assert np.array_equal(counts, np.count_nonzero(u < model.dense_ties, axis=1))
+        assert np.array_equal(counts, np.count_nonzero(u < tie_fractions(model), axis=1))
         # the hit rate at a tie is its fraction: within 4 sigma of sum f
         fracs = np.array(self.FRACS)
         sigma = math.sqrt(rows * float(np.sum(fracs * (1.0 - fracs))))
