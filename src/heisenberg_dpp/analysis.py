@@ -36,7 +36,7 @@ import numpy as np
 
 from .exceptions import UnsupportedConfigurationError
 from .kernels import KernelSpec
-from .montecarlo import McConfig, estimate_moments
+from .montecarlo import CellCounts, McConfig, estimate_moments
 from .specfun import _check_radius
 from .window_stats import (
     _TAIL_TOL,
@@ -71,9 +71,11 @@ class SweepRow:
     variance: float
     ratio: float
     r_times_ratio: float
-    # standard errors of mean and variance; set on the Monte Carlo route only
+    # standard errors of mean and variance and the sampler's cell counts;
+    # set on the Monte Carlo route only
     se_mean: float | None = None
     se_var: float | None = None
+    cells: CellCounts | None = None
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def _sweep_row(
         ratio = est.var_hat / est.mean_hat if est.mean_hat else math.nan
         return SweepRow(
             radius, est.mean_hat, est.var_hat, ratio, radius * ratio,
-            est.se_mean, est.se_var,
+            est.se_mean, est.se_var, est.cells,
         )
     else:
         rep = ball_moments(spec.dimension, radius, route)

@@ -344,6 +344,7 @@ def _cmd_moments(args) -> int:
             exact_mean=exact.mean,
             exact_variance=exact.variance,
             replicas=args.replicas,
+            **{f"{k}_cells": v for k, v in row.cells._asdict().items()},
         )
         tolerances["cell_prob_floor"] = args.cell_prob_floor
     doc = _document(

@@ -99,13 +99,22 @@ def _as_point(p, dimension: int) -> ComplexPoint:
 
 
 def _pair_terms(x: ComplexPoint, y: ComplexPoint) -> tuple[float, float, list[float]]:
-    """Re and Im of x . conj(y) and each t_l = |x_l - y_l|^2, in one pass."""
+    """Re and Im of x . conj(y) and each t_l = |x_l - y_l|^2, in one pass.
+
+    Each coordinate's Im, x_i y_r - x_r y_i, is formed from the midpoint
+    (x_l + y_l)/2 and the difference x_l - y_l: exactly 0 on the diagonal
+    and finite near it at any magnitude, where the products overflow past
+    ~1e154.  Where that form overflows instead (a far pair of large and
+    small coordinates), the products are used.  Both forms change sign
+    exactly when x and y are swapped.
+    """
     re = im = 0.0
     dist = []
     for xr, xi, yr, yi in zip(x.re, x.im, y.re, y.im):
         re += xr * yr + xi * yi
-        im += xi * yr - xr * yi
         dr, di = xr - yr, xi - yi
+        term = (0.5 * xr + 0.5 * yr) * di - (0.5 * xi + 0.5 * yi) * dr
+        im += term if math.isfinite(term) else xi * yr - xr * yi
         dist.append(dr * dr + di * di)
     return re, im, dist
 
@@ -114,7 +123,7 @@ def _from_logs(level, dist, base_re: float, imag: float, divisor: float = 1.0):
     """exp(base_re + i imag) / divisor * prod_l L_{m_l}(t_l) formed from each
     factor's log magnitude and sign, with its log magnitude.  The value is
     None where exp() of that log magnitude overflows."""
-    logs = [laguerre_log(m, 0.0, t) for m, t in zip(level, dist)]
+    logs = [laguerre_log(m, 0.0, t) for m, t in zip(level, dist) if m]  # L_0 = 1
     log_mag = base_re + sum(log for log, _ in logs)
     if log_mag > _EXP_MAX:
         return log_mag, None
@@ -137,8 +146,10 @@ def kernel_eval(spec: KernelSpec, x, y) -> complex:
 
     This form grows like exp(|x||y|); arguments whose inner product would
     overflow the double exponent range raise OverflowError, as does a
-    value outside it.  Where a Laguerre factor alone leaves the range, the
-    value is formed from the factors' log magnitudes and signs.  Use
+    value outside it and a coordinate above level 0 whose |x_l - y_l|^2
+    overflows (at level 0 that factor is L_0 = 1).  Where a Laguerre factor
+    alone leaves the range, the value is formed from the factors' log
+    magnitudes and signs.  Use
     :func:`hermitized_kernel` for a bounded, gauge-equivalent variant.
     """
     x = _as_point(x, spec.dimension)
@@ -146,10 +157,15 @@ def kernel_eval(spec: KernelSpec, x, y) -> complex:
     re, im, dist = _pair_terms(x, y)
     if re > 709.0:
         raise OverflowError(f"exp({re:.6g}) overflows; use hermitized_kernel instead")
+    if any(m and t == math.inf for m, t in zip(spec.level, dist)):
+        raise OverflowError(
+            "|x_l - y_l|^2 overflows double range; use hermitized_kernel instead"
+        )
     value = cmath.exp(complex(re, im))
     try:
         for m, t in zip(spec.level, dist):
-            value *= laguerre(m, 0.0, t)
+            if m:  # L_0 = 1, also where t overflowed
+                value *= laguerre(m, 0.0, t)
         if math.isfinite(value.real) and math.isfinite(value.imag):
             return value
     except OverflowError:

@@ -11,11 +11,13 @@ binomial draw whose per-trial probability is the pooled mean divided by
 the pooled cell count, which preserves the aggregate mean exactly.
 
 The kept cells are split by q = min(p, 1 - p).  A dense cell, with
-q >= ``DENSE_Q``, is drawn directly from one 32-bit half w of a raw
-generator word: it is hit when w < T = floor(p 2^32), and at a tie
-w = T (probability 2^-32) when one uniform double falls below the
-fraction p 2^32 - T.  For p >= 2^-33 that fraction is a multiple of
-2^-53, which a 53-bit uniform compares exactly, so P(hit) is exactly p.
+q >= ``DENSE_Q``, is drawn directly from one 16-bit digit d of a raw
+generator word: it is hit when d < T = floor(p 2^16), and at a tie
+d = T (probability 2^-16) when one uniform double falls below the
+fraction f = p 2^16 - T.  A dense p is at least DENSE_Q > 2^-6, so p
+is a multiple of 2^-58 and f, in [0, 1), one of 2^-42: f is exact, a
+53-bit uniform falls below it with probability exactly f, and P(hit) =
+(T + f) 2^-16 = p exactly.
 Every other kept cell is sampled by exact thinning.  A sparse cell with
 p > 1/2 counts as a sure hit minus a Bernoulli(1 - p) miss, so it is
 drawn through q < ``DENSE_Q``, and cells with p in {0, 1} cost nothing.
@@ -38,27 +40,26 @@ and a band's candidate rate is below 2 sum(lambda), which is below 6
 times its cells' variance; so a replica costs at most
 kappa_2 (1 / (DENSE_Q (1 - DENSE_Q)) + 6) dense draws and candidates,
 with kappa_2 the variance of the kept cells' count, instead of one draw
-per cell.  A dense draw costs about 1.4-1.6 ns and a candidate (a
-position, a uniform, a sort and a count) about 28 ns (2-core Xeon VM,
-levels (0, 0) and (2, 2) at R = 10), so a cell is cheaper to thin than
-to draw below q ~ 1.5 / 28.  ``DENSE_Q`` = 0.05 comes from the
-benchmark's mc-gate workload (``bench/run.py``, 10 s runs of this
-sampler at seeds 103 and 104, reference seconds per pass): 0.179 / 0.179
-at DENSE_Q = 0.03, 0.178 / 0.179 at 0.04, 0.175 / 0.177 at 0.05,
-0.179 / 0.180 at 0.06, 0.185 / 0.171 at 0.08 and 0.195 / 0.193 at 0.10.
-Over 0.03-0.06 these differ by less than the spread of repeated runs
-(0.173-0.177 between quartiles), so any value there serves; 0.10 is
-measurably slower.
+per cell.  A dense draw costs about 0.73 ns (a quarter of a raw word,
+a compare, a count and a tie test) and a candidate (a position, a
+uniform, a sort and a count) about 28 ns (2-core Xeon VM, levels (0, 0)
+and (2, 2) at R = 10), so a cell is cheaper to thin than to draw below
+q ~ 0.73 / 28.  ``DENSE_Q`` = 0.03 comes from the benchmark's mc-gate
+workload (``bench/run.py``, 10 s runs of this sampler at seeds 411-414,
+median reference seconds per pass): 0.1145 at DENSE_Q = 0.02, 0.1147 at
+0.03, 0.1164 at 0.04 and 0.1191 at 0.05.  0.02 and 0.03 differ by less
+than the spread of repeated runs; 0.03 keeps the bound on draws per
+replica above lower, at no measured cost.
 
 Determinism contract: replicas are split into consecutive blocks of
 ``BLOCK_REPLICAS`` (the last one may be shorter), and block b draws all
 of its replicas from one PCG64DXSM generator seeded by
 SeedSequence(master_seed, spawn_key=(b,)), an independent child of the
 master seed.  Within a block come first the dense words: the (replica,
-cell) pairs in row-major order take the 32-bit halves of consecutive
-raw 64-bit words, low half first (the value mod 2^32, then the value
-div 2^32, on any host), and an odd number of pairs leaves the last
-word's high half unused.  Then one double per tie, in the same order;
+cell) pairs in row-major order take the 16-bit quarters of consecutive
+raw 64-bit words, lowest quarter first (bits 0-15, 16-31, 32-47, then
+48-63 of each word, on any host), and the last word may leave up to
+three quarters unused.  Then one double per tie, in the same order;
 then the band steps, each a Poisson count per band, the positions and
 the acceptance uniforms; then the pooled binomial.  Results are
 bit-for-bit reproducible for a fixed (seed, replicas, spec, R, floor),
@@ -73,6 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,12 +96,12 @@ _OUTER_CHUNK_CELLS = 1 << 20
 # determinism contract: changing any changes the streams.
 BLOCK_REPLICAS = 256
 STEP_CANDIDATES = 1 << 12
-DENSE_Q = 0.05
-# Dense draws made at a time (5 bytes each: a word half and a mask byte),
-# in whole rows: at least one, and an even number when a row is odd.  The
-# rows take the words in row-major order, so this does not change the
-# stream.
-_DENSE_CHUNK = 1 << 13
+DENSE_Q = 0.03
+# Dense draws made at a time (3 bytes each: a digit and a mask byte), in
+# whole rows whose digits fill whole words; the rows take the words in
+# row-major order, so this does not change the stream.  mc-gate ran 11%
+# faster than with 2^13 (8 of 8 paired runs).
+_DENSE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,20 @@ class McConfig:
             )
 
 
+# a NamedTuple, as a frozen dataclass took 0.4 ms more to import
+class CellCounts(NamedTuple):
+    """How the sampler split the multi-index grid: the cells kept above the
+    floor, of which ``dense`` are drawn from 16-bit digits and ``banded``
+    are thinned; ``sure`` of the sparse cells have p > 1/2 and count as hits
+    before their band's misses; ``pooled`` cells share one binomial."""
+
+    kept: int
+    dense: int
+    banded: int
+    sure: int
+    pooled: int
+
+
 @dataclass(frozen=True)
 class McEstimate:
     mean_hat: float
@@ -126,6 +142,8 @@ class McEstimate:
     se_mean: float
     se_var: float
     replicas: int
+    # set by estimate_moments
+    cells: CellCounts | None = None
 
     def __post_init__(self):
         if self.se_mean < 0 or self.se_var < 0 or self.var_hat < 0:
@@ -138,8 +156,8 @@ class _CellModel:
 
     Every kept cell is in exactly one of three groups.  ``dense`` holds p of
     the cells with q = min(p, 1 - p) >= DENSE_Q and ``dense_words`` their
-    thresholds T = floor(p 2^32) as uint32; a tie is decided by the
-    fraction p 2^32 - T, formed when one occurs.  The others form a thinning
+    thresholds T = floor(p 2^16) as uint16; a tie is decided by the
+    fraction p 2^16 - T, formed when one occurs.  The others form a thinning
     plan: ``sure`` counts those with p > 1/2, and the cells with q > 0 are
     cut into dyadic bands of lambda = -log1p(-q), first the bands of cells
     with p <= 1/2 (sign +1), then those with p > 1/2 (sign -1).  ``ratios``
@@ -222,7 +240,7 @@ def _build_cells(spectra: list[BernoulliSpectrum], floor: float) -> _CellModel:
     return _CellModel(
         kept=kept,
         dense=dense,
-        dense_words=np.ldexp(dense, 32).astype(np.uint32),
+        dense_words=np.ldexp(dense, 16).astype(np.uint16),
         pooled_count=int(pooled_count),
         pooled_prob=min(pooled_prob, 1.0),
         pooled_mass=pooled_mass,
@@ -237,42 +255,33 @@ def _build_cells(spectra: list[BernoulliSpectrum], floor: float) -> _CellModel:
 
 def _dense_hits(model: _CellModel, rows: int, rng: np.random.Generator) -> np.ndarray:
     """Dense hits of ``rows`` replicas: the (replica, cell) pairs in
-    row-major order take the 32-bit halves of raw words in turn, low half
-    first; the ties, in the same order, then take one double each."""
-    size = model.dense.size
-    words = model.dense_words
+    row-major order take the 16-bit quarters of raw words in turn, lowest
+    quarter first; the ties, in the same order, then take one double each."""
+    size = model.dense_words.size
     hits = np.zeros(rows, dtype=np.int64)
     # a row sums fewer than 2^16 ones in 16 bits, which numpy adds fastest:
-    # mc-gate ran 6% slower with count_nonzero(axis=1) (6 of 6 paired runs)
+    # mc-gate ran 13% slower summing in int64 (8 of 8 paired runs)
     dtype = np.uint16 if size < 1 << 16 else np.int64
-    # an even number of rows when the row is odd: a chunk uses every half of
-    # its words, only the block's last chunk may leave its last half unused
-    step = max(1, _DENSE_CHUNK // size)
-    step += step & size & 1
-    tie_rows, tie_cells = [], []
+    # a multiple of 4 / gcd(size, 4) rows fills whole words, so only the
+    # block's last chunk may leave quarters of its last word unused
+    unit = 4 // math.gcd(size, 4)
+    step = -(-max(1, _DENSE_CHUNK // size) // unit) * unit
+    ties = []
     for r0 in range(0, rows, step):
         r = min(step, rows - r0)
-        raw = rng.bit_generator.random_raw((r * size + 1) // 2)
-        # little-endian words seen as little-endian halves: low half first
-        # on any host (the conversion copies nothing on a little-endian one)
-        halves = raw.astype("<u8", copy=False).view("<u4")[: r * size].reshape(r, size)
-        below = halves < words
-        # one row (an even row past _DENSE_CHUNK / 2 cells, as on mc-gate's
-        # D=2 level (2, 2) R=10 cell): a whole-array count, without which
-        # mc-gate ran 3% slower (6 of 6 paired runs)
-        if r == 1:
-            hits[r0] += np.count_nonzero(below)
-        else:
-            hits[r0 : r0 + r] += np.add.reduce(below.view(np.uint8), axis=1, dtype=dtype)
-        tie = np.equal(halves, words, out=below)
-        if np.count_nonzero(tie):  # probability 2^-32 per pair
-            at_row, at_cell = np.nonzero(tie)
-            tie_rows.append(at_row + r0)
-            tie_cells.append(at_cell)
-    if tie_rows:
-        at_row, at_cell = np.concatenate(tie_rows), np.concatenate(tie_cells)
-        # p 2^32 is exact, and so is its fraction p 2^32 - T
-        frac = np.ldexp(model.dense[at_cell], 32) - model.dense_words[at_cell]
+        raw = rng.bit_generator.random_raw(-(-r * size // 4))
+        # little-endian words seen as little-endian quarters: the value
+        # mod 2^16 first on any host (no copy on a little-endian one)
+        digits = raw.astype("<u8", copy=False).view("<u2")[: r * size].reshape(r, size)
+        below = digits < model.dense_words
+        hits[r0 : r0 + r] += np.add.reduce(below.view(np.uint8), axis=1, dtype=dtype)
+        tie = np.equal(digits, model.dense_words, out=below)
+        if np.count_nonzero(tie):  # probability 2^-16 per pair
+            ties.append(np.flatnonzero(tie) + r0 * size)
+    if ties:
+        at_row, at_cell = np.divmod(np.concatenate(ties), size)
+        # p 2^16 is exact, and so is its fraction p 2^16 - T
+        frac = np.ldexp(model.dense[at_cell], 16) - model.dense_words[at_cell]
         won = rng.random(at_row.size) < frac
         np.add.at(hits, at_row[won], 1)
     return hits
@@ -336,8 +345,15 @@ def estimate_moments(
         for b, start in enumerate(range(0, n, BLOCK_REPLICAS))
     ])
     mean_hat = float(np.mean(counts))
+    cells = CellCounts(
+        kept=model.kept.size,
+        dense=model.dense.size,
+        banded=model.ratios.size,
+        sure=model.sure,
+        pooled=model.pooled_count,
+    )
     if n == 1:
-        return McEstimate(mean_hat, 0.0, 0.0, 0.0, 1)
+        return McEstimate(mean_hat, 0.0, 0.0, 0.0, 1, cells)
     centered = counts.astype(np.float64) - mean_hat
     var_hat = float(np.dot(centered, centered)) / (n - 1)
     se_mean = math.sqrt(var_hat / n)
@@ -349,4 +365,5 @@ def estimate_moments(
         se_mean=se_mean,
         se_var=math.sqrt(var_of_var),
         replicas=n,
+        cells=cells,
     )

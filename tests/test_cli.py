@@ -527,6 +527,18 @@ class TestMc:
         assert abs(row["mean"] - row["exact_mean"]) <= 4.0 * row["se_mean"]
         assert row["exact_mean"] == pytest.approx(4.0, rel=1e-8)
 
+    def test_row_prints_cell_counts(self, capsys):
+        argv = ["mc", "--dimension", "2", "--level", "0,1", "--radius", "3",
+                "--replicas", "20", "--cell-prob-floor", "1e-6"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        cells = mc_mod.estimate_moments(
+            KernelSpec(2, (0, 1)), 3.0, mc_mod.McConfig(20, 0, 1e-6)
+        ).cells
+        assert {k: row[f"{k}_cells"] for k in cells._fields} == cells._asdict()
+        assert list(row)[-5:] == ["kept_cells", "dense_cells", "banded_cells", "sure_cells", "pooled_cells"]
+
     def test_level_past_sixteen_within_three_se(self, capsys):
         argv = ["mc", "--dimension", "1", "--level", "20", "--radius", "2",
                 "--replicas", "2000"]

@@ -128,6 +128,22 @@ class TestPointArguments:
             kernel_eval(KernelSpec(2, (40, 40)), x, origin)
 
 
+    def test_raw_kernel_where_the_distance_overflows(self):
+        # |x - y|^2 = 1e600: at level 0 its factor is L_0 = 1
+        assert kernel_eval(KernelSpec(1, (0,)), [1e300], [0j]) == 1.0 + 0.0j
+        assert kernel_eval(KernelSpec(2, (0, 2)), [1e300, 0.5], [0j, 0.25j]) == (
+            kernel_eval(KernelSpec(2, (0, 2)), [0j, 0.5], [0j, 0.25j])
+        )
+        # beside a factor that enters as a log: L_1000(1700) overflows
+        root = math.sqrt(425.0)
+        assert kernel_eval(KernelSpec(2, (0, 1000)), [1e300, -root], [0j, root]) == (
+            kernel_eval(KernelSpec(1, (1000,)), [-root], [root])
+        )
+        # above level 0 the factor is infinite
+        for spec, x in ((KernelSpec(1, (1,)), [1e300]), (KernelSpec(2, (0, 1)), [0j, -1e300j])):
+            with pytest.raises(OverflowError, match=r"\|x_l - y_l\|\^2 overflows double range"):
+                kernel_eval(spec, x, [0j] * spec.dimension)
+
     def test_raw_kernel_past_a_laguerre_overflow_matches_mpmath(self):
         # L_1000(1700) overflows, e^(-425) L_1000(1700) ~ -5e182 does not
         spec, root = KernelSpec(1, (1000,)), math.sqrt(425.0)
@@ -154,10 +170,30 @@ class TestKernelValues:
     @pytest.mark.parametrize("x, y, want", [
         (1e8, 1e8 + 1.0, math.exp(-0.5) / math.pi),  # Re(x conj(y)) - |x|^2/2 - |y|^2/2 cancels
         (1e200, 1e200, 1.0 / math.pi),  # |x|^2 overflows
+        (1e200 + 1e200j, 1e200 + 1e200j, 1.0 / math.pi),  # so do x_i y_r and x_r y_i
     ])
     def test_hermitized_at_large_coordinates(self, x, y, want):
         value = hermitized_kernel(KernelSpec(1), [x], [y])
         assert value == complex(want, 0.0)
+
+    def test_correlation_at_large_coordinates(self):
+        # the points coincide in doubles (1e200 + 1 == 1e200): rho_2 = 0
+        x = 1e200 + 1e200j
+        assert correlation_function(KernelSpec(1), [[x], [x + 1]]) == 0.0
+        # far apart, the kernel between them is 0: rho_2 = 1/pi^2
+        value = correlation_function(KernelSpec(1), [[x], [-x]])
+        assert value == pytest.approx(1.0 / math.pi**2, rel=1e-15)
+
+    def test_inner_product_im_is_antisymmetric_at_large_coordinates(self):
+        # the Hermitian check of a correlation matrix compares K(x, y) with
+        # a separately computed K(y, x)
+        for scale in (1e8, 1e150, 1e300):
+            x, y = rand_point(3), rand_point(3)
+            x = ComplexPoint(tuple(v * scale for v in x.re), tuple(v * scale for v in x.im))
+            near = ComplexPoint(tuple(v + 0.75 for v in x.re), x.im)
+            for a, b in ((x, y), (x, near)):
+                assert hermitian_inner(a, b).imag == -hermitian_inner(b, a).imag
+            assert hermitian_inner(x, x).imag == 0.0
 
     def test_hermitized_frozen_value(self):
         spec = KernelSpec(1)
@@ -515,7 +551,7 @@ class TestBitIdentity:
     # sha256 of (re, im) little-endian doubles over the grids below, as the
     # per-term laguerre_log series and the per-coordinate laguerre kernel
     # computed them
-    PINNED_HERMITIZED = "7c555dbe46106473c13d683f1cc467c7e881752dd4aa91f08a8fb3c2c94a79dd"
+    PINNED_HERMITIZED = "060671198636edb98b627ffac9031572deed6913b17bb288ffdf90557b4012e6"
     PINNED_SERIES = "40afa1d4e298be390d456970fcd8512105179483c086711bb60c6a9d3c8e559a"
 
     def test_hermitized_grid_digest(self):

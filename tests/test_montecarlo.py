@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,6 +73,11 @@ def model_cumulants(model, order: int) -> list[float]:
 def toy_spectrum(probs, radius=1.0, level=0) -> BernoulliSpectrum:
     arr = np.asarray(probs, dtype=float)
     return BernoulliSpectrum(radius=radius, level=level, probs=arr, tail_bound=0.0)
+
+
+def dense_and_sparse_probs(dense: int) -> list[float]:
+    """``dense`` dense cells beside three sparse ones."""
+    return [*np.linspace(0.3, 0.7, dense), 0.01, 0.002, 0.999]
 
 
 def assert_cell_partition(model) -> None:
@@ -237,29 +243,36 @@ class TestDeterminism:
         b = estimate_moments(spec, 2.0, McConfig(replicas=64, seed=2))
         assert a != b
 
-    @pytest.mark.parametrize("rows_per_step", [1, 7, mc.BLOCK_REPLICAS])
+    @pytest.mark.parametrize("rows_per_step", [1, 3, 7, mc.BLOCK_REPLICAS])
     def test_dense_chunk_leaves_the_stream(self, monkeypatch, rows_per_step):
-        # 300 replicas: a full block and a 44-row block, which 7 divides in
-        # neither; an odd row ends any odd number of rows in mid-word
+        # 303 replicas: a full block and a 47-row block.  A chunk holds
+        # rows_per_step rows rounded up to a multiple of 4, 2 or 4 rows for
+        # dense sizes 1, 2 or 3 mod 4, so that its digits fill whole words;
+        # the 47-row block ends in a partial chunk at every step above one row
         spectra = [build_spectrum(m, 3.0, 1e-9) for m in (0, 1)]
-        odd = mc._build_cells([toy_spectrum(ODD_DENSE_PROBS)], 0.0)
-        assert odd.dense.size % 2 == 1
-        for model in (mc._build_cells(spectra, 0.0), odd):
+        models = [mc._build_cells(spectra, 0.0)]
+        models += [mc._build_cells([toy_spectrum(dense_and_sparse_probs(n))], 0.0)
+                   for n in (100, 101, 102, 103)]
+        assert {model.dense.size % 4 for model in models} == {0, 1, 2, 3}
+        for model in models:
             assert model.dense.size and model.band_rates.size
-            whole = block_counts(model, 300, 4242)
+            whole = block_counts(model, 303, 4242)
             with monkeypatch.context() as patch:
                 patch.setattr(mc, "_DENSE_CHUNK", rows_per_step * model.dense.size)
-                assert np.array_equal(block_counts(model, 300, 4242), whole)
+                assert np.array_equal(block_counts(model, 303, 4242), whole)
 
     @pytest.mark.parametrize("rows", [1, 5, 6])
-    def test_dense_halves_in_row_major_order_low_half_first(self, rows):
-        # three dense cells: the pair (replica i, cell j) takes half 3 i + j
+    def test_dense_quarters_in_row_major_order_lowest_first(self, rows):
+        # three dense cells: the pair (replica i, cell j) takes quarter
+        # 3 i + j, quarter k of word k div 4 being bits 16 (k mod 4) on
         probs = [0.2, 0.5, 0.7]
         model = mc._build_cells([toy_spectrum(probs)], 0.0)
-        words = mc._block_rng(77, 0).bit_generator.random_raw((3 * rows + 1) // 2)
-        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()[: 3 * rows]
-        want = np.count_nonzero(halves.reshape(rows, 3) < model.dense_words, axis=1)
-        assert model.dense_words.tolist() == [math.floor(p * 2**32) for p in probs]
+        words = mc._block_rng(77, 0).bit_generator.random_raw((3 * rows + 3) // 4)
+        quarters = np.stack([words >> np.uint64(16 * k) & np.uint64(0xFFFF) for k in range(4)], axis=1)
+        digits = quarters.ravel()[: 3 * rows].reshape(rows, 3)
+        want = np.count_nonzero(digits < model.dense_words, axis=1)
+        assert model.dense_words.dtype == np.uint16
+        assert model.dense_words.tolist() == [math.floor(p * 2**16) for p in probs]
         assert np.array_equal(mc._draw_block(model, rows, mc._block_rng(77, 0)), want)
 
     def test_block_generators_are_disjoint(self):
@@ -321,6 +334,21 @@ class TestEstimates:
         with pytest.raises(ValueError):
             estimate_moments(KernelSpec(1), math.inf, McConfig(replicas=2, seed=0))
 
+    @pytest.mark.parametrize("replicas", [1, 20])
+    def test_estimate_carries_cell_counts(self, replicas):
+        spectra = [build_spectrum(m, 3.0, 1e-9) for m in (0, 1)]
+        cfg = McConfig(replicas=replicas, seed=5, cell_prob_floor=1e-6)
+        cells = estimate_moments(KernelSpec(2, (0, 1)), 3.0, cfg).cells
+        p = mc._build_cells(spectra, 1e-6).kept
+        q = np.minimum(p, 1.0 - p)
+        assert cells.kept == p.size and cells.kept + cells.pooled == math.prod(
+            len(sp.probs) for sp in spectra
+        )
+        assert cells.dense == np.count_nonzero(q >= mc.DENSE_Q)
+        assert cells.banded == np.count_nonzero((q > 0.0) & (q < mc.DENSE_Q))
+        assert cells.sure == np.count_nonzero((p > 0.5) & (q < mc.DENSE_Q))
+        assert cells.dense and cells.banded and cells.sure and cells.pooled
+
     def test_se_var_fourth_moment_formula(self):
         est = estimate_moments(
             KernelSpec(1, (0,)), 2.0, McConfig(replicas=500, seed=12)
@@ -344,8 +372,6 @@ _SPARSE_Q = np.linspace(
     0.9 * mc.DENSE_Q, mc.DENSE_Q, math.ceil(0.6 * mc.STEP_CANDIDATES / mc.DENSE_Q), endpoint=False
 )
 MANY_SPARSE_PROBS = np.r_[_SPARSE_Q, 1.0 - _SPARSE_Q].tolist()
-# 101 dense cells (an odd row of halves) beside three sparse ones
-ODD_DENSE_PROBS = [*np.linspace(0.3, 0.7, 101), 0.01, 0.002, 0.999]
 # every sparse cell has p > 1/2: sign -1 bands only, beside dense and sure cells
 HIGH_SPARSE_PROBS = [[0.9, 0.95, 0.99, 0.999, 0.86, 1.0], [1.0, 0.97, 0.5]]
 
@@ -418,37 +444,38 @@ class TestExactness:
 
 
 class TiedWords:
-    """A stand-in block generator: its raw words put the half of every dense
+    """A stand-in block generator: its raw words put the digit of every dense
     (replica, cell) pair at the cell's threshold T plus ``offset``, and its
     doubles come from a real generator."""
 
     def __init__(self, model, offset: int, seed: int):
         self.bit_generator = self
         self.doubles = np.random.default_rng(seed)
-        self.halves = (model.dense_words.astype(np.int64) + offset).astype(np.uint64)
+        self.digits = (model.dense_words.astype(np.int64) + offset).astype(np.uint64)
 
     def random_raw(self, size):
-        # every chunk of the dense draw starts a row, so its half k belongs
-        # to cell k mod (dense cells)
-        halves = np.resize(self.halves, 2 * size)
-        return halves[0::2] | halves[1::2] << np.uint64(32)
+        # every chunk of the dense draw starts a row, so its digit k belongs
+        # to cell k mod (dense cells); digit k is bits 16 (k mod 4) on of
+        # word k div 4
+        digits = np.resize(self.digits, 4 * size).reshape(size, 4)
+        return np.bitwise_or.reduce(digits << np.uint64(16) * np.arange(4, dtype=np.uint64), axis=1)
 
     def random(self, size):
         return self.doubles.random(size)
 
 
 def tie_fractions(model) -> np.ndarray:
-    """The fraction p 2^32 - T of each dense cell, which decides its ties."""
-    return np.ldexp(model.dense, 32) - model.dense_words
+    """The fraction p 2^16 - T of each dense cell, which decides its ties."""
+    return np.ldexp(model.dense, 16) - model.dense_words
 
 
 class TestDenseTies:
-    # p = (T + f) 2^-32 with T = floor(p 2^32): a half w hits below T, misses
-    # above it, and at w == T hits with probability f exactly
-    FRACS = [0.25, 0.5, 0.75, 0.0, 2.0**-21]
+    # p = (T + f) 2^-16 with T = floor(p 2^16): a digit d hits below T,
+    # misses above it, and at d == T hits with probability f exactly
+    FRACS = [0.25, 0.5, 0.75, 0.0, 2.0**-37]
 
     def model(self):
-        probs = [math.ldexp(math.floor((0.3 + 0.1 * j) * 2**32) + f, -32)
+        probs = [math.ldexp(math.floor((0.3 + 0.1 * j) * 2**16) + f, -16)
                  for j, f in enumerate(self.FRACS)]
         model = mc._build_cells([toy_spectrum(probs)], 0.0)
         assert model.dense.tolist() == probs and tie_fractions(model).tolist() == self.FRACS
@@ -461,11 +488,13 @@ class TestDenseTies:
         assert mc._draw_block(self.model(), 300, rng).tolist() == [hits] * 300
         assert rng.doubles.bit_generator.state == state
 
-    @pytest.mark.parametrize("rows_per_step", [7, mc.BLOCK_REPLICAS])
+    @pytest.mark.parametrize("rows_per_step", [1, 7, mc.BLOCK_REPLICAS])
     def test_ties_take_one_double_each_in_row_major_order(self, monkeypatch, rows_per_step):
+        # five dense cells: chunks of 4, 8 or 256 rows, each of which leaves
+        # 4001 rows ending in mid-chunk
         model = self.model()
         monkeypatch.setattr(mc, "_DENSE_CHUNK", rows_per_step * model.dense.size)
-        rows = 4000
+        rows = 4001
         counts = mc._draw_block(model, rows, TiedWords(model, 0, 2))
         u = np.random.default_rng(2).random((rows, model.dense.size))
         assert np.array_equal(counts, np.count_nonzero(u < tie_fractions(model), axis=1))
@@ -503,9 +532,9 @@ class TestStreamIdentity:
     # DENSE_Q, BLOCK_REPLICAS, STEP_CANDIDATES and the draw order inside a
     # block fix these streams
     PINNED = {
-        "edge": "ab37f654fe28618f4bf27783c7c18ecd14414ba9eefef62aa5f4ee6921d64d86",
-        "level-00": "56e9f3711c82355636d486e0d6a7bab1e81831500b607999bc783110649637cf",
-        "level-12-floor": "03ae69de38cf42e5d8bb20a944cd9037c63a3b2ecbb192547462e6a691583573",
+        "edge": "cd95a937768678e97aaf8466416e57af5b966cfa94a773fb16c7b02b07fcc0bc",
+        "level-00": "91dde33730cd74a7ba4c1b445099ec3ac09513a7a9f48b5ea74db4866012a891",
+        "level-12-floor": "30effda06af08748f1d4ff2e84ff4d9c0cdf50621b79f6a3714ffea0f2648662",
     }
 
     @staticmethod
@@ -520,6 +549,28 @@ class TestStreamIdentity:
         counts = block_counts(self._model(name), 600, 20261018)
         digest = hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest()
         assert digest == self.PINNED[name]
+
+
+dense_probability = st.one_of(
+    st.sampled_from([mc.DENSE_Q, 1.0 - mc.DENSE_Q, 0.5, np.nextafter(1.0 - mc.DENSE_Q, 0.0)]),
+    st.floats(mc.DENSE_Q, 1.0 - mc.DENSE_Q),
+)
+
+
+class TestDenseExactness:
+    @settings(max_examples=500, deadline=None)
+    @given(p=dense_probability)
+    def test_threshold_and_fraction_split_p_exactly(self, p):
+        model = mc._build_cells([toy_spectrum([p])], 0.0)
+        assert model.dense.tolist() == [p]
+        # T = floor(p 2^16) fits its uint16, and the tie fraction f the
+        # sampler forms is p 2^16 - T exactly, a multiple of 2^-53 in [0, 1),
+        # so a 53-bit uniform falls below it with probability exactly f
+        t = int(model.dense_words[0])
+        f = float(tie_fractions(model)[0])
+        assert model.dense_words.dtype == np.uint16 and t == math.floor(p * 2**16)
+        assert Fraction(t) + Fraction(f) == Fraction(p) * 2**16
+        assert 0.0 <= f < 1.0 and (Fraction(f) * 2**53).denominator == 1
 
 
 probability = st.one_of(
