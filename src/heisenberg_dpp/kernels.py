@@ -123,7 +123,10 @@ def _from_logs(level, dist, base_re: float, imag: float, divisor: float = 1.0):
     """exp(base_re + i imag) / divisor * prod_l L_{m_l}(t_l) formed from each
     factor's log magnitude and sign, with its log magnitude.  The value is
     None where exp() of that log magnitude overflows."""
-    logs = [laguerre_log(m, 0.0, t) for m, t in zip(level, dist) if m]  # L_0 = 1
+    # L_0 = 1, also where t overflowed; its sign 1.0 still multiplies the
+    # value, as in the per-coordinate product (a complex times 1.0 turns a
+    # -0.0 imaginary part into +0.0)
+    logs = [laguerre_log(m, 0.0, t) if m else (0.0, 1.0) for m, t in zip(level, dist)]
     log_mag = base_re + sum(log for log, _ in logs)
     if log_mag > _EXP_MAX:
         return log_mag, None
