@@ -40,11 +40,14 @@ from .montecarlo import CellCounts, McConfig, estimate_moments
 from .specfun import _check_radius
 from .window_stats import (
     _TAIL_TOL,
+    MomentReport,
     Route,
     WindowKind,
+    _ball_report,
     ball_moments,
     mean_ball,
     polydisk_moments,
+    variance_ball_integral,
 )
 
 
@@ -136,6 +139,10 @@ def _sweep_row(
         )
     else:
         rep = ball_moments(spec.dimension, radius, route)
+    return _report_row(radius, rep)
+
+
+def _report_row(radius: float, rep: MomentReport) -> SweepRow:
     return SweepRow(radius, rep.mean, rep.variance, rep.ratio, radius * rep.ratio)
 
 
@@ -147,7 +154,12 @@ def run_sweep(
     tail_tol: float = _TAIL_TOL,
     mc: McConfig | None = None,
 ) -> SweepResult:
-    """One SweepRow per grid radius, all computed by the requested route."""
+    """One SweepRow per grid radius, all computed by the requested route.
+
+    The integral route passes the whole grid to variance_ball_integral, which
+    shares Bessel calls among consecutive radii within the node count of the
+    grid's largest radius; each row is bit for bit ball_moments' at its radius.
+    """
     window_kind = WindowKind(window_kind)
     route = Route(route)
     radii = [_check_radius(r) for r in r_grid]
@@ -173,7 +185,14 @@ def run_sweep(
         )
     elif route == Route.MONTE_CARLO and mc is None:
         raise ValueError("route 'mc' requires an McConfig")
-    rows = tuple(_sweep_row(spec, r, route, tail_tol, mc) for r in radii)
+    if route == Route.INTEGRAL:
+        variances = variance_ball_integral(spec.dimension, radii).tolist()
+        rows = tuple(
+            _report_row(r, _ball_report(spec.dimension, r, route, v))
+            for r, v in zip(radii, variances)
+        )
+    else:
+        rows = tuple(_sweep_row(spec, r, route, tail_tol, mc) for r in radii)
     return SweepResult(rows=rows, spec=spec, window_kind=window_kind, route=route)
 
 

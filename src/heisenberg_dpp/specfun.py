@@ -49,7 +49,18 @@ class SpecFunResult:
             raise ValueError(f"negative error bound {self.abs_error_bound!r}")
 
 
+def _check_number(name: str, value) -> None:
+    """Refuses str, bytes and bool, which float() and int() would coerce.
+
+    The checks skip it for a plain float or int, the common case.
+    """
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _check_real(name: str, value: float) -> float:
+    if type(value) is not float:
+        _check_number(name, value)
     value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
@@ -63,8 +74,8 @@ def _check_nonnegative(name: str, value):
         if value < 0.0:
             raise ValueError(f"{name} must be >= 0, got {value}")
         return value
-    if value.ndim != 1:
-        raise ValueError(f"{name} must be a float or a 1-D array")
+    if value.ndim != 1 or value.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a float or a 1-D numeric array")
     value = value.astype(float)
     bad = value[~(np.isfinite(value) & (value >= 0.0))]
     if bad.size:
@@ -73,6 +84,8 @@ def _check_nonnegative(name: str, value):
 
 
 def _check_index(name: str, value: int, lo: int = 0) -> int:
+    if type(value) is not int:
+        _check_number(name, value)
     if value != int(value) or value < lo:
         raise ValueError(f"{name} must be an integer >= {lo}, got {value}")
     return int(value)
@@ -83,6 +96,8 @@ def _check_dimension(dimension: int) -> int:
 
 
 def _check_positive(name: str, value: float) -> float:
+    if type(value) is not float:
+        _check_number(name, value)
     value = float(value)
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -230,7 +245,8 @@ def _bessel_j_series(nu: int, x: np.ndarray) -> np.ndarray:
     half = 0.5 * x
     if nu:
         lg = math.lgamma(nu + 1)
-        term = np.array([math.exp(nu * math.log(h) - lg) for h in half.tolist()])
+        # x/2 underflows to 0 at x = 2^-1074, where (x/2)^nu/nu! is 0 as well
+        term = np.array([math.exp(nu * math.log(h) - lg) if h else 0.0 for h in half.tolist()])
     else:
         term = np.ones_like(x)
     total = term

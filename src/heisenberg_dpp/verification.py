@@ -120,10 +120,10 @@ class _Worst:
 
 def check_ball_route_cross() -> _Worst:
     worst = _Worst()
+    radii = (0.5, 1.0, 2.0, 5.0, 10.0)
     for dim in (1, 2, 3):
-        for r in (0.5, 1.0, 2.0, 5.0, 10.0):
+        for r, integral in zip(radii, variance_ball_integral(dim, radii).tolist()):
             closed = variance_ball_closed(dim, r)
-            integral = variance_ball_integral(dim, r)
             worst.add(abs(integral - closed) / closed, 1e-6, f"D={dim} R={r}")
     return worst
 

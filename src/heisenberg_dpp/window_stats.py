@@ -175,27 +175,56 @@ def variance_ratio_ball(dimension: int, radius: float) -> float:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
-def _panels(f, lo, hi) -> list[float]:
-    """12-point Gauss-Legendre values of f over the panels [lo[i], hi[i]].
-
-    All nodes go to f in one call; f maps a 1-D array of nodes to values.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES
-    weighted = _GL_WEIGHTS * f(nodes.ravel()).reshape(nodes.shape)
-    return [h * math.fsum(row) for h, row in zip(half.tolist(), weighted.tolist())]
-
-
 def _integral_tol(dimension: int, radius: float) -> float:
     """Absolute error target of the integral-route variance."""
     scale = mean_ball(dimension, radius) * min(1.0, dimension / radius)
     return max(1e-13, 1e-9 * scale)
 
 
-def variance_ball_integral(dimension: int, radius: float) -> float:
+def _panel_count(radius: float) -> int:
+    """Fine panels of the integral route on [0, 13]; the coarse rule has half."""
+    return min(max(math.ceil(13.0 * radius / math.pi), 16), INTEGRAL_PANEL_CAP)
+
+
+def _integral_batch(dimension: int, radii: list[float]) -> list[float]:
+    """The integral-route variances at radii, in order, from one bessel_j call."""
+    counts = [_panel_count(radius) for radius in radii]
+    sizes = [count + count // 2 for count in counts]
+    # Both rules' panels, fine then coarse, radius after radius; 12-point
+    # Gauss-Legendre on each.
+    edges = [np.linspace(0.0, 13.0, n + 1) for count in counts for n in (count, count // 2)]
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    kappa = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
+    j = bessel_j(dimension, kappa * np.repeat(radii, [size * _GL_NODES.size for size in sizes]))
+    damp = np.array([math.exp(v) for v in (-0.25 * kappa * kappa).tolist()])
+    weighted = _GL_WEIGHTS * (j * j / kappa * damp).reshape(half.size, _GL_NODES.size)
+    values = [h * math.fsum(row) for h, row in zip(half.tolist(), weighted.tolist())]
+    cutoff_bound = math.exp(-0.25 * 13.0**2) * 2.0 / 13.0**2
+    out, start = [], 0
+    for radius, count, size in zip(radii, counts, sizes):
+        fine = math.fsum(values[start : start + count])
+        coarse = math.fsum(values[start + count : start + size])
+        start += size
+        mean = mean_ball(dimension, radius)
+        try:
+            prefactor = 2.0 * radius ** (2 * dimension) / factorial(dimension - 1)
+        except OverflowError:  # a factor leaves the double range
+            prefactor = 2.0 * dimension * mean
+        achieved = prefactor * (abs(fine - coarse) + cutoff_bound)
+        out.append(mean - prefactor * fine)
+        tol = _integral_tol(dimension, radius)
+        if achieved > tol:
+            raise NumericalBudgetError(
+                f"variance integral achieved {achieved:.3e} (target {tol:.3e})",
+                best_estimate=out[-1],
+                achieved_error=achieved,
+            )
+    return out
+
+
+def variance_ball_integral(dimension: int, radius):
     """Count variance in the ball via the Gaussian-damped Bessel integral.
 
     The structure-factor integral
@@ -212,47 +241,46 @@ def variance_ball_integral(dimension: int, radius: float) -> float:
     INTEGRAL_PANEL_CAP panels bound time and memory at large R; past it the
     panels widen and the error estimate decides.
 
+    ``radius`` is a float or a 1-D sequence of radii; the result is of the
+    same kind.  Consecutive radii of a sequence share one bessel_j call, as
+    long as the batch holds no more nodes than the request's largest radius
+    needs alone, so no call is larger than that radius's own.  Every panel
+    keeps its own fsum, so each variance is bit for bit the one its radius
+    gets alone.
+
     The absolute error target is max(1e-13, 1e-9 mean min(1, D/R)); if the
     estimate does not meet it, NumericalBudgetError carries the best
-    estimate and the error estimate.  Independent of the closed form: J
-    rather than I Bessel functions, quadrature rather than a finite sum.
+    estimate and the error estimate.  A sequence raises what a loop over
+    its radii would raise first, and a radius whose check or mean fails
+    stops the request there.  Independent of the closed form: J rather than
+    I Bessel functions, quadrature rather than a finite sum.
     """
     dimension = _check_dimension(dimension)
-    radius = _check_radius(radius)
-    mean = mean_ball(dimension, radius)
-    tol = _integral_tol(dimension, radius)
-    try:
-        prefactor = 2.0 * radius ** (2 * dimension) / factorial(dimension - 1)
-    except OverflowError:  # a factor leaves the double range
-        prefactor = 2.0 * dimension * mean
-
-    def integrand(kappa: np.ndarray) -> np.ndarray:
-        j = bessel_j(dimension, kappa * radius)
-        damp = np.array([math.exp(v) for v in (-0.25 * kappa * kappa).tolist()])
-        return j * j / kappa * damp
-
-    cutoff = 13.0
-    count = min(max(math.ceil(cutoff * radius / math.pi), 16), INTEGRAL_PANEL_CAP)
-    # Both rules' panels, fine then coarse, in one batch of nodes.
-    fine_edges = np.linspace(0.0, cutoff, count + 1)
-    coarse_edges = np.linspace(0.0, cutoff, count // 2 + 1)
-    values = _panels(
-        integrand,
-        np.concatenate((fine_edges[:-1], coarse_edges[:-1])),
-        np.concatenate((fine_edges[1:], coarse_edges[1:])),
-    )
-    fine = math.fsum(values[:count])
-    coarse = math.fsum(values[count:])
-    cutoff_bound = math.exp(-0.25 * cutoff**2) * 2.0 / cutoff**2
-    achieved = prefactor * (abs(fine - coarse) + cutoff_bound)
-    value = mean - prefactor * fine
-    if achieved > tol:
-        raise NumericalBudgetError(
-            f"variance integral achieved {achieved:.3e} (target {tol:.3e})",
-            best_estimate=value,
-            achieved_error=achieved,
-        )
-    return value
+    ndim = np.ndim(radius)
+    if ndim > 1:
+        raise ValueError("radius must be a float or a 1-D sequence")
+    radii, stop = [], None
+    for r in radius if ndim else [radius]:
+        try:
+            r = _check_radius(r)
+            mean_ball(dimension, r)
+        except (TypeError, ValueError, OverflowError) as exc:
+            stop = exc  # raised once the radii before it are done
+            break
+        radii.append(r)
+    sizes = [count + count // 2 for count in map(_panel_count, radii)]
+    cap = max(sizes, default=0)
+    out, first, held = [], 0, 0
+    for i, size in enumerate(sizes):
+        if held + size > cap:
+            out += _integral_batch(dimension, radii[first:i])
+            first, held = i, 0
+        held += size
+    if radii:
+        out += _integral_batch(dimension, radii[first:])
+    if stop is not None:
+        raise stop
+    return np.array(out) if ndim else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -744,17 +772,24 @@ def ball_moments(
     """Mean/variance/ratio for the ball window of the level-zero process;
     the ratio is NaN when the mean underflows to 0."""
     route = Route(route)
-    mean = mean_ball(dimension, radius)
     if route == Route.CLOSED_FORM:
         variance = variance_ball_closed(dimension, radius)
-        err = 1e-12 * variance
     elif route == Route.INTEGRAL:
-        err = _integral_tol(dimension, radius)
         variance = variance_ball_integral(dimension, radius)
     else:
         raise UnsupportedConfigurationError(
             f"route {route.value!r} does not apply to the ball closed forms"
         )
+    return _ball_report(dimension, radius, route, variance)
+
+
+def _ball_report(dimension: int, radius: float, route: Route, variance: float) -> MomentReport:
+    """The MomentReport of a ball variance from the closed or integral route."""
+    mean = mean_ball(dimension, radius)
+    if route == Route.CLOSED_FORM:
+        err = 1e-12 * variance
+    else:
+        err = _integral_tol(dimension, radius)
     return MomentReport(
         mean=mean,
         variance=variance,

@@ -74,6 +74,11 @@ CASES: list[tuple[str, list[list[str]]]] = [
                                  "--r-grid", "0.5:5:4", "--format", "csv",
                                  "--out", "sw.csv"]]),
     ("sweep-tiny-radii", [["sweep", *_D1, *_BALL, "--route", "closed", *_TINY_GRID]]),
+    # the integral route batches a grid's radii: the default grid mixes batch
+    # sizes, and R = 30000 fails its error target after two good radii
+    ("classify-integral-d2", [["classify", *_D2, *_BALL, "--route", "integral"]]),
+    ("err-budget-integral-grid", [["sweep", *_D2, *_BALL, "--route", "integral",
+                                   "--r-grid", "1,2,30000"]]),
     # classify, directly and from documents sweep wrote
     ("classify-direct", [["classify", *_D1, *_BALL, "--route", "closed"]]),
     ("classify-direct-csv", [["classify", *_D1, "--r-grid", "2:40:8",

@@ -498,6 +498,9 @@ class TestMc:
         ["mc", "--dimension", "1", "--radius", "1e-200", "--replicas", "5"],
         ["stats", "--dimension", "2", "--window", "ball", "--route", "integral",
          "--radius", "1e-170"],
+        # J_D(kR) at the smallest subnormals: the series took the log of 0
+        *[["stats", "--dimension", d, "--window", "ball", "--route", "integral",
+           "--radius", r] for d, r in (("1", "5e-324"), ("1", "1e-323"), ("2", "4e-323"))],
         ["sweep", "--dimension", "1", "--window", "ball", "--route", "closed",
          "--r-grid", "1e-320,1e-310"],
     ])

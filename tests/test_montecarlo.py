@@ -39,16 +39,31 @@ def poisson_binomial_pmf(model) -> np.ndarray:
 
     The factors are convolved in pairs, level by level, as a balanced tree
     of direct convolutions.  No FFT: a sure or an impossible cell must
-    leave exact zeros at the ends of the support.
+    leave exact zeros at the ends of the support.  Each factor is kept as
+    (offset, values) with its leading and trailing exact zeros cut off, so
+    the tails that underflow as the tree grows are not convolved again.
     """
-    factors = [np.array([1.0 - p, p]) for p in model.kept]
+
+    def trim(offset, values):
+        if values[0] and values[-1]:
+            return offset, values
+        nonzero = np.flatnonzero(values)
+        return offset + nonzero[0], values[nonzero[0] : nonzero[-1] + 1]
+
+    factors = [trim(0, np.array([1.0 - p, p])) for p in model.kept]
     n = model.pooled_count
     if n:
-        factors.append(scipy.stats.binom.pmf(np.arange(n + 1), n, model.pooled_prob))
+        factors.append(trim(0, scipy.stats.binom.pmf(np.arange(n + 1), n, model.pooled_prob)))
     while len(factors) > 1:
-        pairs = [np.convolve(a, b) for a, b in zip(factors[0::2], factors[1::2])]
+        pairs = [
+            trim(oa + ob, np.convolve(a, b))
+            for (oa, a), (ob, b) in zip(factors[0::2], factors[1::2])
+        ]
         factors = pairs + factors[2 * len(pairs):]
-    return factors[0] if factors else np.array([1.0])
+    pmf = np.zeros(model.kept.size + n + 1)
+    offset, values = factors[0] if factors else (0, np.array([1.0]))
+    pmf[offset : offset + values.size] = values
+    return pmf
 
 
 def bernoulli_cumulant_polys(order: int) -> list[np.polynomial.Polynomial]:

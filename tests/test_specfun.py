@@ -15,6 +15,10 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heisenberg_dpp.asymptotics as asy
+import heisenberg_dpp.window_stats as ws
+from heisenberg_dpp.kernels import KernelSpec, kernel_series_partial
+from heisenberg_dpp.montecarlo import McConfig
 from heisenberg_dpp.specfun import (
     _laguerre_scaled,
     _laguerre_scaled_rows,
@@ -345,6 +349,16 @@ class TestBesselJ:
         assert bessel_j(0, 0.0) == 1.0
         assert bessel_j(4, 0.0) == 0.0
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-323, 4e-323])
+    def test_smallest_subnormals(self, x):
+        # x/2 rounds to 0 at x = 2^-1074, where the series took its log;
+        # (x/2)^nu/nu! rounds to x/2 at nu = 1 and to 0 above
+        assert [bessel_j(nu, x) for nu in range(5)] == [1.0, 0.5 * x, 0.0, 0.0, 0.0]
+        xs = np.array([x, 1.0, 20.0, 40.0])
+        for nu in range(5):
+            want = [bessel_j(nu, v).hex() for v in xs.tolist()]
+            assert [v.hex() for v in bessel_j(nu, xs).tolist()] == want
+
 
 class TestRegularizedLowerGamma:
     def test_frozen_value(self):
@@ -436,3 +450,61 @@ class TestSpecFunResult:
             SpecFunResult(math.nan, 0.0)
         with pytest.raises(ValueError):
             SpecFunResult(1.0, -1e-3)
+
+
+# Public entry points that take a radius or an index, each as
+# (argument name, call with that argument set, a valid value).
+NUMBER_ARGS = {
+    "mean_ball radius": ("radius", lambda v: ws.mean_ball(1, v), 1.5),
+    "mean_ball dimension": ("dimension", lambda v: ws.mean_ball(v, 1.5), 2),
+    "variance_ball_closed radius": ("radius", lambda v: ws.variance_ball_closed(1, v), 1.5),
+    "variance_ratio_ball radius": ("radius", lambda v: ws.variance_ratio_ball(2, v), 1.5),
+    "variance_ball_integral radius": ("radius", lambda v: ws.variance_ball_integral(1, v), 1.5),
+    "variance_ball_integral radii": (
+        "radius", lambda v: ws.variance_ball_integral(1, [1.0, v])[1], 1.5,
+    ),
+    "variance_ball_integral dimension": (
+        "dimension", lambda v: ws.variance_ball_integral(v, 1.5), 2,
+    ),
+    "ball_moments radius": ("radius", lambda v: ws.ball_moments(1, v).variance, 1.5),
+    "bernoulli_prob n": ("n", lambda v: ws.bernoulli_prob(v, 1, 1.5), 2),
+    "bernoulli_prob m": ("m", lambda v: ws.bernoulli_prob(2, v, 1.5), 1),
+    "bernoulli_prob radius": ("radius", lambda v: ws.bernoulli_prob(2, 1, v), 1.5),
+    "build_spectrum m": ("m", lambda v: ws.build_spectrum(v, 1.5).prob_sum, 1),
+    "build_spectrum radius": ("radius", lambda v: ws.build_spectrum(1, v).prob_sum, 1.5),
+    "polydisk_moments radius": (
+        "radius", lambda v: ws.polydisk_moments(KernelSpec(1), v).variance, 1.5,
+    ),
+    "c_constant m": ("m", ws.c_constant, 3),
+    "ratio_series_eval radius": ("radius", lambda v: asy.ratio_series_eval(1, v).value, 5.0),
+    "ratio_asymptotic_from_bessel radius": (
+        "radius", lambda v: asy.ratio_asymptotic_from_bessel(1, v).value, 5.0,
+    ),
+    "alpha_coefficient k": ("k", lambda v: asy.alpha_coefficient(v, 2), 3),
+    "c_asymptote m": ("m", asy.c_asymptote, 3),
+    "laguerre n": ("n", lambda v: laguerre(v, 0.5, 1.5), 3),
+    "bessel_j nu": ("nu", lambda v: bessel_j(v, 1.5), 2),
+    "bessel_i_scaled nu": ("nu", lambda v: bessel_i_scaled(v, 1.5), 2),
+    "hyp3f2_terminating m": ("m", lambda v: hyp3f2_terminating(0.5, 0.5, v, 1.0, 1.5), 3),
+    "kernel_series_partial n_terms": (
+        "n_terms", lambda v: kernel_series_partial(1, 0.5, 0.2j, v), 3,
+    ),
+    "KernelSpec dimension": ("dimension", lambda v: KernelSpec(v).dimension, 2),
+    "McConfig replicas": ("replicas", lambda v: McConfig(replicas=v, seed=1).replicas, 3),
+}
+
+
+@pytest.mark.parametrize("bad", ["2", b"2", True, np.True_], ids=repr)
+@pytest.mark.parametrize("case", sorted(NUMBER_ARGS))
+def test_numeric_arguments_refuse_str_bytes_and_bool(case, bad):
+    # float() and int() would coerce every one of these
+    name, call, good = NUMBER_ARGS[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be a number, got {bad!r}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("case", sorted(NUMBER_ARGS))
+def test_numeric_arguments_take_numpy_scalars(case):
+    name, call, good = NUMBER_ARGS[case]
+    wrapped = np.int64(good) if isinstance(good, int) else np.float64(good)
+    assert call(wrapped) == call(good)

@@ -24,12 +24,14 @@ from hypothesis import strategies as st
 from mpmath import libmp
 
 import heisenberg_dpp.window_stats as ws
+from heisenberg_dpp.analysis import default_r_grid
 from heisenberg_dpp.exceptions import (
     InternalConsistencyError,
     NumericalBudgetError,
     UnsupportedConfigurationError,
 )
 from heisenberg_dpp.kernels import KernelSpec
+from heisenberg_dpp.specfun import bessel_j
 from heisenberg_dpp.window_stats import (
     BernoulliSpectrum,
     MomentReport,
@@ -186,6 +188,66 @@ class TestIntegralRoute:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             variance_ball_integral(-2, 1.0)
+        with pytest.raises(ValueError, match="a float or a 1-D sequence"):
+            variance_ball_integral(1, [[1.0, 2.0]])
+
+    @settings(max_examples=20, deadline=None)
+    @given(dim=st.integers(1, 3), radii=st.lists(st.floats(1e-3, 200.0), min_size=1, max_size=20))
+    @example(dim=2, radii=[5.0, 0.01, 5.0, 200.0, 0.01, 0.3])
+    def test_grid_is_bit_identical_to_single_radii(self, dim, radii):
+        got = variance_ball_integral(dim, radii)
+        assert isinstance(got, np.ndarray) and got.shape == (len(radii),)
+        want = [variance_ball_integral(dim, r).hex() for r in radii]
+        assert [v.hex() for v in got.tolist()] == want
+        assert variance_ball_integral(dim, []).shape == (0,)
+
+    @staticmethod
+    def first_error(call):
+        with pytest.raises(Exception) as info:
+            call()
+        err = info.value
+        return type(err), str(err), getattr(err, "best_estimate", None), getattr(
+            err, "achieved_error", None
+        )
+
+    @pytest.mark.parametrize("radii", [
+        [1.0, 2.0, 3.0, 1e200, 4.0],  # R = 2 fails its target before the overflow
+        [1.0, 1e200, 2.0],
+        [3.0, -1.0, 2.0],
+        [2.0, "2", 1e200],
+        [0.5, 3.0, 2.0, 2.0],
+    ])
+    def test_grid_raises_what_a_loop_raises_first(self, monkeypatch, radii):
+        tol = ws._integral_tol
+        monkeypatch.setattr(ws, "_integral_tol", lambda d, r: 1e-300 if r == 2.0 else tol(d, r))
+
+        def loop():
+            for r in radii:
+                variance_ball_integral(2, r)
+
+        want = self.first_error(loop)
+        assert self.first_error(lambda: variance_ball_integral(2, radii)) == want
+
+    def test_no_quadrature_after_an_overflowing_mean(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(ws, "bessel_j", lambda nu, x: seen.append(x.max()) or bessel_j(nu, x))
+        with pytest.raises(OverflowError, match="mean at D=1"):
+            variance_ball_integral(1, [1.0, 1e200, 5.0])
+        assert len(seen) == 1 and seen[0] <= 13.0
+
+    @pytest.mark.parametrize("dim, radii, calls", [
+        (1, list(default_r_grid()), 6),
+        (2, [40.0, 0.5, 3.0, 9.0, 9.0, 1.0, 25.0, 2.0], 3),
+        (3, [0.5] * 3, 3),  # equal radii: two would pass the bound
+    ])
+    def test_no_bessel_call_exceeds_the_largest_radius_alone(self, monkeypatch, dim, radii, calls):
+        sizes = []
+        monkeypatch.setattr(ws, "bessel_j", lambda nu, x: sizes.append(x.size) or bessel_j(nu, x))
+        variance_ball_integral(dim, max(radii))
+        (alone,) = sizes
+        sizes.clear()
+        variance_ball_integral(dim, radii)
+        assert max(sizes) <= alone and len(sizes) == calls
 
 
 def quad_prob(n: int, m: int, radius: float) -> float:
