@@ -78,15 +78,11 @@ class KernelSpec:
         level = self.level
         if level is None:
             level = (0,) * self.dimension
-        if any(m != int(m) for m in level):
-            raise ValueError(f"levels must be integers, got {tuple(level)}")
-        level = tuple(int(m) for m in level)
+        level = tuple(_check_index("level", m) for m in level)
         if len(level) != self.dimension:
             raise ValueError(
                 f"level needs {self.dimension} entries, got {len(level)}"
             )
-        if any(m < 0 for m in level):
-            raise ValueError(f"levels must be >= 0, got {level}")
         object.__setattr__(self, "level", level)
 
 

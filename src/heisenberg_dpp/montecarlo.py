@@ -80,7 +80,7 @@ import numpy as np
 
 from .exceptions import NumericalBudgetError
 from .kernels import KernelSpec
-from .specfun import _check_index, _check_radius
+from .specfun import _check_index, _check_radius, _check_real
 from .window_stats import _TAIL_TOL, BernoulliSpectrum, _cached_spectrum
 
 # Bounds the memory of the kept-cell array and of the thinning plan built
@@ -115,10 +115,10 @@ class McConfig:
         object.__setattr__(self, "seed", _check_index("seed", self.seed))
         if self.seed >= 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        if not 0.0 <= self.cell_prob_floor < 1.0:
-            raise ValueError(
-                f"cell_prob_floor must lie in [0, 1), got {self.cell_prob_floor}"
-            )
+        floor = _check_real("cell_prob_floor", self.cell_prob_floor)
+        if not 0.0 <= floor < 1.0:
+            raise ValueError(f"cell_prob_floor must lie in [0, 1), got {floor}")
+        object.__setattr__(self, "cell_prob_floor", floor)
 
 
 # a NamedTuple, as a frozen dataclass took 0.4 ms more to import

@@ -84,9 +84,11 @@ def _check_nonnegative(name: str, value):
 
 
 def _check_index(name: str, value: int, lo: int = 0) -> int:
-    if type(value) is not int:
+    exact = type(value) is int
+    if not exact:
         _check_number(name, value)
-    if value != int(value) or value < lo:
+    # int() of nan or inf would raise without naming the argument
+    if not (exact or math.isfinite(value)) or value != int(value) or value < lo:
         raise ValueError(f"{name} must be an integer >= {lo}, got {value}")
     return int(value)
 

@@ -22,15 +22,18 @@ arithmetic.  The ladder runs on plain int pairs (M, e) whose every
 operation truncates its exact result toward zero to the working
 precision, bit for bit what mpmath's libmp gives at round_down; R^2 is
 exact, and the seed exp(-R^2) is computed in integers too, so the runtime
-needs numpy alone.  The squared coefficients of successive n come from a
-forward-difference walk of one packed polynomial, and each p_n's sum is
-one dot product of them with integer weights, the signed ladder values
-times factorials, that a block of successive n shares.  The only rounding
-outside the ladder is the one to double on the finished probability, and
-it is toward zero, subnormals included.  Below n + m = R^2 most p_n are
-certain: a Laguerre bound certifies 1 - p_n < 2^-55 there, so the assembly
-would return 1 - 2^-53 (p_n < 1 is held one ulp below 1), and those
-indices take that value without it, bit for bit.
+needs numpy alone.  Each monomial's coefficient times the factorial it
+integrates to, over m! n!, is an integer of degree m in n.  These
+integers for successive n come from a forward-difference walk of one
+packed polynomial, and each p_n's sum is one dot product of them with
+integer weights, the signed ladder mantissas aligned to a common
+exponent, that a block of successive n shares: no factorial weight and no
+division.  The only rounding outside the ladder is the one to double on
+the finished probability, and it is toward zero, subnormals included.
+Below n + m = R^2 most p_n are certain: a Laguerre bound certifies
+1 - p_n < 2^-55 there, so the assembly would return 1 - 2^-53 (p_n < 1 is
+held one ulp below 1), and those indices take that value without it, bit
+for bit.
 No level is out of range: one work budget, counted in level-0 indices,
 refuses a spectrum or a p_n before its ladder is built when it would take
 more than about 30 s.
@@ -460,30 +463,60 @@ class _GammaLadder:
 
 
 # Indices per block of shared ladder weights in _assemble_probs: the weights
-# cost about 2m/_BLOCK + 1 big-int products per index on top of each index's
-# 2m + 1; the block size touches no output bit.
-_BLOCK = 8
+# cost about 2m/_BLOCK + 1 shifts of ladder mantissas per index on top of
+# each index's 2m + 1 products; the block size touches no output bit.  On
+# the spectrum-sweep benchmark 32 ran 1.6% faster than 16 (5 of 5 runs) and
+# 4% faster than 8 (10 s runs); 64 was within the spread of repeated runs.
+_BLOCK = 32
+
+
+def _seed_coeffs(m: int, n: int, slot: int) -> int:
+    """A(n) = sum_k a_k(n) X^k packed with X = 2^(8 slot), for m >= 1.
+
+    a_k(n) = d_k(n) j!/(m! n!), j = n - m + k, where d = c * c and
+    c_i = binom(n, m-i) m!/i!, is the integer
+    sum_i binom(m, k-i) binom(n, m-i) binom(j, i), 0 when j < 0.  It is
+    formed from the packed square of the c_i (Kronecker substitution) by one
+    exact division per slot by m! n!/b!, b = max(n - m, 0), after d_k takes
+    the factor j!/b!; a remainder raises InternalConsistencyError.
+    """
+    m_fact = factorial(m)
+    c = [comb(n, m - i) * (m_fact // factorial(i)) for i in range(m + 1)]
+    size = (2 * max(c).bit_length() + (m + 1).bit_length() + 7) // 8  # d_k <= (m + 1) max(c)^2
+    packed = int.from_bytes(b"".join(ci.to_bytes(size, "little") for ci in c), "little")
+    squared = (packed * packed).to_bytes((2 * m + 1) * size, "little")
+    b = max(n - m, 0)
+    denom = m_fact * perm(n, n - b)
+    fact, out = 1, []  # j!/b!
+    for k in range(2 * m + 1):
+        j = n - m + k
+        if j > b:
+            fact *= j
+        d = int.from_bytes(squared[k * size : (k + 1) * size], "little")
+        a, rest = divmod(d * fact, denom)
+        if rest:
+            raise InternalConsistencyError(f"a_{k}(n) at n={n}, level {m} is not an integer")
+        out.append(a.to_bytes(slot, "little"))
+    return int.from_bytes(b"".join(out), "little")
 
 
 def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[float]:
     """p_n at level m for n = n_lo..n_hi from the ladder, one rounding each.
 
-    c_i = binom(n, m-i) m!/i! are the unsigned (m!-scaled) coefficients of
-    L_m^(n-m); the signed ones are (-1)^i c_i, so the squared polynomial
-    has coefficients b_k = (-1)^k d_k with d = c * c.  Packed into one
-    integer, D(n) = (sum_i c_i X^i)^2 = sum_k d_k X^k (Kronecker
-    substitution, X = 2^slot) holds every d_k, and as a polynomial of
-    degree 2m in n it is walked by forward differences: 2m + 1 squares seed
-    the table and each further index costs 2m big-int adds.  Reading each
-    ladder value exactly as P_j = M_j 2^e_j, p_n is the exact rational
-    sum_k b_k j! M_j 2^e_j / (m! n!) over j = n-m+k >= 0.  The indices go
-    in blocks of _BLOCK that share one integer weight per ladder value,
-    H_j = (-1)^j (j!/base!) M_j 2^(e_j - e_min), with base = max(n-m, 0)
-    at the block's first n and e_min the least exponent in the block's
-    window (zero weights stand for j < 0).  Since (-1)^k = (-1)^(n-m) (-1)^j,
-    each index's sum S = (-1)^(n-m) sum_k d_k H_(n-m+k) is one dot product
-    of the unpacked D(n) with a slice of the weights, and
-    p_n = S 2^e_min / (m! n!/base!) is rounded once, toward zero, to 53 bits.
+    Reading each ladder value exactly as P_j = M_j 2^e_j, p_n is
+    sum_k (-1)^k a_k(n) M_j 2^e_j over j = n-m+k >= 0, with the integer
+    coefficients a_k(n) of _seed_coeffs: (m!/n!) times the coefficients of
+    u^(n-m) L_m^(n-m)(u)^2, each times the j! its monomial integrates to.
+    Packed into one integer, A(n) = sum_k a_k(n) X^k is a polynomial of
+    degree m in n, walked by forward differences from m + 1 seeds: each
+    further index costs m big-int adds, and n < m needs no care, as the
+    slots with j < 0 hold 0 there.  The indices go in blocks of _BLOCK that
+    share one integer weight per ladder value,
+    H_j = (-1)^j M_j 2^(e_j - e_min), with e_min the least exponent in the
+    block's window (zero weights stand for j < 0).  Since
+    (-1)^k = (-1)^(n-m) (-1)^j, each index's sum S = (-1)^(n-m) sum_k a_k
+    H_(n-m+k) is one dot product of the unpacked A(n) with a slice of the
+    weights, and p_n = S 2^e_min is rounded once, toward zero, to 53 bits.
     p_n < 1 at every finite R, so the result is held to [0, 1 - 2^-53].
     That is what every index does whose 1 - p_n _log_defect_bound certifies
     below 2^-55, so the indices before the first one it does not certify
@@ -495,19 +528,11 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
         raws = [_to_float(man, exp) for man, exp in rungs[n0 : n_hi + 1]]
     else:
         raws = []
-        m_fact = factorial(m)
-        scaled = [m_fact // factorial(i) for i in range(m + 1)]
-        # The slots fit the largest d_k in range, which is at n_hi.  Only
-        # D(n) itself is unpacked; its differences may borrow across slots.
-        top = max(comb(n_hi, m - i) * scaled[i] for i in range(m + 1))
-        slot = (2 * top.bit_length() + (m + 1).bit_length() + 7) // 8
-        slot_bits = 8 * slot
-        diffs = []
-        for n in range(n0, min(n_hi, n0 + 2 * m) + 1):
-            packed = 0
-            for i in range(m, -1, -1):
-                packed = (packed << slot_bits) + comb(n, m - i) * scaled[i]
-            diffs.append(packed * packed)
+        # sum_k a_k(n) <= 2^m binom(2n + m, m) (binom(j, i) <= binom(n + m, i),
+        # then Vandermonde), which rises with n: the slots fit every A(n) to
+        # n_hi.  Only A(n) itself is unpacked; its differences may borrow.
+        slot = (m + comb(2 * n_hi + m, m).bit_length() + 7) // 8
+        diffs = [_seed_coeffs(m, n, slot) for n in range(n0, min(n_hi, n0 + m) + 1)]
         order = len(diffs) - 1
         for k in range(1, order + 1):
             for i in range(order, k - 1, -1):
@@ -522,22 +547,17 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
             window = rungs[base : end + m]
             e_min = min([exp for _, exp in window])
             weights = [0] * (base - lo + m)  # j = lo - m .. base - 1
-            fact = 1  # j!/base!
-            for j, (man, exp) in enumerate(window, base):
-                if j > base:
-                    fact *= j
-                weight = (man * fact) << (exp - e_min)
-                weights.append(-weight if j & 1 else weight)
-            denom = m_fact * perm(lo, lo - base)  # m! n!/base!
+            weights += [
+                -(man << (exp - e_min)) if j & 1 else man << (exp - e_min)
+                for j, (man, exp) in enumerate(window, base)
+            ]
             for w, n in enumerate(range(lo, end)):
-                if w:
-                    denom *= n
-                squared = diffs[0].to_bytes(width, "little")
+                packed = diffs[0].to_bytes(width, "little")
                 for i in range(order):
                     diffs[i] += diffs[i + 1]
-                d = map(int.from_bytes, slots(squared), little)
-                total = sum(map(mul, d, weights[w : w + span]))
-                raws.append(_to_float(-total if (n - m) & 1 else total, e_min, denom))
+                a = map(int.from_bytes, slots(packed), little)
+                total = sum(map(mul, a, weights[w : w + span]))
+                raws.append(_to_float(-total if (n - m) & 1 else total, e_min))
     for n, raw in enumerate(raws, n0):
         if not -PROB_CONSISTENCY_BAND <= raw <= 1.0 + PROB_CONSISTENCY_BAND:
             raise InternalConsistencyError(
@@ -624,11 +644,12 @@ def _check_budget(indices: int, level: int, radius: float, what: str = "spectrum
 
     An index at level m weighs w(m) = (m + 1)(1 + (m/24)^2) level-0 ones:
     3 us w(m) bounds build_spectrum's time per index from above, within a
-    factor of 3 (1.3 us at level 0, 27 us at 16, 110 us at 32 and 0.9 to
-    1.2 ms at 64, CPU time on a 2-core VM), so the cap stands for at most
-    about 30 s of work at any level.  The count includes the indices that
-    the saturation certificate spares the assembly (over half of them from
-    R ~ 50), so the bound errs further high as R grows.
+    factor of 8 (0.7 to 0.9 us at level 0, 9 to 11 us at 16, 39 to 47 us
+    at 32 and 0.36 to 0.41 ms at 64, CPU time at R = 10 and 20 on a 2-core
+    VM), so the cap stands for at most about 30 s of work at any level.
+    The count includes the indices that the saturation certificate spares
+    the assembly (over half of them from R ~ 50), so the bound errs further
+    high as R grows.
     """
     work = indices * (level + 1) * (576 + level * level)  # 576 w(m) per index
     if work > 576 * SPECTRUM_SIZE_CAP:

@@ -77,7 +77,7 @@ class TestKernelSpec:
             KernelSpec(1, (-1,))
 
     def test_non_integral_level_rejected(self):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match=r"^level must be an integer >= 0, got 1\.5$"):
             KernelSpec(1, (1.5,))
         with pytest.raises(ValueError):
             KernelSpec(2, (0, 0.25))

@@ -491,6 +491,12 @@ NUMBER_ARGS = {
     ),
     "KernelSpec dimension": ("dimension", lambda v: KernelSpec(v).dimension, 2),
     "McConfig replicas": ("replicas", lambda v: McConfig(replicas=v, seed=1).replicas, 3),
+    "KernelSpec level": ("level", lambda v: KernelSpec(2, (v, 1)).level, 2),
+    "McConfig cell_prob_floor": (
+        "cell_prob_floor",
+        lambda v: McConfig(replicas=3, seed=1, cell_prob_floor=v).cell_prob_floor,
+        0.25,
+    ),
 }
 
 
@@ -500,6 +506,15 @@ def test_numeric_arguments_refuse_str_bytes_and_bool(case, bad):
     # float() and int() would coerce every one of these
     name, call, good = NUMBER_ARGS[case]
     with pytest.raises(ValueError, match=rf"^{name} must be a number, got {bad!r}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("case", sorted(NUMBER_ARGS))
+def test_numeric_arguments_refuse_nan_and_inf(case, bad):
+    # int() of these raises without naming the argument
+    name, call, good = NUMBER_ARGS[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be [^,]+, got {bad!r}$"):
         call(bad)
 
 

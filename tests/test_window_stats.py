@@ -667,6 +667,110 @@ class TestExactAssembly:
             bernoulli_prob(2, m, 1.3)
 
 
+def integer_coeff(k: int, n: int, m: int) -> int:
+    """a_k(n) = sum_i binom(m, k-i) binom(n, m-i) binom(j, i), j = n - m + k,
+    0 when j < 0."""
+    j = n - m + k
+    if j < 0:
+        return 0
+    return sum(
+        math.comb(m, k - i) * math.comb(n, m - i) * math.comb(j, i)
+        for i in range(max(0, k - m), min(k, m) + 1)
+    )
+
+
+def unpack(packed: int, slots: int, bits: int) -> list[int]:
+    mask = (1 << bits) - 1
+    return [(packed >> (k * bits)) & mask for k in range(slots)]
+
+
+def exact_prob(n: int, m: int, ladder) -> Fraction:
+    """p_n at level m as the exact rational sum_k b_k j! P_j / (m! n!) over
+    the ladder's values P_j = M_j 2^e_j, with the factorial weights and the
+    division the integer coefficients replaced."""
+    total = Fraction(0)
+    for k, bk in enumerate(legacy_squared_coeffs(n, m)):
+        j = n - m + k
+        if bk and j >= 0:
+            man, exp = ladder._p[j]
+            total += bk * math.factorial(j) * Fraction(man) * Fraction(2) ** exp
+    return total / (math.factorial(m) * math.factorial(n))
+
+
+def truncated_double(exact: Fraction) -> float:
+    """exact >= 0 truncated toward zero to a double, subnormals included."""
+    if exact == 0:
+        return 0.0
+    e = exact.numerator.bit_length() - exact.denominator.bit_length()
+    if Fraction(2) ** e > exact:
+        e -= 1  # now 2^e <= exact < 2^(e + 1)
+    q = max(e - 52, -1074)
+    return math.ldexp(math.floor(exact / Fraction(2) ** q), q)
+
+
+class TestIntegerCoefficients:
+    """The assembly's integer coefficients and the rational they sum to."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_identity_against_factorial_form(self, m):
+        # a_k(n) = d_k(n) j!/(m! n!) is the binomial sum, for n < m too
+        for n in range(m + 21):
+            signed = legacy_squared_coeffs(n, m)
+            slot = max(integer_coeff(k, n, m) for k in range(2 * m + 1)).bit_length() // 8 + 1
+            seeded = unpack(ws._seed_coeffs(m, n, slot), 2 * m + 1, 8 * slot)
+            for k, bk in enumerate(signed):
+                j = n - m + k
+                want = integer_coeff(k, n, m)
+                if j < 0:
+                    assert bk == 0 and want == 0, (n, k)
+                else:
+                    ratio = Fraction((-1) ** k * bk * math.factorial(j),
+                                     math.factorial(m) * math.factorial(n))
+                    assert ratio == want, (n, k)
+                assert seeded[k] == want, (n, k)
+
+    def test_coefficients_fit_their_slots(self):
+        # the slot bound 2^m binom(2n + m, m) holds for every a_k(n)
+        for m in range(1, 13):
+            for n in range(0, 200, 7):
+                bound = 2**m * math.comb(2 * n + m, m)
+                assert all(integer_coeff(k, n, m) <= bound for k in range(2 * m + 1))
+
+    def test_non_integer_quotient_raises(self, monkeypatch):
+        # a denominator one off leaves a remainder
+        monkeypatch.setattr(ws, "perm", lambda n, k: math.perm(n, k) + 1)
+        with pytest.raises(InternalConsistencyError, match="not an integer"):
+            ws._seed_coeffs(3, 7, 64)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(0, 12), r=st.floats(0.3, 30.0), pick=st.integers(0, 10**6))
+    def test_spectrum_equals_exact_factorial_sum(self, m, r, pick):
+        # p_n from build_spectrum against the factorial form on the very
+        # ladder it used, truncated toward zero and held below 1
+        ladders = []
+
+        class Recorded(ws._GammaLadder):
+            def __init__(self, *args):
+                super().__init__(*args)
+                ladders.append(self)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ws, "_GammaLadder", Recorded)
+            probs = build_spectrum(m, r).probs
+        n = pick % len(probs)
+        exact = exact_prob(n, m, ladders[0])
+        assert probs[n] == min(truncated_double(exact), 1.0 - 2.0**-53), (n, exact)
+
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_block_size_touches_no_bit(self, monkeypatch, block):
+        cases = [(1, 20.0), (5, 7.7), (16, 1.5), (12, 9.0)]
+        want = [spectrum_bytes(m, r) for m, r in cases]
+        pointwise = [bernoulli_prob(n, 6, 4.0) for n in (0, 3, 30)]
+        monkeypatch.setattr(ws, "_BLOCK", block)
+        assert [spectrum_bytes(m, r) for m, r in cases] == want
+        assert [bernoulli_prob(n, 6, 4.0) for n in (0, 3, 30)] == pointwise
+
+
 def uncertified(fn, *args):
     """fn(*args) with the saturation certificate off: every index assembled."""
     with pytest.MonkeyPatch.context() as patch:
