@@ -215,7 +215,9 @@ def bessel_i_scaled(nu: int, x: float) -> float:
             k += 1
             term *= half * half / (k * (nu + k))
             total += term
-            if term < total * 1e-18:
+            # a total below ~2.5e-306 makes total * 1e-18 underflow to 0:
+            # the terms then run down to 0.0 and end the sum there
+            if term < total * 1e-18 or not term:
                 break
         return total * math.exp(-x)
 

@@ -4,6 +4,7 @@ Three independent routes compute the count mean and variance:
 
 * ``closed``   - scaled-Bessel closed form for balls (level zero),
 * ``integral`` - Gaussian-damped Bessel integral for balls (level zero),
+  by Gauss-Legendre panels under a proven error bound,
 * ``spectrum`` - exact Bernoulli spectrum for polydisks (any level),
   based on the fact that the count in a polydisk equals, in distribution,
   an independent sum of Bernoulli variables indexed by the multi-index
@@ -72,7 +73,7 @@ SPECTRUM_SIZE_CAP = 10_000_000
 _TAIL_TOL = 1e-9  # default spectrum tail bound, shared by every route and the CLI
 PROB_CONSISTENCY_BAND = 1e-12
 # Most Gauss-Legendre panels the integral route uses on [0, 13]: width
-# pi/R holds through R ~ 16k, and wider panels answer to the error estimate.
+# pi/R holds through R ~ 16k, and wider panels answer to the error bound.
 INTEGRAL_PANEL_CAP = 1 << 16
 
 
@@ -185,37 +186,87 @@ def _integral_tol(dimension: int, radius: float) -> float:
 
 
 def _panel_count(radius: float) -> int:
-    """Fine panels of the integral route on [0, 13]; the coarse rule has half."""
+    """Gauss-Legendre panels of the integral route on [0, 13]."""
     return min(max(math.ceil(13.0 * radius / math.pi), 16), INTEGRAL_PANEL_CAP)
 
 
+def _panel_bounds(dimension: int, radius: np.ndarray, mid: np.ndarray, half: np.ndarray):
+    """Bounds on the 12-point rule's error on each panel [mid - half, mid + half]
+    of int J_D(kR)^2 / k e^(-k^2/4) dk, R = radius per panel.
+
+    Mapped to t in [-1, 1], the integrand f(mid + half t) is entire.  On
+    the Bernstein ellipse E_rho, semi-axes a, b = (rho +- 1/rho)/2, where
+    |f| <= M, the (n + 1)-point Gauss rule errs by at most
+    (64/15) M rho^-2n / (rho^2 - 1) (Trefethen, SIAM Rev. 50 (2008),
+    Thm 4.5), here with n = 11; on the panel, the half-width times that.
+    (The rule is exact to degree 2n + 1 = 23, and rho^-24 in place of
+    rho^-22 fails: the panel [0, 13/16] at D = 1, R = 1e-3 errs by about
+    90 times that figure.)  E_rho maps to points z with
+    |Im z| <= y = half b and x0 <= |Re z| <= |z| <= x1, x0 = max(mid - half a, 0),
+    x1 = mid + half a.  For integer D, |J_D(w)| <= I_0(|Im w|) (from
+    J_D(w) = (1/pi) int_0^pi cos(D t - w sin t) dt) and
+    e^-s I_0(s) = (1/pi) int_0^pi e^(-2s sin^2(t/2)) dt <= sqrt(pi/(8s))
+    (sin(t/2) >= t/pi), so |J_D(zR)|^2 <= c e^(2Ry), c = min(1, pi/(8Ry)).
+    DLMF 10.14.4 gives |J_D(w)| <= |w/2|^D e^|Im w| / D! as well, so with
+    r = |z| and r* = 2 (D!)^(1/D) / R,
+    |J_D(zR)|^2 / r <= e^(2Ry) min(c, (r/r*)^(2D)) / r.  That rises in r up to
+    r* c^(1/(2D)) and falls past it, so its largest value on [x0, x1] is at
+    that point clipped to the range.  With |e^(-z^2/4)| <= e^((y^2 - x0^2)/4),
+    each panel's bound is one exponential.  Any rho > 1 gives a bound; each
+    panel takes the rho that minimizes 2Rhb + (hb)^2/4 - 24 ln rho with
+    b ~ rho/2 (h = half; 24 ln rho stands for rho^22 (rho^2 - 1)), at least
+    2.  Every array is one value per panel.
+    """
+    grow = radius * half  # 2Rhb = grow (rho - 1/rho)
+    rho = np.maximum(48.0 / (grow + np.sqrt(grow * grow + 12.0 * half * half)), 2.0)
+    y = 0.5 * half * (rho - 1.0 / rho)  # half b
+    reach = half * rho - y  # half a
+    x0 = np.maximum(mid - reach, 0.0)
+    ry = radius * y
+    log_c = np.minimum(math.log(math.pi / 8.0) - np.log(ry), 0.0)
+    log_star = math.lgamma(dimension + 1.0) / dimension + math.log(2.0) - np.log(radius)
+    log_r = np.log(np.clip(np.exp(log_star + log_c / (2 * dimension)), x0, mid + reach))
+    log_m = 2.0 * ry + 0.25 * (y * y - x0 * x0)
+    log_m += np.minimum(2.0 * dimension * (log_r - log_star), log_c) - log_r
+    log_m += np.log(64.0 / 15.0 * half) - 22.0 * np.log(rho) - np.log(rho * rho - 1.0)
+    return np.exp(log_m)
+
+
 def _integral_batch(dimension: int, radii: list[float]) -> list[float]:
-    """The integral-route variances at radii, in order, from one bessel_j call."""
+    """The integral-route variances at radii, in order, from one bessel_j call.
+
+    Each radius's error is its prefactor times the sum of _panel_bounds over
+    its panels plus the cutoff bound: a proof, not a comparison with a
+    second rule, so it costs no Bessel value.  It covers the quadrature and
+    the cutoff, not the rounding of the node values and of the sums.
+    """
     counts = [_panel_count(radius) for radius in radii]
-    sizes = [count + count // 2 for count in counts]
-    # Both rules' panels, fine then coarse, radius after radius; 12-point
-    # Gauss-Legendre on each.
-    edges = [np.linspace(0.0, 13.0, n + 1) for count in counts for n in (count, count // 2)]
+    # 12-point Gauss-Legendre on each radius's panels, radius after radius
+    edges = [np.linspace(0.0, 13.0, count + 1) for count in counts]
     lo = np.concatenate([e[:-1] for e in edges])
     hi = np.concatenate([e[1:] for e in edges])
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    panel_radius = np.repeat(radii, counts)
     kappa = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    j = bessel_j(dimension, kappa * np.repeat(radii, [size * _GL_NODES.size for size in sizes]))
+    j = bessel_j(dimension, kappa * np.repeat(panel_radius, _GL_NODES.size))
     damp = np.array([math.exp(v) for v in (-0.25 * kappa * kappa).tolist()])
     weighted = _GL_WEIGHTS * (j * j / kappa * damp).reshape(half.size, _GL_NODES.size)
     values = [h * math.fsum(row) for h, row in zip(half.tolist(), weighted.tolist())]
+    with np.errstate(over="ignore"):  # past e^709 a panel's bound is inf
+        bounds = _panel_bounds(dimension, panel_radius, mid, half).tolist()
     cutoff_bound = math.exp(-0.25 * 13.0**2) * 2.0 / 13.0**2
     out, start = [], 0
-    for radius, count, size in zip(radii, counts, sizes):
+    for radius, count in zip(radii, counts):
         fine = math.fsum(values[start : start + count])
-        coarse = math.fsum(values[start + count : start + size])
-        start += size
+        # each panel's exponent is good to ~1e-12: 1 + 2^-26 covers that
+        quad_bound = (1.0 + 2.0**-26) * math.fsum(bounds[start : start + count])
+        start += count
         mean = mean_ball(dimension, radius)
         try:
             prefactor = 2.0 * radius ** (2 * dimension) / factorial(dimension - 1)
         except OverflowError:  # a factor leaves the double range
             prefactor = 2.0 * dimension * mean
-        achieved = prefactor * (abs(fine - coarse) + cutoff_bound)
+        achieved = prefactor * (quad_bound + cutoff_bound)
         out.append(mean - prefactor * fine)
         tol = _integral_tol(dimension, radius)
         if achieved > tol:
@@ -239,10 +290,15 @@ def variance_ball_integral(dimension: int, radius):
     |J_D| <= 1 bounds the discarded part by e^(-169/4) * 2/169.  On [0, 13]
     it runs through equal 12-point Gauss-Legendre panels, ceil(13 R/pi) of
     them (one per half-period of J_D(kR)^2) but at least 16 (the Gaussian's
-    own scale, at small R).  The error estimate is the gap to the same rule
-    on half as many panels, plus the cutoff bound.  At most
-    INTEGRAL_PANEL_CAP panels bound time and memory at large R; past it the
-    panels widen and the error estimate decides.
+    own scale, at small R).  The error is bounded, not estimated: on each
+    panel the integrand is entire, and the Gauss rule's error follows from
+    a bound on it over a Bernstein ellipse (Trefethen, SIAM Rev. 50 (2008),
+    Thm 4.5), with |J_D(w)| <= I_0(|Im w|) and DLMF 10.14.4 for J_D; see
+    _panel_bounds.  The bound sums these over the panels, plus the cutoff
+    bound, and no second rule is run.  At most INTEGRAL_PANEL_CAP panels
+    bound time and memory at large R; past R ~ 16k the panels widen and the
+    bound decides: it holds the target through R ~ 23k at D = 1 and ~24.5k
+    at D = 20, and refuses R = 32k.
 
     ``radius`` is a float or a 1-D sequence of radii; the result is of the
     same kind.  Consecutive radii of a sequence share one bessel_j call, as
@@ -252,11 +308,11 @@ def variance_ball_integral(dimension: int, radius):
     gets alone.
 
     The absolute error target is max(1e-13, 1e-9 mean min(1, D/R)); if the
-    estimate does not meet it, NumericalBudgetError carries the best
-    estimate and the error estimate.  A sequence raises what a loop over
-    its radii would raise first, and a radius whose check or mean fails
-    stops the request there.  Independent of the closed form: J rather than
-    I Bessel functions, quadrature rather than a finite sum.
+    bound does not meet it, NumericalBudgetError carries the best estimate
+    and the bound.  A sequence raises what a loop over its radii would raise
+    first, and a radius whose check or mean fails stops the request there.
+    Independent of the closed form: J rather than I Bessel functions,
+    quadrature rather than a finite sum.
     """
     dimension = _check_dimension(dimension)
     ndim = np.ndim(radius)
@@ -271,7 +327,7 @@ def variance_ball_integral(dimension: int, radius):
             stop = exc  # raised once the radii before it are done
             break
         radii.append(r)
-    sizes = [count + count // 2 for count in map(_panel_count, radii)]
+    sizes = [_panel_count(radius) for radius in radii]
     cap = max(sizes, default=0)
     out, first, held = [], 0, 0
     for i, size in enumerate(sizes):

@@ -262,6 +262,20 @@ class TestStats:
         assert (code, out) == (2, "")
         assert err == "error: the ball mean at D=1, R=1e+200 overflows double range\n"
 
+    def test_closed_route_past_the_factorial_range(self, capsys):
+        # every I_n(2) e^-2 for n near 200 lies below the doubles; the closed
+        # route used to hang there, and now prints the integral route's
+        # zero-mean document
+        argv = ["stats", "--dimension", "200", "--window", "ball", "--radius", "1"]
+        code, out, err = run_cli(capsys, [*argv, "--route", "closed"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["rows"] == [
+            {"r": 1, "mean": 0, "variance": 0, "ratio": None, "r_times_ratio": None}
+        ]
+        _, integral, _ = run_cli(capsys, [*argv, "--route", "integral"])
+        assert out == integral.replace('"route": "integral"', '"route": "closed"')
+
     def test_level_length_mismatch(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -205,6 +205,17 @@ class TestBesselIScaled:
         values = [bessel_i_scaled(nu, x) for nu in range(10)]
         assert all(a > b > 0.0 for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("nu, x, want", [
+        (178, 2.0, 0.0),  # 1/178! is subnormal and the value below 2^-1075
+        (200, 2.0, 0.0),  # (x/2)^nu/nu! itself underflows
+        (400, 18.0, 0.0),
+        (250, 10.0, 8.4e-323),  # subnormal: e^-10 I_250(10) = 8.5747e-323
+    ])
+    def test_series_below_the_double_range_returns(self, nu, x, want):
+        # a sum under ~2.5e-306 made total * 1e-18 underflow to 0, and the
+        # stop test 0 < 0 never held: these calls used to loop forever
+        assert bessel_i_scaled(nu, x) == want
+
 
 def scalar_bessel_j(nu: int, x: float) -> float:
     """The one-float-at-a-time J_nu(x) that bessel_j's arrays must reproduce."""

@@ -12,7 +12,9 @@ import hashlib
 import math
 import struct
 import time
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -172,7 +174,7 @@ class TestIntegralRoute:
             assert report.error_estimate == ws._integral_tol(dim, r)
 
     def test_budget_exhaustion_raises(self, monkeypatch):
-        # one panel on [0, 13], and no coarser rule to compare it with
+        # one panel on [0, 13]: its error bound is of order 1
         monkeypatch.setattr(ws, "INTEGRAL_PANEL_CAP", 1)
         monkeypatch.setattr(ws, "_integral_tol", lambda dimension, radius: 1e-16)
         with pytest.raises(NumericalBudgetError) as exc_info:
@@ -184,6 +186,111 @@ class TestIntegralRoute:
         assert err.best_estimate == pytest.approx(
             variance_ball_closed(1, 1.0), rel=1e-3
         )
+
+    @staticmethod
+    def bounded(dim, r):
+        """The route's value at (dim, r) and the error bound it achieved,
+        read from the refusal that a zero target forces."""
+        with mock.patch.object(ws, "_integral_tol", lambda dimension, radius: 0.0):
+            with pytest.raises(NumericalBudgetError) as info:
+                variance_ball_integral(dim, r)
+        return info.value.best_estimate, info.value.achieved_error
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2, 3, 5, 20]),
+        r=st.floats(math.log(1e-3), math.log(2e4)).map(math.exp),
+    )
+    @example(dim=2, r=2e4)
+    @example(dim=5, r=2e4)
+    @example(dim=1, r=17987.810860756388)  # past the panel cap, which the coarse rule refused
+    def test_accepted_values_hold_the_bound(self, dim, r):
+        # The bound covers the quadrature, not the rounding of the nodes and
+        # of mean - P * integral, which reaches ~4e-15 of the mean from
+        # R ~ 600 (30 ulps at D = 5, R = 2e4): 2^-44 of the mean allows for it.
+        value, achieved = self.bounded(dim, r)
+        if achieved > ws._integral_tol(dim, r):
+            return  # refused
+        closed = variance_ball_closed(dim, r)
+        slack = 1e-12 * closed + 2.0**-44 * mean_ball(dim, r)
+        assert abs(value - closed) <= achieved + slack
+
+    # (D, R, panel): wide panels, where the rule's error shows, and panels of
+    # the route itself from small R to past the panel cap
+    PANELS = [
+        (1, 1.0, (0.0, 13.0)),
+        (3, 1.0, (0.0, 13.0)),
+        (1, 5.0, (0.0, 3.25)),
+        (20, 40.0, (0.5, 0.5 + 4 * math.pi / 40)),
+        (2, 3.0, (0.8125, 1.625)),
+        (3, 50.0, (1.0, 1.0 + 2 * math.pi / 50)),
+        (1, 1e-3, (0.0, 0.8125)),
+        (1, 32000.0, (1.0, 1.0 + 13 / 65536)),
+        (5, 32000.0, (0.0, 13 / 65536)),
+    ]
+
+    @pytest.mark.parametrize("dim, r, panel", PANELS)
+    def test_panel_bound_covers_the_rule_error(self, dim, r, panel):
+        # 12-point Gauss-Legendre in 40 digits (nodes refined from the
+        # route's by Newton's method) against mpmath.quad: the float nodes
+        # and weights err by ~1e-16 of the integral, which the bound leaves out
+        lo, hi = panel
+        with mpmath.workdps(40):
+            legendre = lambda t: mpmath.legendre(12, t)
+            rule = []
+            for node in ws._GL_NODES.tolist():
+                t = mpmath.mpf(node)
+                for _ in range(4):
+                    t -= legendre(t) / mpmath.diff(legendre, t)
+                rule.append((t, 2 / ((1 - t * t) * mpmath.diff(legendre, t) ** 2)))
+            f = lambda k: mpmath.besselj(dim, k * r) ** 2 / k * mpmath.exp(-k * k / 4)
+            mid, half = (mpmath.mpf(lo) + hi) / 2, (mpmath.mpf(hi) - lo) / 2
+            gauss = half * mpmath.fsum(w * f(mid + half * t) for t, w in rule)
+            error = abs(gauss - mpmath.quad(f, mpmath.linspace(lo, hi, 9)))
+        bound = ws._panel_bounds(dim, np.array([r]), np.array([(lo + hi) / 2]), np.array([(hi - lo) / 2]))
+        assert error <= bound[0]
+
+    # Every (D, R) is accepted unless refused below or its mean leaves the
+    # double range.  The coarse-rule estimate that the bound replaced
+    # refused REFUSED and NEWLY_ACCEPTED, and accepted every other case.
+    SCAN_DIMS = (1, 2, 3, 5, 10, 20, 40, 100, 400)
+    SCAN_RADII = np.geomspace(1e-3, 3.2e4, 31).tolist()
+    REFUSED = {(d, 32000.0) for d in (1, 2, 3, 5, 10, 20)}
+    NEWLY_ACCEPTED = {(d, 17987.810860756388) for d in (1, 2, 3, 5)}
+
+    def test_scan_keeps_every_coarse_rule_acceptance(self):
+        # The decision reads the panels alone, not the Bessel values, so
+        # zeros stand in for bessel_j to keep the scan fast.
+        outcome = {}
+        with mock.patch.object(ws, "bessel_j", lambda nu, x: np.zeros_like(x)):
+            for d in self.SCAN_DIMS:
+                for r in self.SCAN_RADII:
+                    try:
+                        mean_ball(d, r)
+                    except OverflowError:
+                        continue
+                    try:
+                        variance_ball_integral(d, r)
+                        outcome[d, r] = "accepted"
+                    except NumericalBudgetError:
+                        outcome[d, r] = "refused"
+        assert len(outcome) == 256  # 23 of the 279 means leave the double range
+        refused = {case for case, result in outcome.items() if result == "refused"}
+        assert refused == self.REFUSED
+        assert self.NEWLY_ACCEPTED <= outcome.keys() - refused
+
+    def test_peak_memory_below_the_coarse_rule(self):
+        # tracemalloc peak of this call when the coarse rule's half as many
+        # panels again went into every bessel_j call (numpy 2.4, Python 3.11)
+        coarse_rule_peak = 159_702_648
+        variance_ball_integral(3, 1.0)
+        tracemalloc.start()
+        try:
+            variance_ball_integral(3, 2e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= coarse_rule_peak
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
