@@ -92,13 +92,12 @@ class SweepResult:
         radii = [row.r for row in self.rows]
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("sweep rows must be sorted by strictly increasing R")
+        # exact routes are under-dispersed to rounding error; a Monte Carlo
+        # sample variance obeys no deterministic bound
+        if self.route == Route.MONTE_CARLO:
+            return
         for row in self.rows:
-            # Monte Carlo rows carry sampling noise; everything else is
-            # under-dispersed to rounding error.
-            slack = (
-                0.35 * row.mean if self.route == Route.MONTE_CARLO else 1e-9 * row.mean
-            )
-            if row.variance > row.mean + slack:
+            if row.variance > row.mean + 1e-9 * row.mean:
                 raise ValueError(
                     f"row R={row.r}: variance {row.variance} exceeds mean {row.mean}"
                 )

@@ -158,9 +158,11 @@ def _write_output(doc: dict, fmt: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_level(text: str | None, dimension: int) -> tuple[int, ...]:
+def _parse_spec(args) -> KernelSpec:
+    """The KernelSpec of --dimension and --level (all zeros when unset)."""
+    dimension, text = args.dimension, args.level
     if text is None:
-        return tuple([0] * dimension)
+        return KernelSpec(dimension)
     try:
         level = tuple(int(part) for part in text.split(","))
     except ValueError:
@@ -169,7 +171,7 @@ def _parse_level(text: str | None, dimension: int) -> tuple[int, ...]:
         raise ValueError(
             f"--level has {len(level)} entries but --dimension is {dimension}"
         )
-    return level
+    return KernelSpec(dimension, level)
 
 
 def _parse_point(text: str, dimension: int) -> ComplexPoint:
@@ -288,7 +290,7 @@ _parser = functools.cache(build_parser)
 
 
 def _cmd_kernel_eval(args) -> int:
-    spec = KernelSpec(args.dimension, _parse_level(args.level, args.dimension))
+    spec = _parse_spec(args)
     x = _parse_point(args.x, spec.dimension)
     y = _parse_point(args.y, spec.dimension)
     raw = kernel_eval(spec, x, y)
@@ -320,7 +322,7 @@ def _moment_sweep(args, radii) -> tuple[SweepResult, list[dict], int | None]:
     for dest, default in _SWEEP_DEFAULTS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
-    spec = KernelSpec(args.dimension, _parse_level(args.level, args.dimension))
+    spec = _parse_spec(args)
     mc = None
     if args.route == Route.MONTE_CARLO.value:
         mc = McConfig(args.replicas, args.seed, args.cell_prob_floor)
@@ -426,7 +428,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    spec = KernelSpec(args.dimension, _parse_level(args.level, args.dimension))
+    spec = _parse_spec(args)
     rows = []
     for m in spec.level:
         exact = c_constant(m)

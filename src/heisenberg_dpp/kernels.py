@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import InternalConsistencyError
-from .specfun import _check_dimension, _check_index, _check_real, laguerre, laguerre_log
+from .specfun import _check_dimension, _check_index, laguerre, laguerre_log
 from .specfun import _laguerre_float, _laguerre_scaled, _laguerre_scaled_rows
 
 MAX_CORRELATION_POINTS = 12
@@ -132,14 +132,6 @@ def _from_logs(level, dist, base_re: float, imag: float, divisor: float = 1.0):
     return log_mag, value
 
 
-def hermitian_inner(x: ComplexPoint, y: ComplexPoint) -> complex:
-    """Hermitian inner product x . conj(y) (conjugation in the second slot)."""
-    if x.dimension != y.dimension:
-        raise ValueError("points live in different dimensions")
-    re, im, _ = _pair_terms(x, y)
-    return complex(re, im)
-
-
 def kernel_eval(spec: KernelSpec, x, y) -> complex:
     """Raw kernel exp(x . conj(y)) * prod_l L_{m_l}(|x_l - y_l|^2).
 
@@ -202,8 +194,8 @@ def hermitized_kernel(spec: KernelSpec, x, y) -> complex:
             return 0.0 + 0.0j
         return value
     value = cmath.exp(exponent) / math.pi ** spec.dimension
-    for m, t in zip(spec.level, dist):
-        value *= _laguerre_float(m, 0.0, _check_real("x", t))
+    for m, t in zip(spec.level, dist):  # sum(dist) <= 1416: every t is finite
+        value *= _laguerre_float(m, 0.0, t)
     return value
 
 

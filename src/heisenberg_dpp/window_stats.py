@@ -232,15 +232,14 @@ def _panel_bounds(dimension: int, radius: np.ndarray, mid: np.ndarray, half: np.
     return np.exp(log_m)
 
 
-def _integral_batch(dimension: int, radii: list[float]) -> list[float]:
-    """The integral-route variances at radii, in order, from one bessel_j call.
+def _integral_batch(dimension: int, radii: list[float], counts: list[int]) -> list[float]:
+    """Integral-route variances at radii, on counts panels each, from one bessel_j call.
 
     Each radius's error is its prefactor times the sum of _panel_bounds over
     its panels plus the cutoff bound: a proof, not a comparison with a
     second rule, so it costs no Bessel value.  It covers the quadrature and
     the cutoff, not the rounding of the node values and of the sums.
     """
-    counts = [_panel_count(radius) for radius in radii]
     # 12-point Gauss-Legendre on each radius's panels, radius after radius
     edges = [np.linspace(0.0, 13.0, count + 1) for count in counts]
     lo = np.concatenate([e[:-1] for e in edges])
@@ -309,8 +308,9 @@ def variance_ball_integral(dimension: int, radius):
 
     The absolute error target is max(1e-13, 1e-9 mean min(1, D/R)); if the
     bound does not meet it, NumericalBudgetError carries the best estimate
-    and the bound.  A sequence raises what a loop over its radii would raise
-    first, and a radius whose check or mean fails stops the request there.
+    and the bound.  A sequence checks every radius and its mean before any
+    quadrature, so an invalid one raises first; of a valid grid, the first
+    radius that misses its target raises.
     Independent of the closed form: J rather than I Bessel functions,
     quadrature rather than a finite sum.
     """
@@ -318,27 +318,19 @@ def variance_ball_integral(dimension: int, radius):
     ndim = np.ndim(radius)
     if ndim > 1:
         raise ValueError("radius must be a float or a 1-D sequence")
-    radii, stop = [], None
-    for r in radius if ndim else [radius]:
-        try:
-            r = _check_radius(r)
-            mean_ball(dimension, r)
-        except (TypeError, ValueError, OverflowError) as exc:
-            stop = exc  # raised once the radii before it are done
-            break
-        radii.append(r)
-    sizes = [_panel_count(radius) for radius in radii]
+    radii = [_check_radius(r) for r in (radius if ndim else [radius])]
+    for r in radii:
+        mean_ball(dimension, r)  # an overflowing mean raises before any quadrature
+    sizes = [_panel_count(r) for r in radii]
     cap = max(sizes, default=0)
     out, first, held = [], 0, 0
     for i, size in enumerate(sizes):
         if held + size > cap:
-            out += _integral_batch(dimension, radii[first:i])
+            out += _integral_batch(dimension, radii[first:i], sizes[first:i])
             first, held = i, 0
         held += size
     if radii:
-        out += _integral_batch(dimension, radii[first:])
-    if stop is not None:
-        raise stop
+        out += _integral_batch(dimension, radii[first:], sizes[first:])
     return np.array(out) if ndim else out[0]
 
 
@@ -416,17 +408,12 @@ def _exp_neg(man: int, exp: int, prec: int) -> tuple[int, int]:
         guard *= 2
 
 
-def _to_float(num: int, exp: int, denom: int = 1) -> float:
-    """num 2^exp / denom (denom >= 1) truncated toward zero to a double: to
-    53 bits, and below 2^-1022 to the bits a subnormal keeps, down to 2^-1074.
-    Above 2^-1022 this is libmp's to_float of mpf_div(..., 53, round_down)."""
+def _to_float(num: int, exp: int) -> float:
+    """num 2^exp truncated toward zero to a double: to 53 bits, and below
+    2^-1022 to the bits a subnormal keeps, down to 2^-1074.  Above 2^-1022
+    this is libmp's to_float of mpf_pos(..., 53, round_down)."""
     if num < 0:
-        return -_to_float(-num, exp, denom)
-    if denom > 1:
-        # 2^53 <= num 2^shift / denom: the floor has 54 bits or more
-        shift = 54 + denom.bit_length() - num.bit_length()
-        num = (num << shift) // denom if shift >= 0 else (num >> -shift) // denom
-        exp -= shift
+        return -_to_float(-num, exp)
     drop = num.bit_length() - 53
     if exp + drop < -1074:
         drop = -1074 - exp
@@ -455,14 +442,13 @@ class _GammaLadder:
     def __init__(self, radius: float, prec: int):
         self.radius, self.prec = radius, prec
         num, den = float(radius).as_integer_ratio()  # den is a power of two
-        self.rsq = num * num, den * den  # R^2 = num/den exactly
-        self._term = _exp_neg(num * num, 2 - 2 * den.bit_length(), prec)  # t_(len(_p))
+        self.rsq = num * num, 2 - 2 * den.bit_length()  # R^2 exactly, as (M, e)
+        self._term = _exp_neg(*self.rsq, prec)  # t_(len(_p))
         self._p = []
 
     def extend(self, j_max: int) -> None:
         prec, p = self.prec, self._p
-        num, den = self.rsq
-        r_exp = 1 - den.bit_length()
+        num, r_exp = self.rsq
         start, first = len(p), self._term
         if start > j_max:
             return
@@ -480,7 +466,7 @@ class _GammaLadder:
             exp += r_exp + shift - bits + drop
             p.append((man, exp))
         term = self._term = p[-1]
-        if (j_max + 3) * den <= num:
+        if (j_max + 3) << -r_exp <= num:
             # Below the Poisson mode the remainder P(j_max + 2) is at least
             # 1/2 (the median exceeds R^2 - ln 2), so its complement loses
             # nothing and costs only the terms at hand, where the series
@@ -497,7 +483,7 @@ class _GammaLadder:
             frac, total, k = 1 << scale, 0, j_max + 1
             while frac:
                 k += 1
-                frac = frac * num // (den * k)
+                frac = (frac * num >> -r_exp) // k
                 total += frac
             acc = _trunc(term[0] * total, term[1] - scale, prec)
         # An addend wholly below the other's last kept bit (gap >= prec)
@@ -778,7 +764,7 @@ def build_spectrum(m: int, radius: float, tail_tol: float = _TAIL_TOL) -> Bernou
     ladder = _GammaLadder(radius, _working_prec(m, n_top + 2 * m + 64))
     ladder.extend(n_top + m)
     probs = _assemble_probs(m, ladder, 0, n_top)
-    mean = _to_float(ladder.rsq[0], 0, ladder.rsq[1])
+    mean = _to_float(*ladder.rsq)
     # R^2 - sum p_n exceeds mean - fsum(probs) by less than the roundings of
     # R^2 (down), of the sum and of the difference: two ulps of the mean.
     slack = 2.0 * math.ulp(mean)

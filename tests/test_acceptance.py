@@ -21,6 +21,8 @@ The thirteen checks, in order:
 13. special-function-floor      recurrence residuals and asymptotes
 """
 
+import pytest
+
 from heisenberg_dpp.verification import run_checks
 
 
@@ -70,6 +72,7 @@ def test_gauge_invariance():
     run_one("gauge-invariance")
 
 
+@pytest.mark.slow
 def test_monte_carlo_gate():
     run_one("monte-carlo-gate")
 

@@ -154,6 +154,12 @@ class TestSweepConstruction:
                 route=Route.CLOSED_FORM,
             )
 
+    def test_overdispersed_mc_sample_accepted(self):
+        # five replicas at seed 2 draw a sample variance above its mean
+        sweep = run_sweep(KernelSpec(2, (1, 1)), "polydisk", [1.0], "mc", mc=McConfig(5, 2, 1e-12))
+        (row,) = sweep.rows
+        assert row.variance > row.mean
+
     def test_overdispersion_rejected_on_exact_routes(self):
         bad = SweepRow(r=1.0, mean=1.0, variance=2.0, ratio=2.0, r_times_ratio=2.0)
         with pytest.raises(ValueError):

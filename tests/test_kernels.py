@@ -28,12 +28,11 @@ from heisenberg_dpp.kernels import (
     correlation_function,
     correlation_matrix,
     gauge_transform,
-    hermitian_inner,
     hermitized_kernel,
     kernel_eval,
     kernel_series_partial,
 )
-from heisenberg_dpp.kernels import _EXP_NORMAL_MIN
+from heisenberg_dpp.kernels import _EXP_NORMAL_MIN, _pair_terms
 from heisenberg_dpp.specfun import laguerre, laguerre_log
 
 RNG = np.random.default_rng(777)
@@ -44,6 +43,12 @@ def rand_point(dim: int) -> ComplexPoint:
         tuple(RNG.uniform(-1.5, 1.5, size=dim)),
         tuple(RNG.uniform(-1.5, 1.5, size=dim)),
     )
+
+
+def inner(x: ComplexPoint, y: ComplexPoint) -> complex:
+    """x . conj(y), conjugation in the second slot, as the kernels form it."""
+    re, im, _ = _pair_terms(x, y)
+    return complex(re, im)
 
 
 class TestComplexPoint:
@@ -92,18 +97,14 @@ class TestHermitianInner:
             want = sum(
                 a * b.conjugate() for a, b in zip(x.to_complex(), y.to_complex())
             )
-            got = hermitian_inner(x, y)
+            got = inner(x, y)
             assert got == pytest.approx(want, abs=1e-15)
 
     def test_swap_conjugates_exactly(self):
         for _ in range(30):
             dim = int(RNG.integers(1, 4))
             x, y = rand_point(dim), rand_point(dim)
-            assert hermitian_inner(x, y) == hermitian_inner(y, x).conjugate()
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="points live in different dimensions"):
-            hermitian_inner(rand_point(1), rand_point(2))
+            assert inner(x, y) == inner(y, x).conjugate()
 
 
 class TestPointArguments:
@@ -192,8 +193,8 @@ class TestKernelValues:
             x = ComplexPoint(tuple(v * scale for v in x.re), tuple(v * scale for v in x.im))
             near = ComplexPoint(tuple(v + 0.75 for v in x.re), x.im)
             for a, b in ((x, y), (x, near)):
-                assert hermitian_inner(a, b).imag == -hermitian_inner(b, a).imag
-            assert hermitian_inner(x, x).imag == 0.0
+                assert inner(a, b).imag == -inner(b, a).imag
+            assert inner(x, x).imag == 0.0
 
     def test_hermitized_frozen_value(self):
         spec = KernelSpec(1)
@@ -440,6 +441,11 @@ class TestSeriesIdentity:
         with pytest.raises(OverflowError, match=r"\|y\|\^2 overflows double range"):
             kernel_series_partial(0, 0j, complex(1e308, 1e308), 3)
 
+    def test_overflowing_term_raises(self):
+        # |x conj(y)|^n / n! peaks near e^900 at n = 900
+        with pytest.raises(OverflowError, match="series term overflows double range"):
+            kernel_series_partial(0, 30, 30, 1000)
+
     def test_truncation_converges(self):
         x, y = 1.2 + 0.3j, -0.4 + 0.9j
         full = kernel_series_partial(3, x, y, 160)
@@ -497,7 +503,7 @@ def reference_hermitized(spec: KernelSpec, x: ComplexPoint, y: ComplexPoint) -> 
     part -sum |x_l - y_l|^2 / 2 and one laguerre call per coordinate, zero
     below the exponent -800."""
     dist = _distances(x, y)
-    exponent = complex(-0.5 * sum(dist), hermitian_inner(x, y).imag)
+    exponent = complex(-0.5 * sum(dist), _pair_terms(x, y)[1])
     if exponent.real < -800.0:
         return 0.0 + 0.0j
     value = cmath.exp(exponent) / math.pi ** spec.dimension

@@ -399,7 +399,7 @@ class TestExactness:
             [EDGE_PROBS, [1.0, 0.5, 0.05]],
             [[0.02, 0.6, 0.97], [0.4, 0.999], [0.75, 0.1]],
             pytest.param([ALL_DENSE_PROBS], id="all-dense"),
-            pytest.param([MANY_SPARSE_PROBS], id="one-replica-steps"),
+            pytest.param([MANY_SPARSE_PROBS], id="one-replica-steps", marks=pytest.mark.slow),
             pytest.param(HIGH_SPARSE_PROBS, id="negative-bands-only"),
         ],
     )

@@ -9,6 +9,7 @@ array implementation must reproduce bit for bit.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heisenberg_dpp.asymptotics as asy
+import heisenberg_dpp.specfun as sf
 import heisenberg_dpp.window_stats as ws
 from heisenberg_dpp.kernels import KernelSpec, kernel_series_partial
 from heisenberg_dpp.montecarlo import McConfig
@@ -162,6 +164,21 @@ class TestBesselIScaled:
         assert bessel_i_scaled(1, 2.0) == pytest.approx(
             0.21526928924893766, abs=2e-16
         )
+
+    def test_miller_rescale_below_the_double_range(self, monkeypatch):
+        # the backward recurrence at nu = 400, x = 30 passes 1e250 once;
+        # e^-30 I_400(30) ~ 7.0e-412 lies below the smallest subnormal
+        scaled = []
+
+        class Factor(float):
+            def __rmul__(self, other):
+                scaled.append(other)
+                return other * float(self)
+
+        monkeypatch.setattr(sf, "_RESCALE_FACTOR", Factor(sf._RESCALE_FACTOR))
+        assert bessel_i_scaled(400, 30.0) == 0.0
+        assert len(scaled) == 4  # f_next, f_cur, norm and saved, once
+        assert mpmath.besseli(400, 30) * mpmath.exp(-30) < mpmath.mpf(2) ** -1075
 
     def test_against_scipy(self):
         for _ in range(200):
@@ -444,6 +461,12 @@ class TestHyp3F2:
     def test_zero_denominator_raises(self):
         with pytest.raises(ValueError):
             hyp3f2_terminating(-0.5, -0.5, 3, -1.0, -3.5)
+
+    def test_zero_upper_factor_ends_the_sum(self):
+        # a1 = -2 ends the series after the n = 2 term, before -m = -5 does:
+        # 1 + 5/2 + 5/4
+        assert hyp3f2_terminating(-2.0, 0.5, 5, 1.0, 2.0) == 4.75
+        assert mpmath.hyp3f2(-2, 0.5, -5, 1, 2, 1) == 4.75
 
     def test_overflow_raises(self):
         # the second term is -2e400
