@@ -47,7 +47,6 @@ from .window_stats import (
 from .asymptotics import (
     alpha_coefficient,
     c_asymptote,
-    ratio_asymptotic_from_bessel,
     ratio_series_eval,
 )
 from .montecarlo import McConfig, McEstimate, estimate_moments
@@ -93,7 +92,6 @@ __all__ = [
     "variance_ratio_ball",
     "alpha_coefficient",
     "c_asymptote",
-    "ratio_asymptotic_from_bessel",
     "ratio_series_eval",
     "McConfig",
     "McEstimate",

@@ -2,13 +2,13 @@
 
 The ratio for the level-zero process in dimension D admits
 
-    Var/mean ~ (D / (sqrt(pi) R)) * sum_k (-1)^k c_k R^(-2k),
+    Var/mean ~ (D / (sqrt(pi) R)) * sum_k c_k R^(-2k),
 
-with c_0 = 1 and c_k built from the product coefficients alpha_k(D)
-below.  The same alpha_k drive the large-argument expansion of the
-scaled modified Bessel functions entering the closed form, which gives a
-second, independent derivation; ``bessel_asymptotic`` exposes that route
-so the two can be cross-checked term by term.
+with c_0 = 1 and the signed c_k built from the product coefficients
+alpha_k(D) below, as exact rationals.  ``verify`` checks the series against the
+exact ratio at finite R, and the test suite checks every coefficient
+against the Hankel expansion of the scaled Bessel functions in the
+closed form (DLMF 10.40.1), also as rationals.
 
 Asymptotic series are not convergent: evaluation truncates at the
 smallest term and reports the first omitted term as the error bound.
@@ -23,7 +23,6 @@ from .specfun import (
     SpecFunResult,
     _check_dimension,
     _check_index,
-    _check_positive,
     _check_radius,
 )
 
@@ -95,47 +94,6 @@ def ratio_series_eval(
         scale /= rr
     acc, omitted = _truncate(terms)
     return SpecFunResult(prefactor * acc, prefactor * omitted)
-
-
-def bessel_asymptotic(nu: int, x: float, order: int = MAX_SERIES_ORDER) -> SpecFunResult:
-    """Large-argument expansion of e^(-x) I_nu(x), with first-omitted bound.
-
-    e^(-x) I_nu(x) ~ (2 pi x)^(-1/2) sum_k (-1)^k u_k(nu) x^(-k), where
-    u_k = prod_{j=1..k} (4 nu^2 - (2j-1)^2) / (k! 8^k).  Independent of the
-    recurrence-based evaluation in specfun; used to re-derive the ratio
-    expansion coefficients from the Bessel side.
-    """
-    nu, order = _check_index("nu", nu), _check_order(order)
-    x = _check_positive("x", x)
-    four_nu_sq = 4 * nu * nu
-    prefactor = 1.0 / math.sqrt(2.0 * math.pi * x)
-    terms = [1.0]
-    for k in range(1, order + 2):
-        terms.append(terms[-1] * (-(four_nu_sq - (2 * k - 1) ** 2) / (8.0 * k * x)))
-    acc, omitted = _truncate(terms)
-    return SpecFunResult(prefactor * acc, prefactor * omitted)
-
-
-def ratio_asymptotic_from_bessel(
-    dimension: int, radius: float, order: int = MAX_SERIES_ORDER
-) -> SpecFunResult:
-    """Second route to the asymptotic ratio: sum the Bessel expansions.
-
-    Var/mean = e^(-2R^2) sum_{n<D} [I_n + I_{n+1}](2R^2) evaluated with the
-    asymptotic Bessel expansion instead of the recurrences.  Agreement of
-    this with ratio_series_eval to the order of the shared truncation is
-    the coefficient-level consistency check between the two expansions.
-    """
-    dimension, radius = _check_dimension(dimension), _check_radius(radius)
-    x = 2.0 * radius * radius
-    total = 0.0
-    bound = 0.0
-    for n in range(dimension):
-        lo = bessel_asymptotic(n, x, order)
-        hi = bessel_asymptotic(n + 1, x, order)
-        total += lo.value + hi.value
-        bound += lo.abs_error_bound + hi.abs_error_bound
-    return SpecFunResult(total, bound)
 
 
 def c_asymptote(m: int) -> float:

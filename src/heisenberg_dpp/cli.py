@@ -55,11 +55,13 @@ from .asymptotics import c_asymptote
 _ROW_FIELDS = ("r", "mean", "variance", "ratio", "r_times_ratio")
 _ROUTES = tuple(r.value for r in Route)
 # The flags that build a moment sweep default to None, so that a given one
-# can be told from an unset one; unset ones take these values.  The last
-# three apply to --route mc only.
+# can be told from an unset one; unset ones take these values.
 _SWEEP_DEFAULTS = {"window": "polydisk", "tail_tol": _TAIL_TOL, "route": "spectrum",
                    "seed": 0, "replicas": 100_000, "cell_prob_floor": 1e-12}
-_MC_ONLY = ("seed", "replicas", "cell_prob_floor")
+# The settings each route reads: giving another is an error, and
+# meta.tolerances records exactly these.
+_ROUTE_READS = {"closed": (), "integral": (), "spectrum": ("tail_tol",),
+                "mc": ("tail_tol", "seed", "replicas", "cell_prob_floor")}
 
 
 def _num(x) -> str:
@@ -313,11 +315,12 @@ def _given(args, dests) -> list[str]:
     return ["--" + d.replace("_", "-") for d in dests if getattr(args, d) is not None]
 
 
-def _moment_sweep(args, radii) -> tuple[SweepResult, list[dict], int | None]:
-    """Sweep rows of stats, sweep, classify and mc, and the seed to record.
-    Sets each unset sweep flag on args to its default."""
-    if args.route != Route.MONTE_CARLO.value and (given := _given(args, _MC_ONLY)):
-        route = args.route or _SWEEP_DEFAULTS["route"]
+def _moment_sweep(args, radii) -> tuple[SweepResult, list[dict], dict]:
+    """Sweep rows of stats, sweep, classify and mc, and the settings the
+    route read.  Sets each unset sweep flag on args to its default."""
+    route = args.route or _SWEEP_DEFAULTS["route"]
+    unread = [d for d in _ROUTE_READS["mc"] if d not in _ROUTE_READS[route]]
+    if given := _given(args, unread):
         raise ValueError(f"--route {route} reads no {', '.join(given)}")
     for dest, default in _SWEEP_DEFAULTS.items():
         if getattr(args, dest) is None:
@@ -328,15 +331,14 @@ def _moment_sweep(args, radii) -> tuple[SweepResult, list[dict], int | None]:
         mc = McConfig(args.replicas, args.seed, args.cell_prob_floor)
     sweep = run_sweep(spec, args.window, radii, args.route, args.tail_tol, mc)
     rows = [{k: getattr(row, k) for k in _ROW_FIELDS} for row in sweep.rows]
-    return sweep, rows, None if mc is None else args.seed
+    return sweep, rows, {d: getattr(args, d) for d in _ROUTE_READS[args.route]}
 
 
 def _cmd_moments(args) -> int:
     """stats, sweep and mc.  stats is a sweep with one radius; mc is stats
     --route mc plus the standard errors and the exact polydisk moments."""
     radii = _parse_grid(args.r_grid) if args.command == "sweep" else (args.radius,)
-    sweep, rows, seed = _moment_sweep(args, radii)
-    tolerances = {"tail_tol": args.tail_tol}
+    sweep, rows, tolerances = _moment_sweep(args, radii)
     if args.command == "mc":
         row = sweep.rows[0]
         exact = polydisk_moments(sweep.spec, row.r, args.tail_tol)
@@ -348,9 +350,9 @@ def _cmd_moments(args) -> int:
             replicas=args.replicas,
             **{f"{k}_cells": v for k, v in row.cells._asdict().items()},
         )
-        tolerances["cell_prob_floor"] = args.cell_prob_floor
     doc = _document(
-        sweep.spec, args.window, rows, seed, tolerances, route=args.route
+        sweep.spec, args.window, rows, tolerances.get("seed"), tolerances,
+        route=args.route,
     )
     _write_output(doc, args.fmt, args.out)
     return 0
@@ -407,10 +409,12 @@ def _cmd_classify(args) -> int:
             raise ValueError(f"classify --in reads no {', '.join(given)}")
         sweep, loaded = _load_sweep(args.in_path)
         rows, seed = loaded["rows"], loaded.get("meta", {}).get("seed")
+        tolerances = {}
     elif args.dimension is None:
         raise ValueError("classify needs either --in or --dimension")
     else:
-        sweep, rows, seed = _moment_sweep(args, _parse_grid(args.r_grid))
+        sweep, rows, tolerances = _moment_sweep(args, _parse_grid(args.r_grid))
+        seed = tolerances.get("seed")
     report = dataclasses.asdict(classify(sweep, fit_window=args.fit_window))
     del report["detail"]
     report["class_label"] = report["class_label"].value
@@ -419,7 +423,7 @@ def _cmd_classify(args) -> int:
         sweep.window_kind.value,
         rows,
         seed,
-        {"fit_window": args.fit_window},
+        {**tolerances, "fit_window": args.fit_window},
         route=sweep.route.value,
         extra={"classification": report},
     )

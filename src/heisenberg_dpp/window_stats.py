@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import enum
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
@@ -72,6 +73,9 @@ from .specfun import (
 SPECTRUM_SIZE_CAP = 10_000_000
 _TAIL_TOL = 1e-9  # default spectrum tail bound, shared by every route and the CLI
 PROB_CONSISTENCY_BAND = 1e-12
+# Largest n with n! below the double range: a float divided by a larger
+# factorial always overflows, so past it the ball formulas skip to logs.
+_FACTORIAL_MAX = 170
 # Most Gauss-Legendre panels the integral route uses on [0, 13]: width
 # pi/R holds through R ~ 16k, and wider panels answer to the error bound.
 INTEGRAL_PANEL_CAP = 1 << 16
@@ -141,10 +145,9 @@ def mean_ball(dimension: int, radius: float) -> float:
     Raises OverflowError when the mean itself does."""
     dimension = _check_dimension(dimension)
     radius = _check_radius(radius)
-    try:
-        return radius ** (2 * dimension) / factorial(dimension)
-    except OverflowError:
-        pass
+    if dimension <= _FACTORIAL_MAX:
+        with suppress(OverflowError):  # R^(2D) leaves the double range
+            return radius ** (2 * dimension) / factorial(dimension)
     try:
         return math.exp(2 * dimension * math.log(radius) - math.lgamma(dimension + 1))
     except OverflowError:
@@ -261,10 +264,10 @@ def _integral_batch(dimension: int, radii: list[float], counts: list[int]) -> li
         quad_bound = (1.0 + 2.0**-26) * math.fsum(bounds[start : start + count])
         start += count
         mean = mean_ball(dimension, radius)
-        try:
-            prefactor = 2.0 * radius ** (2 * dimension) / factorial(dimension - 1)
-        except OverflowError:  # a factor leaves the double range
-            prefactor = 2.0 * dimension * mean
+        prefactor = 2.0 * dimension * mean  # used where a factor leaves the double range
+        if dimension - 1 <= _FACTORIAL_MAX:
+            with suppress(OverflowError):
+                prefactor = 2.0 * radius ** (2 * dimension) / factorial(dimension - 1)
         achieved = prefactor * (quad_bound + cutoff_bound)
         out.append(mean - prefactor * fine)
         tol = _integral_tol(dimension, radius)

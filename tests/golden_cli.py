@@ -137,12 +137,15 @@ CASES: list[tuple[str, list[list[str]]]] = [
     ("kernel-eval-tail-tol", [["kernel-eval", *_D1, "--x", "0,0", "--y", "0,0",
                                "--tail-tol", "1e-3"]]),
     # flags the chosen mode does not read: Monte Carlo flags on an exact
-    # route, sweep flags with classify --in
+    # route, the tail target on a closed-form route, sweep flags with
+    # classify --in
     ("err-exact-route-mc-flags", [
         ["stats", *_D1, "--radius", "2", "--route", "closed", *_BALL,
          "--replicas", "-5", "--cell-prob-floor", "nan", "--seed", "-1"],
         ["sweep", *_D1, "--r-grid", "1,2", "--seed", "3"],
     ]),
+    ("err-closed-route-tail-tol", [["stats", *_D1, *_BALL, "--radius", "2",
+                                    "--route", "closed", "--tail-tol", "1e-3"]]),
     ("err-classify-in-sweep-flags", [
         ["sweep", *_D1, "--r-grid", "2:50:8", "--out", "in.json"],
         ["classify", "--in", "in.json", "--tail-tol", "-7", "--replicas", "-3",

@@ -1,4 +1,5 @@
-"""Large-radius ratio expansion and its Bessel-side cross-check.
+"""Large-radius ratio expansion, its coefficients checked against the
+Bessel-side (Hankel) expansion as exact rationals.
 
 Exact coefficient anchors: alpha_1(D) = 4D^2 - 1, alpha_2(1) = -15,
 c_1(1) = -1/16, c_2(1) = -15/2560 (as exact rationals).
@@ -12,13 +13,10 @@ import pytest
 from heisenberg_dpp.asymptotics import (
     MAX_SERIES_ORDER,
     alpha_coefficient,
-    bessel_asymptotic,
     c_asymptote,
-    ratio_asymptotic_from_bessel,
     ratio_series_eval,
     series_coefficient,
 )
-from heisenberg_dpp.specfun import bessel_i_scaled
 from heisenberg_dpp.window_stats import c_constant, variance_ratio_ball
 
 EPS = 2.3e-16
@@ -70,6 +68,21 @@ class TestSeriesCoefficients:
         signs = [series_coefficient(k, 1) > 0 for k in range(9)]
         assert signs == [True] + [False] * 8
 
+    def test_equal_to_hankel_expansion(self):
+        # e^(-x) I_nu(x) ~ (2 pi x)^(-1/2) sum_k (-1)^k u_k(nu) x^(-k), with
+        # u_k(nu) = prod_{j<=k} (4 nu^2 - (2j-1)^2) / (k! 8^k) (DLMF 10.40.1);
+        # summed over the closed form's I_n + I_(n+1), n < D, at x = 2 R^2
+        def u(k, nu):
+            num = math.prod(4 * nu * nu - (2 * j - 1) ** 2 for j in range(1, k + 1))
+            return Fraction(num, math.factorial(k) * 8**k)
+
+        # every order ratio_series_eval reads: one past MAX_SERIES_ORDER
+        for dim in range(1, 9):
+            for k in range(MAX_SERIES_ORDER + 2):
+                bessel = sum(u(k, n) + u(k, n + 1) for n in range(dim))
+                want = (-1) ** k * bessel / (2**k * 2 * dim)
+                assert series_coefficient(k, dim) == want, (k, dim)
+
 
 class TestSeriesEvaluation:
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -120,36 +133,6 @@ class TestSeriesEvaluation:
             ratio_series_eval(1, 5.0, order=MAX_SERIES_ORDER + 1)
         with pytest.raises(ValueError):
             ratio_series_eval(0, 5.0)
-
-
-class TestBesselRoute:
-    @pytest.mark.parametrize("nu", [0, 1, 2, 3])
-    def test_matches_recurrence_evaluation(self, nu):
-        x = 50.0
-        got = bessel_asymptotic(nu, x)
-        want = bessel_i_scaled(nu, x)
-        assert abs(got.value - want) <= 2.0 * got.abs_error_bound + 1e-15
-
-    def test_ratio_routes_agree(self):
-        for dim in (1, 2, 3):
-            for r in (6.0, 10.0):
-                a = ratio_series_eval(dim, r)
-                b = ratio_asymptotic_from_bessel(dim, r)
-                tol = 2.0 * (a.abs_error_bound + b.abs_error_bound) + 1e-14
-                assert abs(a.value - b.value) <= tol
-
-    def test_bessel_route_tracks_exact(self):
-        exact = variance_ratio_ball(2, 8.0)
-        got = ratio_asymptotic_from_bessel(2, 8.0)
-        assert abs(got.value - exact) <= 2.0 * got.abs_error_bound + 1e-14
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            bessel_asymptotic(-1, 10.0)
-        with pytest.raises(ValueError):
-            bessel_asymptotic(0, -1.0)
-        with pytest.raises(ValueError):
-            ratio_asymptotic_from_bessel(1, math.nan)
 
 
 class TestLevelAsymptote:

@@ -199,7 +199,7 @@ class TestStats:
         row = doc["rows"][0]
         assert row["variance"] == pytest.approx(0.5237776118026087, rel=1e-14)
         assert row["mean"] == pytest.approx(1.0, rel=1e-15)
-        assert doc["meta"]["tolerances"] == {"tail_tol": 1e-9}
+        assert doc["meta"]["tolerances"] == {}  # the closed route reads no setting
 
     def test_spectrum_route_polydisk(self, capsys):
         code, out, _ = run_cli(
@@ -924,7 +924,33 @@ class TestParserBasics:
         assert implicit_out == explicit_out
         doc = json.loads(implicit_out)
         assert doc["meta"]["seed"] == 0
-        assert doc["meta"]["tolerances"] == {"tail_tol": 1e-9, "cell_prob_floor": 1e-12}
+        assert doc["meta"]["tolerances"] == {
+            "tail_tol": 1e-9, "seed": 0, "replicas": 300, "cell_prob_floor": 1e-12,
+        }
+
+    @pytest.mark.parametrize("route", ["closed", "integral"])
+    def test_tail_tol_on_a_ball_route(self, capsys, route):
+        argv = ["stats", "--dimension", "1", "--window", "ball", "--radius", "2",
+                "--route", route, "--tail-tol", "1e-3"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: --route {route} reads no --tail-tol\n"
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["stats", "--radius", "2", "--route", "integral", "--window", "ball"], {}),
+            (["stats", "--radius", "2", "--route", "mc", "--replicas", "50",
+              "--cell-prob-floor", "1e-3"],
+             {"tail_tol": 1e-9, "seed": 0, "replicas": 50, "cell_prob_floor": 1e-3}),
+            (["classify", "--r-grid", "2:20:12", "--route", "spectrum",
+              "--tail-tol", "1e-3"], {"tail_tol": 1e-3, "fit_window": 0.5}),
+        ],
+    )
+    def test_tolerances_are_the_settings_the_route_read(self, capsys, argv, want):
+        code, out, _ = run_cli(capsys, [*argv, "--dimension", "1"])
+        assert code == 0
+        assert json.loads(out)["meta"]["tolerances"] == want
 
     @pytest.mark.parametrize(
         "flags",

@@ -511,9 +511,6 @@ NUMBER_ARGS = {
     ),
     "c_constant m": ("m", ws.c_constant, 3),
     "ratio_series_eval radius": ("radius", lambda v: asy.ratio_series_eval(1, v).value, 5.0),
-    "ratio_asymptotic_from_bessel radius": (
-        "radius", lambda v: asy.ratio_asymptotic_from_bessel(1, v).value, 5.0,
-    ),
     "alpha_coefficient k": ("k", lambda v: asy.alpha_coefficient(v, 2), 3),
     "c_asymptote m": ("m", asy.c_asymptote, 3),
     "laguerre n": ("n", lambda v: laguerre(v, 0.5, 1.5), 3),

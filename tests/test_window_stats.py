@@ -71,6 +71,21 @@ class TestBallClosedForm:
         with pytest.raises(OverflowError, match=r"mean at D=1, R=1e\+200 overflows"):
             mean_ball(1, 1e200)
 
+    def test_no_factorial_past_the_double_range(self, monkeypatch):
+        # a float divided by 171! or more overflows: past 170 both ball
+        # formulas go straight to logs, with the bits the divide-and-catch
+        # form gave (the 0.0 mean underflows; its prefactor still takes logs)
+        args = []
+        monkeypatch.setattr(ws, "factorial", lambda n: args.append(n) or math.factorial(n))
+        assert mean_ball(171, 10.0).hex() == "0x1.3dd40054a838fp+109"
+        assert variance_ball_integral(300, 2.0).hex() == "0x0.0p+0"
+        assert variance_ball_integral(172, 10.0).hex() == "0x1.71914dc7a5ff1p+108"
+        assert args == []
+        # at 170 the exact factorial is still formed and divided
+        assert mean_ball(170, 2.0).hex() == "0x1.8c53af9080a2cp-680"
+        assert variance_ball_integral(171, 2.0).hex() == "0x1.28aa6e7525ddfp-685"
+        assert args == [170, 170]
+
     def test_frozen_variances(self):
         assert variance_ball_closed(1, 1.0) == pytest.approx(
             0.5237776118026087, rel=1e-14
