@@ -29,12 +29,13 @@ integers for successive n come from a forward-difference walk of one
 packed polynomial, and each p_n's sum is one dot product of them with
 integer weights, the signed ladder mantissas aligned to a common
 exponent, that a block of successive n shares: no factorial weight and no
-division.  The only rounding outside the ladder is the one to double on
+division.  A spectrum seeds that walk once, and each extension resumes it.
+The only rounding outside the ladder is the one to double on
 the finished probability, and it is toward zero, subnormals included.
 Below n + m = R^2 most p_n are certain: a Laguerre bound certifies
 1 - p_n < 2^-55 there, so the assembly would return 1 - 2^-53 (p_n < 1 is
 held one ulp below 1), and those indices take that value without it, bit
-for bit.
+for bit; nor does the ladder sum its rungs below the first index assembled.
 No level is out of range: one work budget, counted in level-0 indices,
 refuses a spectrum or a p_n before its ladder is built when it would take
 more than about 30 s.
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
 from itertools import repeat
-from math import comb, factorial, perm
+from math import comb, factorial, ldexp, perm
 from operator import itemgetter, mul
 
 import numpy as np
@@ -79,6 +80,9 @@ _FACTORIAL_MAX = 170
 # Most Gauss-Legendre panels the integral route uses on [0, 13]: width
 # pi/R holds through R ~ 16k, and wider panels answer to the error bound.
 INTEGRAL_PANEL_CAP = 1 << 16
+# Panels whose nodes the integral route evaluates at once: the per-node
+# Python floats (math.exp, fsum) of one chunk are alive at a time, ~6 MB.
+_INTEGRAL_CHUNK_PANELS = 1 << 12
 
 
 class WindowKind(enum.Enum):
@@ -236,7 +240,8 @@ def _panel_bounds(dimension: int, radius: np.ndarray, mid: np.ndarray, half: np.
 
 
 def _integral_batch(dimension: int, radii: list[float], counts: list[int]) -> list[float]:
-    """Integral-route variances at radii, on counts panels each, from one bessel_j call.
+    """Integral-route variances at radii, on counts panels each, from one
+    bessel_j call per _INTEGRAL_CHUNK_PANELS panels.
 
     Each radius's error is its prefactor times the sum of _panel_bounds over
     its panels plus the cutoff bound: a proof, not a comparison with a
@@ -249,11 +254,14 @@ def _integral_batch(dimension: int, radii: list[float], counts: list[int]) -> li
     hi = np.concatenate([e[1:] for e in edges])
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     panel_radius = np.repeat(radii, counts)
-    kappa = (mid[:, None] + half[:, None] * _GL_NODES).ravel()
-    j = bessel_j(dimension, kappa * np.repeat(panel_radius, _GL_NODES.size))
-    damp = np.array([math.exp(v) for v in (-0.25 * kappa * kappa).tolist()])
-    weighted = _GL_WEIGHTS * (j * j / kappa * damp).reshape(half.size, _GL_NODES.size)
-    values = [h * math.fsum(row) for h, row in zip(half.tolist(), weighted.tolist())]
+    values = []
+    for first in range(0, half.size, _INTEGRAL_CHUNK_PANELS):
+        part = slice(first, first + _INTEGRAL_CHUNK_PANELS)
+        kappa = (mid[part, None] + half[part, None] * _GL_NODES).ravel()
+        j = bessel_j(dimension, kappa * np.repeat(panel_radius[part], _GL_NODES.size))
+        damp = np.array([math.exp(v) for v in (-0.25 * kappa * kappa).tolist()])
+        weighted = _GL_WEIGHTS * (j * j / kappa * damp).reshape(-1, _GL_NODES.size)
+        values += [h * math.fsum(row) for h, row in zip(half[part].tolist(), weighted.tolist())]
     with np.errstate(over="ignore"):  # past e^709 a panel's bound is inf
         bounds = _panel_bounds(dimension, panel_radius, mid, half).tolist()
     cutoff_bound = math.exp(-0.25 * 13.0**2) * 2.0 / 13.0**2
@@ -303,9 +311,11 @@ def variance_ball_integral(dimension: int, radius):
     at D = 20, and refuses R = 32k.
 
     ``radius`` is a float or a 1-D sequence of radii; the result is of the
-    same kind.  Consecutive radii of a sequence share one bessel_j call, as
+    same kind.  Consecutive radii of a sequence share bessel_j calls, as
     long as the batch holds no more nodes than the request's largest radius
-    needs alone, so no call is larger than that radius's own.  Every panel
+    needs alone, so no call is larger than that radius's own; a call takes
+    at most _INTEGRAL_CHUNK_PANELS panels, which bounds the per-node floats
+    held at once.  Every panel
     keeps its own fsum, so each variance is bit for bit the one its radius
     gets alone.
 
@@ -440,6 +450,14 @@ class _GammaLadder:
     _trunc does, so every rung equals, bit for bit, what the same steps give
     in libmp at round_down.  R^2 is exact, the square of the radius's 53-bit
     mantissa, and the seed e^(-R^2) is truncated toward zero by _exp_neg.
+
+    The first extension sums backward only down to its floor, the lowest
+    rung a reader needs, and always sums the top rung, where a later
+    extension's complement starts; rungs below `low` keep their terms t_(j+1).
+    The forward terms still run from j = 0, as every rung's bits depend on
+    them, and the summed rungs are those of a full sum, bit for bit.  A later
+    extension sums every rung it adds.  `walk` is the coefficient walk that
+    _assemble_probs left off, for the next range to resume.
     """
 
     def __init__(self, radius: float, prec: int):
@@ -448,26 +466,33 @@ class _GammaLadder:
         self.rsq = num * num, 2 - 2 * den.bit_length()  # R^2 exactly, as (M, e)
         self._term = _exp_neg(*self.rsq, prec)  # t_(len(_p))
         self._p = []
+        self.low, self.walk = 0, None
 
-    def extend(self, j_max: int) -> None:
+    def extend(self, j_max: int, floor: int = 0) -> None:
         prec, p = self.prec, self._p
         num, r_exp = self.rsq
         start, first = len(p), self._term
         if start > j_max:
             return
+        if not start:
+            self.low = max(min(floor, j_max), 0)
+        stop = start or self.low  # the backward sum's last rung
         # p[j] holds t_(j+1) until the backward sum replaces it with P(j+1).
         # A step truncates the exact product with R^2 = num 2^r_exp to prec
         # bits, then the quotient by k, of prec or prec + 1 bits, again.
         man, exp = first
-        for k in range(start + 1, j_max + 2):
-            man *= num
-            shift = man.bit_length() - prec
+        k = start + 1
+        while k <= j_max + 1:  # in runs of k of one bit length
             bits = k.bit_length()
-            man = ((man >> shift) << bits) // k
-            drop = man.bit_length() - prec
-            man >>= drop
-            exp += r_exp + shift - bits + drop
-            p.append((man, exp))
+            for k in range(k, min(1 << bits, j_max + 2)):
+                man *= num
+                shift = man.bit_length() - prec
+                man = ((man >> shift) << bits) // k
+                drop = man.bit_length() - prec
+                man >>= drop
+                exp += r_exp + shift - bits + drop
+                p.append((man, exp))
+            k += 1
         term = self._term = p[-1]
         if (j_max + 3) << -r_exp <= num:
             # Below the Poisson mode the remainder P(j_max + 2) is at least
@@ -492,7 +517,7 @@ class _GammaLadder:
         # An addend wholly below the other's last kept bit (gap >= prec)
         # leaves the other as it is.
         acc_man, acc_exp = acc
-        for j in range(j_max, start - 1, -1):
+        for j in range(j_max, stop - 1, -1):
             man, exp = p[j]
             gap = exp - acc_exp
             if not acc_man or gap >= prec:
@@ -545,6 +570,62 @@ def _seed_coeffs(m: int, n: int, slot: int) -> int:
     return int.from_bytes(b"".join(out), "little")
 
 
+def _slot(m: int, n_hi: int) -> int:
+    """Bytes per packed coefficient that fit every A(n) to n_hi: sum_k a_k(n)
+    <= 2^m binom(2n + m, m) (binom(j, i) <= binom(n + m, i), then
+    Vandermonde), which rises with n."""
+    return (m + comb(2 * n_hi + m, m).bit_length() + 7) // 8
+
+
+def _difference(table: list[int]) -> list[int]:
+    """Values at successive indices, in place, to their forward differences."""
+    order = len(table) - 1
+    for k in range(1, order + 1):
+        for i in range(order, k - 1, -1):
+            table[i] -= table[i - 1]
+    return table
+
+
+class _Walk:
+    """diffs[i] = Delta^i A(n), the forward differences of _assemble_probs's
+    packed A at index n, in slots that fit every A(n') to n' = cap.
+
+    Seeded once, from _seed_coeffs at n..min(cap, n + m); a table of order m
+    walks on to any later index.  Only A(n) is unpacked: the differences'
+    slots may borrow.
+    """
+
+    def __init__(self, m: int, n: int, cap: int):
+        self.m, self.n, self.cap, self.slot = m, n, cap, _slot(m, cap)
+        seeds = [_seed_coeffs(m, k, self.slot) for k in range(n, min(cap, n + m) + 1)]
+        self.diffs = _difference(seeds)
+
+    def widen(self, cap: int) -> None:
+        """Fit the slots of an order-m table to indices up to cap, exactly.
+
+        As the differences' slots borrow, the table steps back instead to
+        A(n - m - 1)..A(n - 1), all within the old cap, whose slots hold
+        their a_k; each slot is zero-extended to the new width, and the
+        re-packed values are differenced and walked forward to n again.
+        """
+        m, old, slot = self.m, self.slot, _slot(self.m, cap)
+        if slot > old:
+            diffs, values = self.diffs, []
+            for _ in range(m + 1):
+                for i in range(m - 1, -1, -1):
+                    diffs[i] -= diffs[i + 1]
+                values.append(diffs[0].to_bytes((2 * m + 1) * old, "little"))
+            pad, chunks = bytes(slot - old), range(0, len(values[0]), old)
+            self.diffs = diffs = _difference([
+                int.from_bytes(b"".join(v[k : k + old] + pad for k in chunks), "little")
+                for v in reversed(values)
+            ])
+            for _ in range(m + 1):
+                for i in range(m):
+                    diffs[i] += diffs[i + 1]
+        self.slot, self.cap = slot, cap
+
+
 def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[float]:
     """p_n at level m for n = n_lo..n_hi from the ladder, one rounding each.
 
@@ -555,7 +636,10 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
     Packed into one integer, A(n) = sum_k a_k(n) X^k is a polynomial of
     degree m in n, walked by forward differences from m + 1 seeds: each
     further index costs m big-int adds, and n < m needs no care, as the
-    slots with j < 0 hold 0 there.  The indices go in blocks of _BLOCK that
+    slots with j < 0 hold 0 there.  The walk (_Walk) stays on the ladder,
+    so a range that starts where the last one stopped resumes it: a
+    spectrum seeds once, and its extensions only widen the slots.  The
+    indices go in blocks of _BLOCK that
     share one integer weight per ladder value,
     H_j = (-1)^j M_j 2^(e_j - e_min), with e_min the least exponent in the
     block's window (zero weights stand for j < 0).  Since
@@ -564,25 +648,30 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
     weights, and p_n = S 2^e_min is rounded once, toward zero, to 53 bits.
     p_n < 1 at every finite R, so the result is held to [0, 1 - 2^-53].
     That is what every index does whose 1 - p_n _log_defect_bound certifies
-    below 2^-55, so the indices before the first one it does not certify
-    (the bound rises with n: bisection finds it) take 1 - 2^-53 unassembled.
+    below 2^-55, so the indices before the first one it does not certify,
+    n0 (the bound rises with n: bisection finds it), take 1 - 2^-53
+    unassembled.  The ladder is extended to n_hi + m here, and as no p_n
+    reads a rung below n0 - m, its backward sum stops there.
     """
-    rungs = ladder._p
     n0 = _first_uncertain(m, ladder.radius, n_lo, n_hi)
+    ladder.extend(n_hi + m, n0 - m)
+    if n0 <= n_hi and max(n0 - m, 0) < ladder.low:
+        raise InternalConsistencyError(f"p_{n0} reads ladder rungs below {ladder.low}, not summed")
+    rungs, raws = ladder._p, []
     if m == 0:
-        raws = [_to_float(man, exp) for man, exp in rungs[n0 : n_hi + 1]]
-    else:
-        raws = []
-        # sum_k a_k(n) <= 2^m binom(2n + m, m) (binom(j, i) <= binom(n + m, i),
-        # then Vandermonde), which rises with n: the slots fit every A(n) to
-        # n_hi.  Only A(n) itself is unpacked; its differences may borrow.
-        slot = (m + comb(2 * n_hi + m, m).bit_length() + 7) // 8
-        diffs = [_seed_coeffs(m, n, slot) for n in range(n0, min(n_hi, n0 + m) + 1)]
-        order = len(diffs) - 1
-        for k in range(1, order + 1):
-            for i in range(order, k - 1, -1):
-                diffs[i] -= diffs[i - 1]
-        span = 2 * m + 1
+        shift = ladder.prec - 53  # every rung has prec bits: truncated inline, if normal
+        raws = [
+            ldexp(man >> shift, exp + shift) if exp + shift >= -1074 else _to_float(man, exp)
+            for man, exp in rungs[n0 : n_hi + 1]
+        ]
+    elif n0 <= n_hi:
+        walk = ladder.walk
+        if walk is None or walk.m != m or walk.n != n0 or len(walk.diffs) <= m:
+            walk = ladder.walk = _Walk(m, n0, n_hi)
+        elif n_hi > walk.cap:
+            walk.widen(n_hi)
+        diffs, slot = walk.diffs, walk.slot
+        order, span = len(diffs) - 1, 2 * m + 1
         width = span * slot
         slots = itemgetter(*[slice(k * slot, (k + 1) * slot) for k in range(span)])
         little = repeat("little")
@@ -591,6 +680,7 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
             base = max(lo - m, 0)
             window = rungs[base : end + m]
             e_min = min([exp for _, exp in window])
+            normal = max(-1074 - e_min, 0)  # a drop from here leaves a normal double
             weights = [0] * (base - lo + m)  # j = lo - m .. base - 1
             weights += [
                 -(man << (exp - e_min)) if j & 1 else man << (exp - e_min)
@@ -602,13 +692,23 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
                     diffs[i] += diffs[i + 1]
                 a = map(int.from_bytes, slots(packed), little)
                 total = sum(map(mul, a, weights[w : w + span]))
-                raws.append(_to_float(-total if (n - m) & 1 else total, e_min))
-    for n, raw in enumerate(raws, n0):
-        if not -PROB_CONSISTENCY_BAND <= raw <= 1.0 + PROB_CONSISTENCY_BAND:
-            raise InternalConsistencyError(
-                f"p_{n} at level {m} evaluated to {raw!r}, outside [0, 1]"
-            )
-    return [1.0 - 2.0**-53] * (n0 - n_lo) + [min(max(raw, 0.0), 1.0 - 2.0**-53) for raw in raws]
+                if (n - m) & 1:
+                    total = -total
+                drop = total.bit_length() - 53
+                raws.append(
+                    ldexp(total >> drop, e_min + drop)
+                    if total > 0 and drop >= normal
+                    else _to_float(total, e_min)
+                )
+        walk.n = n_hi + 1
+    probs = np.array(raws)
+    bad = ~((probs >= -PROB_CONSISTENCY_BAND) & (probs <= 1.0 + PROB_CONSISTENCY_BAND))
+    if bad.any():
+        i = int(bad.argmax())
+        raise InternalConsistencyError(
+            f"p_{n0 + i} at level {m} evaluated to {raws[i]!r}, outside [0, 1]"
+        )
+    return [1.0 - 2.0**-53] * (n0 - n_lo) + np.clip(probs, 0.0, 1.0 - 2.0**-53).tolist()
 
 
 # Natural log of 2^-1138: a p_n certified below it lies 64 binary orders
@@ -689,8 +789,8 @@ def _check_budget(indices: int, level: int, radius: float, what: str = "spectrum
 
     An index at level m weighs w(m) = (m + 1)(1 + (m/24)^2) level-0 ones:
     3 us w(m) bounds build_spectrum's time per index from above, within a
-    factor of 8 (0.7 to 0.9 us at level 0, 9 to 11 us at 16, 39 to 47 us
-    at 32 and 0.36 to 0.41 ms at 64, CPU time at R = 10 and 20 on a 2-core
+    factor of 6 (0.7 to 1.0 us at level 0, 14 to 17 us at 16, 49 to 56 us
+    at 32 and 0.30 to 0.32 ms at 64, CPU time at R = 10 and 20 on a 2-core
     VM), so the cap stands for at most about 30 s of work at any level.
     The count includes the indices that the saturation certificate spares
     the assembly (over half of them from R ~ 50), so the bound errs further
@@ -720,7 +820,7 @@ def bernoulli_prob(n: int, m: int, radius: float) -> float:
     Otherwise the work budget (see _check_budget) counts the n + m ladder
     rungs as level-0 indices and the one assembly as an index at the lower
     level, and raises NumericalBudgetError, before the ladder, when either
-    passes it.
+    passes it.  The ladder sums only the 2m + 1 rungs the assembly reads.
     """
     n, m = _check_index("n", n), _check_index("m", m)
     radius = _check_radius(radius)
@@ -734,9 +834,7 @@ def bernoulli_prob(n: int, m: int, radius: float) -> float:
         pass
     _check_budget(n + m, 0, radius, f"p_{_count(n)} at level {m}")
     _check_budget(1, m, radius, f"p_{_count(n)}")
-    ladder = _GammaLadder(radius, _working_prec(m, n + m))
-    ladder.extend(n + m)
-    return _assemble_probs(m, ladder, n, n)[0]
+    return _assemble_probs(m, _GammaLadder(radius, _working_prec(m, n + m)), n, n)[0]
 
 
 def _initial_truncation(radius: float, level: int) -> int:
@@ -765,7 +863,6 @@ def build_spectrum(m: int, radius: float, tail_tol: float = _TAIL_TOL) -> Bernou
     n_top = _initial_truncation(radius, m)
     _check_budget(n_top, m, radius)
     ladder = _GammaLadder(radius, _working_prec(m, n_top + 2 * m + 64))
-    ladder.extend(n_top + m)
     probs = _assemble_probs(m, ladder, 0, n_top)
     mean = _to_float(*ladder.rsq)
     # R^2 - sum p_n exceeds mean - fsum(probs) by less than the roundings of
@@ -787,7 +884,6 @@ def build_spectrum(m: int, radius: float, tail_tol: float = _TAIL_TOL) -> Bernou
         previous = tail
         grow = max(64, math.ceil(radius))
         _check_budget(len(probs) + grow, m, radius)
-        ladder.extend(n_top + grow + m)
         probs.extend(_assemble_probs(m, ladder, n_top + 1, n_top + grow))
         n_top += grow
     return BernoulliSpectrum(

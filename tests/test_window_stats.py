@@ -310,6 +310,19 @@ class TestIntegralRoute:
             tracemalloc.stop()
         assert peak <= coarse_rule_peak
 
+    @pytest.mark.slow
+    def test_peak_memory_holds_one_chunk_of_nodes(self):
+        # 107 MB when every node of the 2^16 panels was a Python float at
+        # once; a chunk of _INTEGRAL_CHUNK_PANELS peaks at ~14 MB
+        variance_ball_integral(3, 1.0)
+        tracemalloc.start()
+        try:
+            variance_ball_integral(3, 2e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             variance_ball_integral(-2, 1.0)
@@ -880,21 +893,36 @@ class TestIntegerCoefficients:
     @settings(max_examples=30, deadline=None)
     @given(m=st.integers(0, 12), r=st.floats(0.3, 30.0), pick=st.integers(0, 10**6))
     def test_spectrum_equals_exact_factorial_sum(self, m, r, pick):
-        # p_n from build_spectrum against the factorial form on the very
-        # ladder it used, truncated toward zero and held below 1
-        ladders = []
+        # p_n from build_spectrum against the factorial form on a fully
+        # summed ladder of the same radius and precision, extended to the
+        # same tops (the one it used leaves terms below its floor),
+        # truncated toward zero and held below 1
+        ladders, tops = [], []
 
         class Recorded(ws._GammaLadder):
             def __init__(self, *args):
                 super().__init__(*args)
                 ladders.append(self)
 
+            def extend(self, j_max, floor=0):
+                tops.append(j_max)
+                super().extend(j_max, floor)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ws, "_GammaLadder", Recorded)
             probs = build_spectrum(m, r).probs
+        full = ws._GammaLadder(r, ladders[0].prec)
+        for top in tops:
+            full.extend(top)
         n = pick % len(probs)
-        exact = exact_prob(n, m, ladders[0])
+        exact = exact_prob(n, m, full)
         assert probs[n] == min(truncated_double(exact), 1.0 - 2.0**-53), (n, exact)
+
+    def test_rungs_below_the_floor_refuse_assembly(self):
+        ladder = ws._GammaLadder(3.0, 96)
+        ladder.extend(40, 20)
+        with pytest.raises(InternalConsistencyError, match="below 20"):
+            ws._assemble_probs(2, ladder, 10, 12)
 
     @pytest.mark.parametrize("block", [1, 3, 16])
     def test_block_size_touches_no_bit(self, monkeypatch, block):
@@ -1036,6 +1064,27 @@ class TestGammaLadder:
                 err = abs(mpmath.mpf(reg_gamma(ladder, j)) - ref) / ref
                 # the docstring's ~N ulps of its own size, N = top + 1 rungs
                 assert err <= (top + 1) * mpmath.mpf(2) ** (1 - prec), (j, err)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        r=st.floats(0.05, 25.0),
+        prec=st.sampled_from([96, 107, 160]),
+        steps=st.lists(
+            st.tuples(st.integers(0, 800), st.integers(-20, 900)), min_size=1, max_size=4
+        ),
+    )
+    @example(r=20.0, prec=96, steps=[(500, 600)])  # a floor above the top
+    def test_floored_ladder_matches_full_ladder(self, r, prec, steps):
+        # from the first floor up, the top rung included, a floored ladder's
+        # rungs are the fully summed ladder's, bit for bit
+        floored, full = ws._GammaLadder(r, prec), ws._GammaLadder(r, prec)
+        for top, floor in steps:
+            floored.extend(top, floor)
+            full.extend(top)
+        first_top, first_floor = steps[0]
+        low = max(min(first_floor, first_top), 0)
+        assert floored.low == low
+        assert floored._p[low:] == full._p[low:]
 
     def test_rungs_far_below_the_mode_are_cheap(self):
         # the remainder of a top below R^2 is the complement of the three
@@ -1284,6 +1333,52 @@ class TestBitIdentity:
                 digest.update(np.asarray(spec.probs, dtype="<f8").tobytes())
                 digest.update(struct.pack("<d", spec.tail_bound))
         assert digest.hexdigest() == self.PINNED_LARGE_R
+
+    # the same digest over spectra that extend past their first truncation,
+    # as the assembly computed them when it re-seeded every extension
+    PINNED_EXTENSIONS = "f50c8db0981244a512651c7bd70b51383c61c3df8cc12cd1d65febdcc46b913f"
+
+    def test_extension_digest(self):
+        digest = hashlib.sha256()
+        for m, r in ((32, 10.0), (64, 10.0), (32, 20.0)):
+            spec = build_spectrum(m, r)
+            assert len(spec.probs) > ws._initial_truncation(r, m) + 1
+            digest.update(np.asarray(spec.probs, dtype="<f8").tobytes())
+            digest.update(struct.pack("<d", spec.tail_bound))
+        assert digest.hexdigest() == self.PINNED_EXTENSIONS
+
+
+class TestResumedWalk:
+    """An extension resumes the coefficient walk where the last range stopped."""
+
+    def test_spectrum_seeds_once(self, monkeypatch):
+        seeds, ranges = [], []
+        seed, assemble = ws._seed_coeffs, ws._assemble_probs
+        monkeypatch.setattr(ws, "_seed_coeffs", lambda *args: seeds.append(args) or seed(*args))
+        monkeypatch.setattr(
+            ws, "_assemble_probs", lambda *args: ranges.append(args[2:]) or assemble(*args)
+        )
+        build_spectrum(64, 10.0)
+        assert len(ranges) == 3  # two extensions
+        assert len(seeds) == 64 + 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(0, 12), r=st.floats(8.0, 14.0), first=st.integers(0, 30))
+    def test_extensions_match_one_shot(self, m, r, first):
+        # a small first truncation forces several extensions, each resuming
+        # the walk and most widening its slots; the one-shot spectrum starts
+        # at the final size, at the same working precision
+        prec = ws._working_prec(m, 4096)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ws, "_working_prec", lambda level, max_index: prec)
+            patch.setattr(ws, "_initial_truncation", lambda radius, level: max(level, first))
+            stepped = build_spectrum(m, r)
+            assert len(stepped.probs) > max(m, first) + 1 + 64  # two or more extensions
+            size = len(stepped.probs)
+            patch.setattr(ws, "_initial_truncation", lambda radius, level: size - 1)
+            once = build_spectrum(m, r)
+        assert once.probs.tobytes() == stepped.probs.tobytes()
+        assert once.tail_bound == stepped.tail_bound
 
 
 class TestPolydiskMoments:
