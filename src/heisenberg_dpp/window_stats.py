@@ -29,8 +29,7 @@ integers for successive n come from a forward-difference walk of one
 packed polynomial, and each p_n's sum is one dot product of them with
 integer weights, the signed ladder mantissas aligned to a common
 exponent, that a block of successive n shares: no factorial weight and no
-division.  A spectrum seeds that walk once, and each extension resumes it.
-The only rounding outside the ladder is the one to double on
+division.  The only rounding outside the ladder is the one to double on
 the finished probability, and it is toward zero, subnormals included.
 Below n + m = R^2 most p_n are certain: a Laguerre bound certifies
 1 - p_n < 2^-55 there, so the assembly would return 1 - 2^-53 (p_n < 1 is
@@ -50,7 +49,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import lru_cache
 from itertools import repeat
-from math import comb, factorial, ldexp, perm
+from math import comb, factorial, perm
 from operator import itemgetter, mul
 
 import numpy as np
@@ -456,8 +455,7 @@ class _GammaLadder:
     extension's complement starts; rungs below `low` keep their terms t_(j+1).
     The forward terms still run from j = 0, as every rung's bits depend on
     them, and the summed rungs are those of a full sum, bit for bit.  A later
-    extension sums every rung it adds.  `walk` is the coefficient walk that
-    _assemble_probs left off, for the next range to resume.
+    extension sums every rung it adds.
     """
 
     def __init__(self, radius: float, prec: int):
@@ -466,7 +464,7 @@ class _GammaLadder:
         self.rsq = num * num, 2 - 2 * den.bit_length()  # R^2 exactly, as (M, e)
         self._term = _exp_neg(*self.rsq, prec)  # t_(len(_p))
         self._p = []
-        self.low, self.walk = 0, None
+        self.low = 0
 
     def extend(self, j_max: int, floor: int = 0) -> None:
         prec, p = self.prec, self._p
@@ -570,62 +568,6 @@ def _seed_coeffs(m: int, n: int, slot: int) -> int:
     return int.from_bytes(b"".join(out), "little")
 
 
-def _slot(m: int, n_hi: int) -> int:
-    """Bytes per packed coefficient that fit every A(n) to n_hi: sum_k a_k(n)
-    <= 2^m binom(2n + m, m) (binom(j, i) <= binom(n + m, i), then
-    Vandermonde), which rises with n."""
-    return (m + comb(2 * n_hi + m, m).bit_length() + 7) // 8
-
-
-def _difference(table: list[int]) -> list[int]:
-    """Values at successive indices, in place, to their forward differences."""
-    order = len(table) - 1
-    for k in range(1, order + 1):
-        for i in range(order, k - 1, -1):
-            table[i] -= table[i - 1]
-    return table
-
-
-class _Walk:
-    """diffs[i] = Delta^i A(n), the forward differences of _assemble_probs's
-    packed A at index n, in slots that fit every A(n') to n' = cap.
-
-    Seeded once, from _seed_coeffs at n..min(cap, n + m); a table of order m
-    walks on to any later index.  Only A(n) is unpacked: the differences'
-    slots may borrow.
-    """
-
-    def __init__(self, m: int, n: int, cap: int):
-        self.m, self.n, self.cap, self.slot = m, n, cap, _slot(m, cap)
-        seeds = [_seed_coeffs(m, k, self.slot) for k in range(n, min(cap, n + m) + 1)]
-        self.diffs = _difference(seeds)
-
-    def widen(self, cap: int) -> None:
-        """Fit the slots of an order-m table to indices up to cap, exactly.
-
-        As the differences' slots borrow, the table steps back instead to
-        A(n - m - 1)..A(n - 1), all within the old cap, whose slots hold
-        their a_k; each slot is zero-extended to the new width, and the
-        re-packed values are differenced and walked forward to n again.
-        """
-        m, old, slot = self.m, self.slot, _slot(self.m, cap)
-        if slot > old:
-            diffs, values = self.diffs, []
-            for _ in range(m + 1):
-                for i in range(m - 1, -1, -1):
-                    diffs[i] -= diffs[i + 1]
-                values.append(diffs[0].to_bytes((2 * m + 1) * old, "little"))
-            pad, chunks = bytes(slot - old), range(0, len(values[0]), old)
-            self.diffs = diffs = _difference([
-                int.from_bytes(b"".join(v[k : k + old] + pad for k in chunks), "little")
-                for v in reversed(values)
-            ])
-            for _ in range(m + 1):
-                for i in range(m):
-                    diffs[i] += diffs[i + 1]
-        self.slot, self.cap = slot, cap
-
-
 def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[float]:
     """p_n at level m for n = n_lo..n_hi from the ladder, one rounding each.
 
@@ -636,10 +578,7 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
     Packed into one integer, A(n) = sum_k a_k(n) X^k is a polynomial of
     degree m in n, walked by forward differences from m + 1 seeds: each
     further index costs m big-int adds, and n < m needs no care, as the
-    slots with j < 0 hold 0 there.  The walk (_Walk) stays on the ladder,
-    so a range that starts where the last one stopped resumes it: a
-    spectrum seeds once, and its extensions only widen the slots.  The
-    indices go in blocks of _BLOCK that
+    slots with j < 0 hold 0 there.  The indices go in blocks of _BLOCK that
     share one integer weight per ladder value,
     H_j = (-1)^j M_j 2^(e_j - e_min), with e_min the least exponent in the
     block's window (zero weights stand for j < 0).  Since
@@ -659,19 +598,18 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
         raise InternalConsistencyError(f"p_{n0} reads ladder rungs below {ladder.low}, not summed")
     rungs, raws = ladder._p, []
     if m == 0:
-        shift = ladder.prec - 53  # every rung has prec bits: truncated inline, if normal
-        raws = [
-            ldexp(man >> shift, exp + shift) if exp + shift >= -1074 else _to_float(man, exp)
-            for man, exp in rungs[n0 : n_hi + 1]
-        ]
+        raws = [_to_float(man, exp) for man, exp in rungs[n0 : n_hi + 1]]
     elif n0 <= n_hi:
-        walk = ladder.walk
-        if walk is None or walk.m != m or walk.n != n0 or len(walk.diffs) <= m:
-            walk = ladder.walk = _Walk(m, n0, n_hi)
-        elif n_hi > walk.cap:
-            walk.widen(n_hi)
-        diffs, slot = walk.diffs, walk.slot
-        order, span = len(diffs) - 1, 2 * m + 1
+        # sum_k a_k(n) <= 2^m binom(2n + m, m) (binom(j, i) <= binom(n + m, i),
+        # then Vandermonde), which rises with n: the slots fit every A(n) to
+        # n_hi.  Only A(n) itself is unpacked; its differences may borrow.
+        slot = (m + comb(2 * n_hi + m, m).bit_length() + 7) // 8
+        diffs = [_seed_coeffs(m, n, slot) for n in range(n0, min(n_hi, n0 + m) + 1)]
+        order = len(diffs) - 1
+        for k in range(1, order + 1):
+            for i in range(order, k - 1, -1):
+                diffs[i] -= diffs[i - 1]
+        span = 2 * m + 1
         width = span * slot
         slots = itemgetter(*[slice(k * slot, (k + 1) * slot) for k in range(span)])
         little = repeat("little")
@@ -680,7 +618,6 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
             base = max(lo - m, 0)
             window = rungs[base : end + m]
             e_min = min([exp for _, exp in window])
-            normal = max(-1074 - e_min, 0)  # a drop from here leaves a normal double
             weights = [0] * (base - lo + m)  # j = lo - m .. base - 1
             weights += [
                 -(man << (exp - e_min)) if j & 1 else man << (exp - e_min)
@@ -692,15 +629,7 @@ def _assemble_probs(m: int, ladder: _GammaLadder, n_lo: int, n_hi: int) -> list[
                     diffs[i] += diffs[i + 1]
                 a = map(int.from_bytes, slots(packed), little)
                 total = sum(map(mul, a, weights[w : w + span]))
-                if (n - m) & 1:
-                    total = -total
-                drop = total.bit_length() - 53
-                raws.append(
-                    ldexp(total >> drop, e_min + drop)
-                    if total > 0 and drop >= normal
-                    else _to_float(total, e_min)
-                )
-        walk.n = n_hi + 1
+                raws.append(_to_float(-total if (n - m) & 1 else total, e_min))
     probs = np.array(raws)
     bad = ~((probs >= -PROB_CONSISTENCY_BAND) & (probs <= 1.0 + PROB_CONSISTENCY_BAND))
     if bad.any():
@@ -789,8 +718,8 @@ def _check_budget(indices: int, level: int, radius: float, what: str = "spectrum
 
     An index at level m weighs w(m) = (m + 1)(1 + (m/24)^2) level-0 ones:
     3 us w(m) bounds build_spectrum's time per index from above, within a
-    factor of 6 (0.7 to 1.0 us at level 0, 14 to 17 us at 16, 49 to 56 us
-    at 32 and 0.30 to 0.32 ms at 64, CPU time at R = 10 and 20 on a 2-core
+    factor of 6 (0.75 to 1.0 us at level 0, 12 to 15 us at 16, 52 to 63 us
+    at 32 and 0.48 to 0.55 ms at 64, CPU time at R = 10 and 20 on a 2-core
     VM), so the cap stands for at most about 30 s of work at any level.
     The count includes the indices that the saturation certificate spares
     the assembly (over half of them from R ~ 50), so the bound errs further
