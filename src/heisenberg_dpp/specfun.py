@@ -49,31 +49,49 @@ class SpecFunResult:
             raise ValueError(f"negative error bound {self.abs_error_bound!r}")
 
 
+def _not_a_number(name: str, value) -> ValueError:
+    return ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _check_number(name: str, value) -> None:
-    """Refuses str, bytes and bool, which float() and int() would coerce.
+    """Refuses str, bytes, bool and arrays, which float() and int() would
+    coerce (an array of one element) or refuse without naming the argument.
 
     The checks skip it for a plain float or int, the common case.
     """
-    if isinstance(value, (str, bytes, bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, (str, bytes, bool, np.bool_)) or (
+        isinstance(value, np.ndarray) and value.ndim
+    ):
+        raise _not_a_number(name, value)
+
+
+def _as_float(name: str, value) -> float:
+    """float(value) after _check_number; what float() refuses with a
+    TypeError (None, a complex) is named the same way."""
+    _check_number(name, value)
+    try:
+        return float(value)
+    except TypeError:
+        raise _not_a_number(name, value) from None
 
 
 def _check_real(name: str, value: float) -> float:
     if type(value) is not float:
-        _check_number(name, value)
-    value = float(value)
+        value = _as_float(name, value)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
 
 
-def _check_nonnegative(name: str, value):
-    """A finite value >= 0, or a 1-D float array whose elements all are."""
-    if not isinstance(value, np.ndarray):
-        value = _check_real(name, value)
-        if value < 0.0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-        return value
+def _check_nonnegative(name: str, value: float) -> float:
+    value = _check_real(name, value)
+    if value < 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _check_nonnegative_array(name: str, value: np.ndarray) -> np.ndarray:
+    """A 1-D float array whose elements are all finite and >= 0."""
     if value.ndim != 1 or value.dtype.kind not in "iuf":
         raise ValueError(f"{name} must be a float or a 1-D numeric array")
     value = value.astype(float)
@@ -87,8 +105,12 @@ def _check_index(name: str, value: int, lo: int = 0) -> int:
     exact = type(value) is int
     if not exact:
         _check_number(name, value)
-    # int() of nan or inf would raise without naming the argument
-    if not (exact or math.isfinite(value)) or value != int(value) or value < lo:
+    try:
+        # int() of nan or inf would raise without naming the argument
+        bad = not (exact or math.isfinite(value)) or value != int(value) or value < lo
+    except TypeError:
+        raise _not_a_number(name, value) from None
+    if bad:
         raise ValueError(f"{name} must be an integer >= {lo}, got {value}")
     return int(value)
 
@@ -99,8 +121,7 @@ def _check_dimension(dimension: int) -> int:
 
 def _check_positive(name: str, value: float) -> float:
     if type(value) is not float:
-        _check_number(name, value)
-    value = float(value)
+        value = _as_float(name, value)
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
@@ -250,22 +271,34 @@ def _bessel_j_series(nu: int, x: np.ndarray) -> np.ndarray:
     if nu:
         lg = math.lgamma(nu + 1)
         # x/2 underflows to 0 at x = 2^-1074, where (x/2)^nu/nu! is 0 as well
-        term = np.array([math.exp(nu * math.log(h) - lg) if h else 0.0 for h in half.tolist()])
+        term = np.fromiter(
+            (math.exp(nu * math.log(h) - lg) if h else 0.0 for h in half.tolist()), float, x.size
+        )
     else:
         term = np.ones_like(x)
-    total = term
+    total = term.copy()
+    neg_sq = -half * half
+    # scratch: step holds term_k/term_(k-1), then |term|; bound holds
+    # |total| 1e-18 + 1e-300
+    step, bound = np.empty_like(x), np.empty_like(x)
     out = np.empty_like(x)
     live = np.arange(x.size)
     k = 0
     while live.size:
         k += 1
-        term = term * (-half * half / (k * (nu + k)))
-        total = total + term
-        done = np.abs(term) < np.abs(total) * 1e-18 + 1e-300
+        np.divide(neg_sq, k * (nu + k), out=step)
+        term *= step
+        total += term
+        np.abs(term, out=step)
+        np.abs(total, out=bound)
+        bound *= 1e-18
+        bound += 1e-300
+        done = step < bound
         if done.any():
             out[live[done]] = total[done]
             keep = ~done
-            live, half, term, total = live[keep], half[keep], term[keep], total[keep]
+            live, neg_sq, term, total = live[keep], neg_sq[keep], term[keep], total[keep]
+            step, bound = step[: live.size], bound[: live.size]
     return out
 
 
@@ -286,6 +319,9 @@ def _bessel_j_miller(nu: int, x: np.ndarray) -> np.ndarray:
     # rescale cannot fire and its test is skipped.
     top = starts[0]
     may_rescale = top * math.log10(2.0 * top / float(xs.min()) + 1.0) > 500.0
+    # views of the running prefix, taken again when it grows; step holds
+    # 2 f_cur, then (2k/x) f_cur
+    step = np.empty_like(xs)
     n = 0
     for k in range(top, 0, -1):
         if n < xs.size and starts[n] >= k:
@@ -294,14 +330,19 @@ def _bessel_j_miller(nu: int, x: np.ndarray) -> np.ndarray:
                 n += 1
             f_next[began:n] = 0.0
             f_cur[began:n] = 1e-255
+            x_run, next_run, cur_run = xs[:n], f_next[:n], f_cur[:n]
+            norm_run, step_run = norm[:n], step[:n]
         if k % 2 == 0:
-            norm[:n] += 2.0 * f_cur[:n]
+            np.multiply(cur_run, 2.0, out=step_run)
+            norm_run += step_run
         if k == nu:
-            saved[:n] = f_cur[:n]
+            saved[:n] = cur_run
         # f_prev overwrites f_next, then the two buffers swap roles
-        f_prev = f_next[:n]
-        np.subtract((2.0 * k / xs[:n]) * f_cur[:n], f_prev, out=f_prev)
+        np.divide(2.0 * k, x_run, out=step_run)
+        step_run *= cur_run
+        f_prev = np.subtract(step_run, next_run, out=next_run)
         f_next, f_cur = f_cur, f_next
+        next_run, cur_run = cur_run, next_run
         if may_rescale and np.abs(f_prev).max() > _RESCALE_THRESHOLD:
             big = np.flatnonzero(np.abs(f_prev) > _RESCALE_THRESHOLD)
             f_next[big] *= _RESCALE_FACTOR
@@ -322,6 +363,7 @@ def _bessel_j_asymptotic(nu: int, x: np.ndarray) -> np.ndarray:
     q_sum = np.zeros_like(x)
     coeff = np.ones_like(x)
     prev_mag = np.full_like(x, math.inf)
+    ratio = np.empty_like(x)  # scratch: coeff_k/coeff_(k-1)
     p_out = np.empty_like(x)
     q_out = np.empty_like(x)
     live = np.arange(x.size)
@@ -329,7 +371,9 @@ def _bessel_j_asymptotic(nu: int, x: np.ndarray) -> np.ndarray:
     k = 0
     while live.size:
         k += 1
-        coeff = coeff * ((mu - (2 * k - 1) ** 2) / (k * 8.0 * xs))
+        np.multiply(k * 8.0, xs, out=ratio)
+        np.divide(mu - (2 * k - 1) ** 2, ratio, out=ratio)
+        coeff *= ratio
         mag = np.abs(coeff)
         done = (mag >= prev_mag) | (mag < 1e-18)
         if done.any():
@@ -337,19 +381,21 @@ def _bessel_j_asymptotic(nu: int, x: np.ndarray) -> np.ndarray:
             q_out[live[done]] = q_sum[done]
             keep = ~done
             live, xs, coeff, mag = live[keep], xs[keep], coeff[keep], mag[keep]
-            p_sum, q_sum = p_sum[keep], q_sum[keep]
-        if k % 2 == 0:
-            p_sum = p_sum + coeff * (-1.0) ** (k // 2)
+            p_sum, q_sum, ratio = p_sum[keep], q_sum[keep], ratio[: live.size]
+        # the sign (-1)^(k//2) or (-1)^((k-1)//2): s - c is s + (-c), bit for bit
+        total = p_sum if k % 2 == 0 else q_sum
+        if (k // 2) % 2:
+            total -= coeff
         else:
-            q_sum = q_sum + coeff * (-1.0) ** ((k - 1) // 2)
+            total += coeff
         prev_mag = mag
         if k > 60:
             p_out[live] = p_sum
             q_out[live] = q_sum
             break
     omega = (x - nu * math.pi / 2.0 - math.pi / 4.0).tolist()
-    cos = np.array([math.cos(w) for w in omega])
-    sin = np.array([math.sin(w) for w in omega])
+    cos = np.fromiter(map(math.cos, omega), float, x.size)
+    sin = np.fromiter(map(math.sin, omega), float, x.size)
     return np.sqrt(2.0 / (math.pi * x)) * (p_out * cos - q_out * sin)
 
 
@@ -366,7 +412,7 @@ def bessel_j(nu: int, x):
     """
     nu = _check_index("nu", nu)
     scalar = not isinstance(x, np.ndarray)
-    x = np.atleast_1d(_check_nonnegative("x", x))
+    x = np.array([_check_nonnegative("x", x)]) if scalar else _check_nonnegative_array("x", x)
     out = np.zeros_like(x)
     if nu == 0:
         out[x == 0.0] = 1.0

@@ -79,8 +79,10 @@ _FACTORIAL_MAX = 170
 # Most Gauss-Legendre panels the integral route uses on [0, 13]: width
 # pi/R holds through R ~ 16k, and wider panels answer to the error bound.
 INTEGRAL_PANEL_CAP = 1 << 16
-# Panels whose nodes the integral route evaluates at once: the per-node
-# Python floats (math.exp, fsum) of one chunk are alive at a time, ~6 MB.
+# Panels whose nodes the integral route evaluates at once: the lists of
+# per-node Python floats that math.exp (and bessel_j's math.cos and math.sin)
+# map over into np.fromiter, and the panel rows that fsum reads, hold one
+# chunk at a time, ~6 MB.
 _INTEGRAL_CHUNK_PANELS = 1 << 12
 
 
@@ -258,7 +260,7 @@ def _integral_batch(dimension: int, radii: list[float], counts: list[int]) -> li
         part = slice(first, first + _INTEGRAL_CHUNK_PANELS)
         kappa = (mid[part, None] + half[part, None] * _GL_NODES).ravel()
         j = bessel_j(dimension, kappa * np.repeat(panel_radius[part], _GL_NODES.size))
-        damp = np.array([math.exp(v) for v in (-0.25 * kappa * kappa).tolist()])
+        damp = np.fromiter(map(math.exp, (-0.25 * kappa * kappa).tolist()), float, kappa.size)
         weighted = _GL_WEIGHTS * (j * j / kappa * damp).reshape(-1, _GL_NODES.size)
         values += [h * math.fsum(row) for h, row in zip(half[part].tolist(), weighted.tolist())]
     with np.errstate(over="ignore"):  # past e^709 a panel's bound is inf
@@ -734,6 +736,11 @@ def _check_budget(indices: int, level: int, radius: float, what: str = "spectrum
         )
 
 
+# Highest level c_constant sums: its 3F2 has m terms at ~0.3 us each (2-core
+# VM), so the cap stands for about 30 s of work, as SPECTRUM_SIZE_CAP does.
+_C_CONSTANT_LEVEL_CAP = 10**8
+
+
 def bernoulli_prob(n: int, m: int, radius: float) -> float:
     """Success probability p_n(R, m) of lattice index n at level m.
 
@@ -899,9 +906,15 @@ def c_constant(m: int) -> float:
 
     C(m) = (2 Gamma(m + 3/2) / (pi m!)) 3F2(-1/2, -1/2, -m; 1, -1/2 - m; 1),
     the limit of R * Var/mean as R -> inf.  The gamma ratio runs through
-    log-gamma so large m cannot overflow.
+    log-gamma so large m cannot overflow.  A level past
+    _C_CONSTANT_LEVEL_CAP raises NumericalBudgetError before the sum.
     """
     m = _check_index("m", m)
+    if m > _C_CONSTANT_LEVEL_CAP:
+        raise NumericalBudgetError(
+            f"C({_count(m)}) sums {_count(m)} terms of its 3F2, "
+            f"past the level cap {_C_CONSTANT_LEVEL_CAP}"
+        )
     prefactor = 2.0 * math.exp(math.lgamma(m + 1.5) - math.lgamma(m + 1.0)) / math.pi
     return prefactor * hyp3f2_terminating(-0.5, -0.5, m, 1.0, -0.5 - m)
 

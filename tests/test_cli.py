@@ -708,6 +708,13 @@ class TestConstants:
         assert header.split(",")[0] == "level"
         assert row.split(",")[2] == ""  # c_asymptote column
 
+    def test_constant_past_the_level_cap_exits_3(self, capsys):
+        # C(10^12) would sum 10^12 terms of its 3F2, days of work
+        argv = ["constants", "--dimension", "1", "--level", "1000000000000"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert "C(1000000000000) sums 1000000000000 terms" in err and "level cap" in err
+
 
 class TestVerify:
     def test_single_check_passes(self, capsys):

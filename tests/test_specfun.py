@@ -6,6 +6,7 @@ high-precision side computations, and the scalar Bessel J code that the
 array implementation must reproduce bit for bit.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -320,6 +321,34 @@ class TestBesselJ:
         assert [bessel_j(nu, x).hex() for x in xs.tolist()] == want
         assert all(type(bessel_j(nu, x)) is float for x in xs[:5].tolist())
 
+    # sha256 of bessel_j's arrays (little-endian doubles) at nu = 0..12 over
+    # digest_points, then of J_300 at x = 11 and 12.5 and J_1500 at x = 1000,
+    # where the recurrence rescales (the first two underflow to 0, the last is
+    # ~4.7e-144); computed before the regimes ran without per-step temporaries
+    PINNED = "bc02770b984dc966015b8d4c9f2c17b5788d85fc2967a7e7b271ff771785ed54"
+
+    @staticmethod
+    def digest_points(nu: int) -> np.ndarray:
+        """x = 0, a tiny x, both cutoffs and 1e4, then 40 points each in the
+        series, backward-recurrence and Hankel ranges."""
+        edge = max(30.0, nu * nu / 3.0)
+        frac = [(k * 0.6180339887498949) % 1.0 for k in range(1, 41)]
+        return np.array([
+            0.0, 1e-300, 10.0, math.nextafter(10.0, math.inf), 30.0,
+            math.nextafter(edge, 0.0), edge, 1e4,
+            *(10.0 * f for f in frac),
+            *(10.0 + (edge - 10.0) * f for f in frac),
+            *(edge * (1.0 + 20.0 * f) for f in frac),
+        ])
+
+    def test_regime_digest(self):
+        digest = hashlib.sha256()
+        for nu in range(13):
+            digest.update(np.asarray(bessel_j(nu, self.digest_points(nu)), dtype="<f8").tobytes())
+        digest.update(np.asarray(bessel_j(300, np.array([11.0, 12.5])), dtype="<f8").tobytes())
+        digest.update(np.asarray(bessel_j(1500, np.array([1000.0])), dtype="<f8").tobytes())
+        assert digest.hexdigest() == self.PINNED
+
     def test_order_of_elements_is_irrelevant(self):
         xs = bessel_points()
         perm = RNG.permutation(xs.size)
@@ -516,6 +545,8 @@ NUMBER_ARGS = {
     "laguerre n": ("n", lambda v: laguerre(v, 0.5, 1.5), 3),
     "bessel_j nu": ("nu", lambda v: bessel_j(v, 1.5), 2),
     "bessel_i_scaled nu": ("nu", lambda v: bessel_i_scaled(v, 1.5), 2),
+    "bessel_i_scaled x": ("x", lambda v: bessel_i_scaled(1, v), 1.5),
+    "regularized_lower_gamma x": ("x", lambda v: regularized_lower_gamma(2.0, v), 1.5),
     "hyp3f2_terminating m": ("m", lambda v: hyp3f2_terminating(0.5, 0.5, v, 1.0, 1.5), 3),
     "kernel_series_partial n_terms": (
         "n_terms", lambda v: kernel_series_partial(1, 0.5, 0.2j, v), 3,
@@ -531,10 +562,11 @@ NUMBER_ARGS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["2", b"2", True, np.True_], ids=repr)
+@pytest.mark.parametrize("bad", ["2", b"2", True, np.True_, None, 1j], ids=repr)
 @pytest.mark.parametrize("case", sorted(NUMBER_ARGS))
 def test_numeric_arguments_refuse_str_bytes_and_bool(case, bad):
-    # float() and int() would coerce every one of these
+    # float() and int() would coerce the first four, and refuse the last two
+    # with a TypeError that names no argument
     name, call, good = NUMBER_ARGS[case]
     with pytest.raises(ValueError, match=rf"^{name} must be a number, got {bad!r}$"):
         call(bad)
@@ -554,3 +586,14 @@ def test_numeric_arguments_take_numpy_scalars(case):
     name, call, good = NUMBER_ARGS[case]
     wrapped = np.int64(good) if isinstance(good, int) else np.float64(good)
     assert call(wrapped) == call(good)
+
+
+@pytest.mark.parametrize(
+    "call", [lambda x: bessel_i_scaled(0, x), lambda x: regularized_lower_gamma(1.0, x)],
+    ids=["bessel_i_scaled", "regularized_lower_gamma"],
+)
+@pytest.mark.parametrize("x", [np.array([1.0, 2.0]), np.array([1.0])], ids=["two", "one"])
+def test_scalar_functions_refuse_arrays(call, x):
+    # bessel_j takes a 1-D array; these two take one float
+    with pytest.raises(ValueError, match=r"^x must be a number, got array\("):
+        call(x)

@@ -1467,6 +1467,16 @@ class TestClassOneConstants:
         want = 8.0 / math.pi**2 * math.sqrt(m)
         assert c_constant(m) == pytest.approx(want, rel=5e-4)
 
+    def test_level_past_the_cap_is_refused_at_once(self):
+        # C(m) sums m terms of its 3F2; past the cap that is over ~30 s
+        cap = ws._C_CONSTANT_LEVEL_CAP
+        start = time.process_time()
+        for m in (cap + 1, 10**12):
+            with pytest.raises(NumericalBudgetError, match="past the level cap 100000000"):
+                c_constant(m)
+        assert time.process_time() - start < 0.1
+        assert c_constant(1000).hex() == "0x1.9a38c854ff588p+4"
+
     def test_polydisk_limit_is_a_sum(self):
         spec = KernelSpec(3, (0, 1, 2))
         want = c_constant(0) + c_constant(1) + c_constant(2)
