@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import InternalConsistencyError
-from .specfun import _check_dimension, _check_index, laguerre, laguerre_log
-from .specfun import _laguerre_float, _laguerre_scaled, _laguerre_scaled_rows
+from .exceptions import InternalConsistencyError, NumericalBudgetError
+from .specfun import _check_dimension, _check_index, _count, laguerre, laguerre_log
+from .specfun import _laguerre_float, _laguerre_scaled_rows
 
 MAX_CORRELATION_POINTS = 12
 
@@ -34,6 +34,14 @@ _EXP_NORMAL_MIN = math.log(2.0**-1022)
 # exp() of a larger exponent overflows
 _EXP_MAX = math.log(sys.float_info.max)
 _EXP_UNDERFLOW_CUTOFF = -800.0
+
+# kernel_series_partial forms _SERIES_BLOCK (pair, term) elements at a time
+# and refuses more than _SERIES_WORK_CAP units of work: a term weighs
+# 1 + min(m, n_terms), one for its log, exp, cos and sin and one for each
+# recurrence step, at 0.4 to 0.75 us a unit (2-core VM), so the cap stands
+# for about 30 s of work, as the spectrum route's size cap does.
+_SERIES_BLOCK = 2**14
+_SERIES_WORK_CAP = 3 * 10**7
 
 
 @dataclass(frozen=True)
@@ -293,53 +301,94 @@ def _series_point(name: str, value) -> tuple[complex, float]:
         raise OverflowError(f"|{name}|^2 overflows double range ({name} = {value!r})") from None
 
 
-def kernel_series_partial(m: int, x: complex, y: complex, n_terms: int) -> complex:
+def _series_points(name: str, value) -> list[tuple[complex, float]]:
+    """_series_point of a number, or of each element of a 1-D array."""
+    if not isinstance(value, np.ndarray):
+        return [_series_point(name, value)]
+    if value.ndim != 1 or value.dtype.kind not in "iufc":
+        raise ValueError(f"{name} must be a number or a 1-D numeric array")
+    return [_series_point(name, v) for v in value.tolist()]
+
+
+def _map(f, values: np.ndarray) -> np.ndarray:
+    """f of every element, through Python floats, so `math`'s bits are kept;
+    a memoryview hands them over one at a time, without a list."""
+    return np.fromiter(map(f, memoryview(values.ravel())), float, values.size).reshape(values.shape)
+
+
+def kernel_series_partial(m: int, x, y, n_terms: int):
     """Partial sum (n = 0..n_terms) of the one-coordinate eigenfunction series.
 
     The full series telescopes to exp(x conj(y)) L_m(|x - y|^2) / m!.
     Terms below the diagonal (n < m) are rewritten with the flipped
     Laguerre index so no negative powers appear; all magnitudes accumulate
-    in log form so extreme arguments cannot overflow.  From the diagonal on,
-    one recurrence gives the Laguerre factors of every term.
+    in log form so extreme arguments cannot overflow.
+
+    ``x`` and ``y`` are complex numbers or equal-length 1-D arrays; with
+    arrays the result is a complex array, each element bit-identical to
+    the call on that pair alone.  One recurrence gives the Laguerre factors
+    of every pair and term, log, exp, cos and sin come from `math`, complex
+    products are formed on real and imaginary parts as CPython forms them,
+    and each pair's terms are added in order of n, a skipped one as +0.0.
     """
     m, n_terms = _check_index("m", m), _check_index("n_terms", n_terms)
-    x, sq_x = _series_point("x", x)
-    y, sq_y = _series_point("y", y)
-    w = x * y.conjugate()
-    abs_w = abs(w)
-    arg_w = cmath.phase(w) if abs_w > 0.0 else 0.0
-    log_w = math.log(abs_w) if abs_w > 0.0 else 0.0
-    log_m_fact = math.lgamma(m + 1)
+    xs, ys = _series_points("x", x), _series_points("y", y)
+    if len(xs) != len(ys):
+        raise ValueError(f"x and y need equal lengths, got {len(xs)} and {len(ys)}")
+    pairs = len(xs)
+    if pairs * (n_terms + 1) * (1 + min(m, n_terms)) > _SERIES_WORK_CAP:
+        raise NumericalBudgetError(
+            f"the series needs {_count(pairs * (n_terms + 1))} terms at level {_count(m)}, "
+            f"past the work cap {_SERIES_WORK_CAP}"
+        )
+    abs_w, log_w, arg_w = np.zeros((3, pairs))
+    for i, ((a, _), (b, _)) in enumerate(zip(xs, ys)):
+        w = a * b.conjugate()
+        abs_w[i] = abs(w)
+        if abs_w[i] > 0.0:
+            log_w[i], arg_w[i] = math.log(abs(w)), cmath.phase(w)
+    sq = np.array([s for _, s in xs + ys])[:, None]
+    log_m_fact, log_2 = math.lgamma(m + 1), math.log(2.0)
 
-    # L at |x|^2 and |y|^2 for term n, as (value, shift): degree n and index
-    # m - n below the diagonal, degree m and index n - m from it on
-    rows = [[_laguerre_scaled(n, float(m - n), sq) for n in range(min(m, n_terms + 1))]
-            for sq in (sq_x, sq_y)]
-    value, shift = _laguerre_scaled_rows(m, np.arange(n_terms - m + 1.0), np.array([sq_x, sq_y]))
-    for row, v, e in zip(rows, value.tolist(), shift.tolist()):
-        row += zip(v, e)
-
-    log_2 = math.log(2.0)
-    total = 0.0 + 0.0j
-    for n, ((va, ea), (vb, eb)) in enumerate(zip(*rows)):
-        k = n - m
-        if k == 0:
-            power_log, power_arg = 0.0, 0.0
-        elif abs_w == 0.0:
-            continue
-        else:
-            power_log = abs(k) * log_w
-            power_arg = k * arg_w
-        if va == 0.0 or vb == 0.0:
-            continue
-        la = math.log(abs(va)) + ea * log_2
-        lb = math.log(abs(vb)) + eb * log_2
-        if k >= 0:
-            log_mag = la + lb + power_log - math.lgamma(n + 1)
-        else:
-            log_mag = la + lb + power_log + math.lgamma(n + 1) - 2.0 * log_m_fact
-        if log_mag > 700.0:
+    # the terms go _SERIES_BLOCK (pair, term) elements at a time, each
+    # pair's running sum entering the next block's accumulate first
+    totals = np.zeros((2, pairs))  # real and imaginary parts
+    block = max(1, _SERIES_BLOCK // max(pairs, 1))
+    for lo in range(0, n_terms + 1 if pairs else 0, block):
+        hi = min(lo + block, n_terms + 1)
+        n = np.arange(lo, hi)
+        # float(n - m) as Python rounds it, past int64 too
+        k = np.arange(lo - m, hi - m) if m < 2**62 else np.arange(lo, hi, dtype=object) - m
+        k = k.astype(float)
+        # L at |x|^2 and |y|^2 for term n: degree n and index m - n below
+        # the diagonal (the first d terms), degree m and index n - m from it on
+        d = min(max(m - lo, 0), hi - lo)
+        value, shift = _laguerre_scaled_rows(np.minimum(n, min(m, n_terms)), np.abs(k), sq)
+        va, vb = value[:pairs], value[pairs:]
+        keep = (va != 0.0) & (vb != 0.0) & ((abs_w[:, None] > 0.0) | (k == 0.0))
+        logs = _map(math.log, np.where(np.vstack((keep, keep)), np.abs(value), 1.0))
+        logs += shift * log_2
+        power_log, power_arg = np.abs(k) * log_w[:, None], k * arg_w[:, None]
+        if lo <= m < hi:
+            power_log[:, d] = power_arg[:, d] = 0.0
+        log_mag = logs[:pairs] + logs[pairs:] + power_log
+        lgam = _map(math.lgamma, n + 1.0)
+        log_mag[:, :d] += lgam[:d]
+        log_mag[:, :d] -= 2.0 * log_m_fact
+        log_mag[:, d:] -= lgam[d:]
+        if (log_mag[keep] > 700.0).any():
             raise OverflowError("series term overflows double range")
-        sign = math.copysign(1.0, va) * math.copysign(1.0, vb)
-        total += sign * math.exp(log_mag) * cmath.exp(1j * power_arg)
-    return total
+        f = np.copysign(1.0, va) * np.copysign(1.0, vb) * _map(math.exp, np.where(keep, log_mag, 0.0))
+        angle = 0.0 + power_arg  # the imaginary part of 1j * power_arg
+        cos, sin = _map(math.cos, angle), _map(math.sin, angle)
+        # (f + 0j) * (cos + 1j sin), as cmath.exp(1j a) = cos a + 1j sin a
+        terms = np.empty((2, pairs, hi - lo + 1))
+        terms[:, :, 0] = totals
+        terms[0, :, 1:] = np.where(keep, f * cos - 0.0 * sin, 0.0)
+        terms[1, :, 1:] = np.where(keep, f * sin + 0.0 * cos, 0.0)
+        totals = np.add.accumulate(terms, axis=2)[:, :, -1]
+    if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
+        return complex(*totals[:, 0].tolist())
+    out = np.empty(pairs, dtype=complex)
+    out.real, out.imag = totals
+    return out

@@ -7,15 +7,21 @@ better over the parameter ranges the package actually uses, and the
 composed tolerances elsewhere assume that budget.
 
 Overflow is reported by raising OverflowError; no function returns inf or
-NaN.  Bad arguments raise ValueError.
+NaN.  Bad arguments raise ValueError.  :func:`bessel_j` and
+:func:`laguerre` also take 1-D arrays and return an array whose every
+element is bit-identical to the scalar call on that element; the others
+take numbers only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
+
+from .exceptions import NumericalBudgetError
 
 # Crossover between the ascending series and the normalized backward
 # (Miller) recurrence for the scaled modified Bessel function.  The series
@@ -33,6 +39,11 @@ BESSEL_J_ASYMPTOTIC_CUTOFF = 30.0
 
 _RESCALE_THRESHOLD = 1e250
 _RESCALE_FACTOR = 1e-250
+
+# Most terms hyp3f2_terminating sums, and so the highest level c_constant
+# takes: ~0.3 us a term (2-core VM), so the cap stands for about 30 s of
+# work, as the spectrum route's size cap does.
+_HYP3F2_TERM_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -90,14 +101,22 @@ def _check_nonnegative(name: str, value: float) -> float:
     return value
 
 
-def _check_nonnegative_array(name: str, value: np.ndarray) -> np.ndarray:
-    """A 1-D float array whose elements are all finite and >= 0."""
+def _check_array(name: str, value, check) -> np.ndarray:
+    """value as a 1-D float array (a number as an array of one) whose
+    elements all pass the scalar `check`; the first bad element raises the
+    ValueError of that check."""
+    if not isinstance(value, np.ndarray):
+        return np.array([check(name, value)], dtype=float)
     if value.ndim != 1 or value.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be a float or a 1-D numeric array")
+        raise ValueError(f"{name} must be a number or a 1-D numeric array")
     value = value.astype(float)
-    bad = value[~(np.isfinite(value) & (value >= 0.0))]
-    if bad.size:
-        _check_nonnegative(name, float(bad[0]))  # raises, with the float wording
+    ok = np.isfinite(value)
+    if check is _check_nonnegative:
+        ok &= value >= 0.0
+    elif check is _check_index:
+        ok &= (value >= 0.0) & (value == np.floor(value))
+    for bad in value[~ok].tolist():
+        check(name, bad)
     return value
 
 
@@ -113,6 +132,11 @@ def _check_index(name: str, value: int, lo: int = 0) -> int:
     if bad:
         raise ValueError(f"{name} must be an integer >= {lo}, got {value}")
     return int(value)
+
+
+def _count(n: int) -> str:
+    """n in full, or from 16 digits as d.ddde+k (a float overflows at 10^309)."""
+    return str(n) if n < 10**15 else format(Decimal(n), ".3e")
 
 
 def _check_dimension(dimension: int) -> int:
@@ -164,25 +188,37 @@ def _laguerre_scaled(n: int, alpha: float, x: float) -> tuple[float, int]:
     return cur, shift
 
 
-def _laguerre_scaled_rows(n: int, alpha: np.ndarray, x: np.ndarray):
-    """:func:`_laguerre_scaled` at degree n for every pair (x[i], alpha[j]),
-    as arrays value[i, j] and shift[i, j], bit for bit: numpy's + - * /
-    round as the float operations do.  Where an iterate passes 2**512, and
-    the scalar recurrence would rescale, the pair is taken from it.
+def _laguerre_scaled_rows(n: np.ndarray, alpha: np.ndarray, x: np.ndarray):
+    """:func:`_laguerre_scaled` at every element of the broadcast arrays n
+    (integer degrees), alpha and x, as arrays value and shift, bit for bit:
+    numpy's + - * / round as the float operations do, and each element
+    stops at its own degree.  Where an iterate passes 2**512 or is NaN, and
+    the scalar recurrence would rescale, the element is taken from it.
     """
-    x = x[:, None]
-    shift = np.zeros((x.size, alpha.size), dtype=int)
-    if n == 0:
-        return np.ones(shift.shape), shift
-    prev, cur = 1.0, 1.0 + alpha - x
-    peak = np.abs(cur)
-    with np.errstate(over="ignore", invalid="ignore"):  # such pairs are redone below
-        for k in range(1, n):
-            prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-            np.maximum(peak, np.abs(cur), out=peak)  # NaN propagates
-    for i, j in zip(*np.nonzero(~(peak <= math.ldexp(1.0, 512)))):
-        cur[i, j], shift[i, j] = _laguerre_scaled(n, float(alpha[j]), float(x[i, 0]))
-    return cur, shift
+    n, alpha, x = np.broadcast_arrays(n, alpha, x)
+    # by descending degree, the elements still running at step k (degree
+    # > k) are a prefix, and the degree-0 ones (L_0 = 1) a suffix
+    order = np.argsort(-n, axis=None, kind="stable")
+    deg, alpha, x = n.ravel()[order], alpha.ravel()[order], x.ravel()[order]
+    top = int(deg[0]) if deg.size else 0
+    ends = np.searchsorted(-deg, -np.arange(max(top, 1)), side="left").tolist()
+    value, shift = np.ones(deg.size), np.zeros(deg.size, dtype=int)
+    cur = value[: ends[0]]
+    with np.errstate(over="ignore", invalid="ignore"):  # such elements are redone below
+        cur[:] = 1.0 + alpha[: cur.size] - x[: cur.size]
+        prev = np.ones(cur.size)
+        peak = np.abs(cur)
+        for k, live in enumerate(ends[1:], 1):
+            a, t, c, p = alpha[:live], x[:live], cur[:live], prev[:live]
+            step = ((2 * k + 1 + a - t) * c - (k + a) * p) / (k + 1)
+            p[:] = c
+            c[:] = step
+            np.maximum(peak[:live], np.abs(step), out=peak[:live])  # NaN propagates
+    for i in np.flatnonzero(~(peak <= math.ldexp(1.0, 512))).tolist():
+        value[i], shift[i] = _laguerre_scaled(int(deg[i]), float(alpha[i]), float(x[i]))
+    out_value, out_shift = np.empty_like(value), np.empty_like(shift)
+    out_value[order], out_shift[order] = value, shift
+    return out_value.reshape(n.shape), out_shift.reshape(n.shape)
 
 
 def _laguerre_float(n: int, alpha: float, x: float) -> float:
@@ -194,12 +230,29 @@ def _laguerre_float(n: int, alpha: float, x: float) -> float:
     raise OverflowError(f"laguerre({n}, {alpha}, {x}) overflows double range")
 
 
-def laguerre(n: int, alpha: float, x: float) -> float:
+def laguerre(n: int, alpha: float, x: float):
     """Generalized Laguerre polynomial L_n^(alpha)(x), by the rescaled
     recurrence shared with :func:`laguerre_log`: any value that fits in a
     double is returned, however large the iterates grew on the way.
+
+    ``n``, ``alpha`` and ``x`` are numbers or broadcastable 1-D arrays, as
+    ``x`` of :func:`bessel_j` is.  With an array among them the result is
+    an array, each element bit-identical to the call on that element alone,
+    from one recurrence over all elements at their own degrees; a bad
+    element raises the ValueError, and an overflowing one the
+    OverflowError, of that call.
     """
-    return _laguerre_float(_check_index("n", n), _check_real("alpha", alpha), _check_real("x", x))
+    if not any(isinstance(v, np.ndarray) for v in (n, alpha, x)):
+        return _laguerre_float(_check_index("n", n), _check_real("alpha", alpha), _check_real("x", x))
+    n = _check_array("n", n, _check_index).astype(int)
+    alpha, x = _check_array("alpha", alpha, _check_real), _check_array("x", x, _check_real)
+    n, alpha, x = np.broadcast_arrays(n, alpha, x)
+    value, shift = _laguerre_scaled_rows(n, alpha, x)
+    # |value| < 2**e, so value * 2**shift is finite exactly when e + shift <= 1024
+    bad = ~np.isfinite(value) | (np.frexp(value)[1] + shift > 1024)
+    for i in np.flatnonzero(bad).tolist():
+        _laguerre_float(int(n[i]), float(alpha[i]), float(x[i]))  # raises
+    return np.ldexp(value, shift)
 
 
 def laguerre_log(n: int, alpha: float, x: float) -> tuple[float, float]:
@@ -412,7 +465,7 @@ def bessel_j(nu: int, x):
     """
     nu = _check_index("nu", nu)
     scalar = not isinstance(x, np.ndarray)
-    x = np.array([_check_nonnegative("x", x)]) if scalar else _check_nonnegative_array("x", x)
+    x = _check_array("x", x, _check_nonnegative)
     out = np.zeros_like(x)
     if nu == 0:
         out[x == 0.0] = 1.0
@@ -480,7 +533,8 @@ def regularized_lower_gamma(s: float, x: float) -> float:
 def hyp3f2_terminating(a1: float, a2: float, m: int, b1: float, b2: float) -> float:
     """Terminating 3F2(a1, a2, -m; b1, b2; 1), summed by term ratios.
 
-    The third upper parameter is -m, so the series has exactly m+1 terms.
+    The third upper parameter is -m, so the series has exactly m+1 terms;
+    an m past _HYP3F2_TERM_CAP raises NumericalBudgetError before the sum.
     Using the ratio recurrence keeps each partial term O(sum) even when the
     individual Pochhammer symbols overflow (e.g. m ~ 1000).  A zero lower
     Pochhammer factor before termination raises ValueError.
@@ -490,6 +544,10 @@ def hyp3f2_terminating(a1: float, a2: float, m: int, b1: float, b2: float) -> fl
     m = _check_index("m", m)
     b1 = _check_real("b1", b1)
     b2 = _check_real("b2", b2)
+    if m > _HYP3F2_TERM_CAP:
+        raise NumericalBudgetError(
+            f"hyp3f2_terminating sums {_count(m)} terms, past the term cap {_HYP3F2_TERM_CAP}"
+        )
     term = 1.0
     total = 1.0
     for n in range(m):

@@ -215,11 +215,14 @@ def check_polydisk_limit() -> _Worst:
 def check_kernel_series() -> _Worst:
     rng = np.random.default_rng(1234)
     worst = _Worst()
+
+    def point() -> complex:
+        return complex(*rng.uniform(-math.sqrt(2.0), math.sqrt(2.0), size=2))
+
     for m in range(6):
-        for _ in range(20):
-            x = complex(*rng.uniform(-math.sqrt(2.0), math.sqrt(2.0), size=2))
-            y = complex(*rng.uniform(-math.sqrt(2.0), math.sqrt(2.0), size=2))
-            got = kernel_series_partial(m, x, y, n_terms=100)
+        pairs = [(point(), point()) for _ in range(20)]  # x, then y
+        sums = kernel_series_partial(m, *map(np.array, zip(*pairs)), n_terms=100)
+        for (x, y), got in zip(pairs, sums.tolist()):
             t = abs(x - y) ** 2
             want = cmath.exp(x * y.conjugate()) * laguerre(m, 0.0, t) / math.factorial(m)
             worst.add(abs(got - want), 1e-10, f"m={m} x={x:.3f} y={y:.3f}")
@@ -348,13 +351,13 @@ def _bessel_i_series_oracle(nu: int, x: float) -> float:
 def check_specfun_floor() -> _Worst:
     rng = np.random.default_rng(55)
     worst = _Worst()
-    for _ in range(300):
-        n = int(rng.integers(2, 80))
-        alpha = float(rng.uniform(-1.0, 12.0))
-        x = float(rng.uniform(0.0, 60.0))
-        lm1 = laguerre(n - 1, alpha, x)
-        l0 = laguerre(n, alpha, x)
-        lp1 = laguerre(n + 1, alpha, x)
+    draws = [
+        (int(rng.integers(2, 80)), float(rng.uniform(-1.0, 12.0)), float(rng.uniform(0.0, 60.0)))
+        for _ in range(300)
+    ]
+    ns, alphas, xs = map(np.array, zip(*draws))
+    trios = zip(*(laguerre(ns + j, alphas, xs).tolist() for j in (-1, 0, 1)))
+    for (n, alpha, x), (lm1, l0, lp1) in zip(draws, trios):
         residual = (n + 1) * lp1 - (2 * n + 1 + alpha - x) * l0 + (n + alpha) * lm1
         scale = max(abs(lm1), abs(l0), abs(lp1), 1e-300)
         worst.add(abs(residual) / ((2 * n + 2 + alpha + x) * scale), 1e-9, f"laguerre n={n}")

@@ -46,7 +46,6 @@ import enum
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from decimal import Decimal
 from functools import lru_cache
 from itertools import repeat
 from math import comb, factorial, perm
@@ -60,10 +59,12 @@ from .exceptions import (
     UnsupportedConfigurationError,
 )
 from .kernels import KernelSpec
+from .specfun import _HYP3F2_TERM_CAP as _C_CONSTANT_LEVEL_CAP  # C(m) sums m terms
 from .specfun import (
     _check_dimension,
     _check_index,
     _check_radius,
+    _count,
     bessel_i_scaled,
     bessel_j,
     hyp3f2_terminating,
@@ -709,11 +710,6 @@ def _first_uncertain(m: int, radius: float, n_lo: int, n_hi: int) -> int:
     return n_lo
 
 
-def _count(n: int) -> str:
-    """n in full, or from 16 digits as d.ddde+k (a float overflows at 10^309)."""
-    return str(n) if n < 10**15 else format(Decimal(n), ".3e")
-
-
 def _check_budget(indices: int, level: int, radius: float, what: str = "spectrum") -> None:
     """Raise NumericalBudgetError when `indices` p_n at `level` weigh more
     than SPECTRUM_SIZE_CAP level-0 indices.
@@ -734,11 +730,6 @@ def _check_budget(indices: int, level: int, radius: float, what: str = "spectrum
             f"{what} needs {_count(indices)} indices{weighed} at radius {radius:g}, "
             f"past the size cap {SPECTRUM_SIZE_CAP}"
         )
-
-
-# Highest level c_constant sums: its 3F2 has m terms at ~0.3 us each (2-core
-# VM), so the cap stands for about 30 s of work, as SPECTRUM_SIZE_CAP does.
-_C_CONSTANT_LEVEL_CAP = 10**8
 
 
 def bernoulli_prob(n: int, m: int, radius: float) -> float:

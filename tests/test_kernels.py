@@ -10,7 +10,9 @@ import cmath
 import math
 
 import hashlib
+import re
 import struct
+import time
 
 import mpmath
 import numpy as np
@@ -18,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heisenberg_dpp.exceptions import InternalConsistencyError
+import heisenberg_dpp.kernels as kernels
+from heisenberg_dpp.exceptions import InternalConsistencyError, NumericalBudgetError
 from heisenberg_dpp.kernels import (
     MAX_CORRELATION_POINTS,
     ComplexPoint,
@@ -452,6 +455,40 @@ class TestSeriesIdentity:
         short = kernel_series_partial(3, x, y, 40)
         assert abs(full - short) < 1e-12
 
+    def test_level_past_the_terms_runs_no_degree_m_recurrence(self):
+        # no term reaches n = m, so each factor runs only to its degree n <= 3
+        start = time.process_time()
+        assert _bits(kernel_series_partial(10**6, 0.5, 0.5j, 3)) == _bits(0j)
+        assert time.process_time() - start < 0.1
+
+    def test_work_past_the_cap_is_refused_at_once(self):
+        # a term weighs 1 + min(m, n_terms): one for its terms, one for each
+        # recurrence step
+        cap = kernels._SERIES_WORK_CAP
+        start = time.process_time()
+        for m, x, n_terms in (
+            (0, 0.5, 10**15),
+            (0, 0.5, cap),
+            (0, np.full(30, 0.5), 10**6),
+            (29, 0.5, 10**6),
+            (10**6, 0.5, cap // 2),
+        ):
+            with pytest.raises(NumericalBudgetError, match=r"terms at level \d+, past the work cap 30000000$"):
+                kernel_series_partial(m, x, 0.5j * np.ones_like(x), n_terms)
+        assert time.process_time() - start < 0.1
+
+    def test_a_million_terms_are_summed(self):
+        # the underflowed tail adds +0.0 over 62 blocks
+        value = kernel_series_partial(0, 0.5, 0.5j, 10**6)
+        assert _bits(value) == _bits(kernel_series_partial(0, 0.5, 0.5j, 100))
+
+    def test_blocks_carry_the_running_sum(self, monkeypatch):
+        xs = np.array([1.2 + 0.3j, -2.0 + 0.0j, 0.0j])
+        ys = np.array([-0.4 + 0.9j, 0.5 - 1.5j, 1.0 + 1.0j])
+        want = [_bits(v) for v in kernel_series_partial(4, xs, ys, 150).tolist()]
+        monkeypatch.setattr(kernels, "_SERIES_BLOCK", 7)  # two terms a block
+        assert [_bits(v) for v in kernel_series_partial(4, xs, ys, 150).tolist()] == want
+
 
 def _bits(value: complex) -> bytes:
     return struct.pack("<dd", value.real, value.imag)
@@ -538,6 +575,56 @@ class TestBitIdentity:
         assert _laguerre_scaled(200, 1000.0, abs(x) ** 2)[1] > 0
         want = reference_series(200, x, y, 1200)
         assert _bits(kernel_series_partial(200, x, y, 1200)) == _bits(want)
+        # and as the first pair of an array, beside pairs that do not rescale
+        xs, ys = np.array([x, 0.3j, 0j]), np.array([y, 0.2 + 0j, 1j])
+        got = kernel_series_partial(200, xs, ys, 1200).tolist()
+        want = [want] + [kernel_series_partial(200, a, b, 1200) for a, b in zip(xs[1:], ys[1:])]
+        assert [_bits(v) for v in got] == [_bits(v) for v in want]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(0, 8),
+        n_terms=st.integers(0, 60),
+        pairs=st.lists(
+            st.tuples(*[st.one_of(st.just(0.0), st.floats(-3.0, 3.0))] * 4), min_size=1, max_size=6
+        ),
+    )
+    @example(m=5, n_terms=3, pairs=[(0.0, 0.0, 1.0, -1.0), (0.5, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
+    def test_series_arrays_match_per_pair_reference(self, m, n_terms, pairs):
+        # n_terms < m, and pairs with x = 0 or y = 0, included
+        xs = np.array([complex(a, b) for a, b, _, _ in pairs])
+        ys = np.array([complex(c, d) for _, _, c, d in pairs])
+        got = kernel_series_partial(m, xs, ys, n_terms)
+        assert isinstance(got, np.ndarray) and got.dtype == complex and got.shape == xs.shape
+        want = [reference_series(m, x, y, n_terms) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert [_bits(v) for v in got.tolist()] == [_bits(v) for v in want]
+
+    def test_series_array_contract(self):
+        assert type(kernel_series_partial(1, 0.5, 0.2j, 3)) is complex
+        one = kernel_series_partial(1, np.array([0.5]), np.array([0.2j]), 3)
+        assert one.shape == (1,) and _bits(one[0]) == _bits(kernel_series_partial(1, 0.5, 0.2j, 3))
+        assert kernel_series_partial(2, np.array([]), np.array([]), 5).shape == (0,)
+        xs = RNG.uniform(-1.5, 1.5, 40) + 1j * RNG.uniform(-1.5, 1.5, 40)
+        ys = RNG.uniform(-1.5, 1.5, 40) + 1j * RNG.uniform(-1.5, 1.5, 40)
+        perm = RNG.permutation(40)
+        assert np.array_equal(
+            kernel_series_partial(3, xs, ys, 80)[perm], kernel_series_partial(3, xs[perm], ys[perm], 80)
+        )
+
+    def test_series_array_validation(self):
+        ok = np.array([0.5, 1j])
+        for x, y, message in (
+            (np.array([1.0, math.inf]), ok, "x must be finite, got (inf+0j)"),
+            (ok, np.array([0.0, complex(1.0, math.nan)]), "y must be finite, got (1+nanj)"),
+            (ok, np.ones(3), "x and y need equal lengths, got 2 and 3"),
+            (ok, 0.5, "x and y need equal lengths, got 2 and 1"),
+            (np.ones((2, 2)), ok, "x must be a number or a 1-D numeric array"),
+            (ok, np.array(["a", "b"]), "y must be a number or a 1-D numeric array"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                kernel_series_partial(1, x, y, 10)
+        with pytest.raises(OverflowError, match=r"\|y\|\^2 overflows double range"):
+            kernel_series_partial(0, ok, np.array([0j, complex(1e308, 1e308)]), 3)
 
     @settings(max_examples=300, deadline=None)
     @given(

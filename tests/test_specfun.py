@@ -8,18 +8,21 @@ array implementation must reproduce bit for bit.
 
 import hashlib
 import math
+import re
+import time
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import heisenberg_dpp.asymptotics as asy
 import heisenberg_dpp.specfun as sf
 import heisenberg_dpp.window_stats as ws
+from heisenberg_dpp.exceptions import NumericalBudgetError
 from heisenberg_dpp.kernels import KernelSpec, kernel_series_partial
 from heisenberg_dpp.montecarlo import McConfig
 from heisenberg_dpp.specfun import (
@@ -138,16 +141,18 @@ class TestLaguerre:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        n=st.integers(0, 300),
-        alphas=st.lists(st.floats(-1.0, 1500.0), min_size=1, max_size=8),
+        columns=st.lists(st.tuples(st.integers(0, 300), st.floats(-1.0, 1500.0)),
+                         min_size=1, max_size=8),
         xs=st.lists(st.one_of(st.floats(0.0, 3000.0), st.floats(0.0, 1e300)),
                     min_size=1, max_size=3),
     )
-    def test_rows_match_the_scalar_recurrence(self, n, alphas, xs):
-        # bit for bit, rescaled pairs included
-        value, shift = _laguerre_scaled_rows(n, np.array(alphas), np.array(xs))
+    def test_rows_match_the_scalar_recurrence(self, columns, xs):
+        # bit for bit, each (degree, alpha) column at its own degree against
+        # each x row, rescaled elements included
+        ns, alphas = (np.array(v) for v in zip(*columns))
+        value, shift = _laguerre_scaled_rows(ns, alphas, np.array(xs)[:, None])
         for i, x in enumerate(xs):
-            for j, alpha in enumerate(alphas):
+            for j, (n, alpha) in enumerate(columns):
                 want_value, want_shift = _laguerre_scaled(n, alpha, x)
                 assert float(value[i, j]).hex() == want_value.hex()
                 assert shift[i, j] == want_shift
@@ -157,6 +162,71 @@ class TestLaguerre:
             laguerre(-1, 0.0, 1.0)
         with pytest.raises(ValueError):
             laguerre(2, 0.0, math.nan)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        elements=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0, 1]), st.integers(0, 250)),
+                st.one_of(st.floats(-1.0, 20.0), st.floats(-1.0, 1500.0)),
+                st.one_of(st.just(0.0), st.floats(-50.0, 3000.0)),
+            ),
+            min_size=1, max_size=10,
+        )
+    )
+    # L_200^(1000)(0.5) ~ 1e238: its iterates pass 2^512, so it is rescaled
+    @example(elements=[(200, 1000.0, 0.5), (0, 3.0, 1.0), (1, 0.0, 2.0)])
+    # L_250^(1500)(0) ~ 1e335 overflows; L_2^(0)(1) does not
+    @example(elements=[(2, 0.0, 1.0), (250, 1500.0, 0.0)])
+    def test_array_elements_match_scalar_calls(self, elements):
+        # mixed degrees, each element at its own; an overflowing element
+        # raises the OverflowError of its own call
+        want, fits = [], []
+        for element in elements:
+            try:
+                want.append(laguerre(*element).hex())
+                fits.append(element)
+            except OverflowError as exc:
+                with pytest.raises(OverflowError, match=rf"^{re.escape(str(exc))}$"):
+                    laguerre(*map(np.array, zip(*elements)))
+                return
+        got = laguerre(*map(np.array, zip(*fits)))
+        assert isinstance(got, np.ndarray) and got.shape == (len(fits),)
+        assert [v.hex() for v in got.tolist()] == want
+
+    def test_arrays_broadcast_with_numbers(self):
+        alphas, xs = np.array([-0.5, 0.0, 7.25]), np.array([0.0, 3.5, 40.0])
+        for got, want in (
+            (laguerre(6, alphas, xs), [laguerre(6, a, x) for a, x in zip(alphas, xs)]),
+            (laguerre(np.arange(3), 0.5, xs), [laguerre(n, 0.5, x) for n, x in zip(range(3), xs)]),
+            (laguerre(np.array([4]), alphas, 2.0), [laguerre(4, a, 2.0) for a in alphas]),
+        ):
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        assert type(laguerre(np.int64(3), np.float64(0.5), 1.5)) is float
+        assert laguerre(np.array([], dtype=int), 0.5, 1.5).shape == (0,)
+
+    def test_order_of_elements_is_irrelevant(self):
+        n = RNG.integers(0, 90, 200)
+        alpha, x = RNG.uniform(-1.0, 30.0, 200), RNG.uniform(0.0, 120.0, 200)
+        perm = RNG.permutation(200)
+        assert np.array_equal(laguerre(n, alpha, x)[perm], laguerre(n[perm], alpha[perm], x[perm]))
+
+    def test_array_validation(self):
+        ok = np.array([1.0, 2.0])
+        for args, message in (
+            ((np.array([2, -1, -3]), 0.0, ok[:1]), "n must be an integer >= 0, got -1.0"),
+            ((np.array([2.5]), 0.0, 1.0), "n must be an integer >= 0, got 2.5"),
+            ((2, np.array([0.0, math.nan]), ok), "alpha must be finite, got nan"),
+            ((2, 0.0, np.array([1.0, math.inf])), "x must be finite, got inf"),
+            ((np.array([1, 2]), -math.inf, ok), "alpha must be finite, got -inf"),
+            ((2, "0", ok), "alpha must be a number, got '0'"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+                laguerre(*args)
+        with pytest.raises(ValueError, match="x must be a number or a 1-D numeric array"):
+            laguerre(2, 0.0, np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            laguerre(np.array([1, 2]), 0.0, np.ones(3))
 
 
 class TestBesselIScaled:
@@ -496,6 +566,17 @@ class TestHyp3F2:
         # 1 + 5/2 + 5/4
         assert hyp3f2_terminating(-2.0, 0.5, 5, 1.0, 2.0) == 4.75
         assert mpmath.hyp3f2(-2, 0.5, -5, 1, 2, 1) == 4.75
+
+    def test_terms_past_the_cap_are_refused_at_once(self):
+        # 10^12 terms at ~0.3 us each would run for about 3.5 days
+        start = time.process_time()
+        for m in (sf._HYP3F2_TERM_CAP + 1, 10**12):
+            with pytest.raises(
+                NumericalBudgetError,
+                match=rf"^hyp3f2_terminating sums {m} terms, past the term cap 100000000$",
+            ):
+                hyp3f2_terminating(-0.5, -0.5, m, 1.0, -0.5 - m)
+        assert time.process_time() - start < 0.1
 
     def test_overflow_raises(self):
         # the second term is -2e400

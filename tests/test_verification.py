@@ -115,3 +115,36 @@ class TestFailedOutright:
             if dim == 3 else control(dim, grid),
         )
         assert self.outright("classification").detail == "D=3 control labeled ClassI"
+
+
+def _hex(value) -> str | None:
+    return None if value is None else float(value).hex()
+
+
+class TestPinnedDeltas:
+    """Every deterministic check's row, bit for bit, as captured before the
+    kernel series and the Laguerre floor ran on arrays: (name, passed,
+    max_delta, sub_case, raw_delta, raw_tolerance), floats as hex."""
+
+    PINNED = [
+    ('ball-route-cross-check', True, '0x1.d4ab538d26775p-27', 'D=3 R=10.0', '0x1.eb6f712f754a4p-47', '0x1.0c6f7a0b5ed8dp-20'),
+    ('ginibre-constant', True, '0x1.47b139e2ec6d4p-10', 'D=1 R=50 vs 1/sqrt(pi)', '0x1.a372359d57961p-16', '0x1.47ae147ae147bp-6'),
+    ('heisenberg-constant', True, '0x1.ddc5187e89879p-7', 'D=3 R=50 vs D/sqrt(pi)', '0x1.31c5d23c80faap-12', '0x1.47ae147ae147bp-6'),
+    ('asymptotic-expansion', True, '0x1.0869fc242c1c1p-1', 'D=1 R=5.0', '0x1.487ef40000000p-32', '0x1.3e0af0bd9fe8ep-31'),
+    ('alpha-coefficients', True, '0x0.0p+0', 'alpha_2(1)', '0x0.0p+0', '0x1.0000000000000p-1'),
+    ('spectrum-route-equivalence', True, '0x1.5b0da67680933p-30', 'variance R=5.0', '0x1.6be96aa3277b6p-50', '0x1.0c6f7a0b5ed8dp-20'),
+    ('class-one-constants', True, '0x1.9971d424f5a00p-7', 'C(1000) vs (8/pi^2) sqrt(m)', '0x1.060b690d6a000p-12', '0x1.47ae147ae147bp-6'),
+    ('polydisk-limit', True, '0x1.32007fa8d86a3p-1', 'D=3 level=(0, 1, 2)', '0x1.25c309e9c584ap-6', '0x1.eb851eb851eb8p-6'),
+    ('kernel-series-identity', True, '0x1.e33641c2eba7cp-15', 'm=1 x=1.206-1.247j y=-1.272-1.064j', '0x1.9f136df6e6209p-48', '0x1.b7cdfd9d7bdbbp-34'),
+    ('gauge-invariance', True, '0x1.674bb1bd0b6f7p-15', 'trial 81 D=1 n=6', '0x1.81ca71d91790ep-45', '0x1.12e0be826d695p-30'),
+    ('classification', True, '0x1.b7cf9605bd500p-4', 'D=3 slope', '0x1.5fd944d164400p-8', '0x1.999999999999ap-5'),
+    ('special-function-floor', True, '0x1.bfeca5b49d269p-2', 'ive asymptote nu=3', '0x1.caacb1dfdc507p-12', '0x1.0624dd2f1a9fcp-10'),
+    ]
+
+    def test_deterministic_rows_keep_their_bits(self):
+        names = [name for name in ALL_CHECKS if name != "monte-carlo-gate"]
+        got = [
+            (r.name, r.passed, _hex(r.max_delta), r.sub_case, _hex(r.raw_delta), _hex(r.raw_tolerance))
+            for r in run_checks(names)
+        ]
+        assert got == self.PINNED
