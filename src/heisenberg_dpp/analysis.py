@@ -37,17 +37,14 @@ import numpy as np
 from .exceptions import UnsupportedConfigurationError
 from .kernels import KernelSpec
 from .montecarlo import CellCounts, McConfig, estimate_moments
-from .specfun import _check_radius
+from .specfun import _as_float, _check_index, _check_positive, _check_radius
 from .window_stats import (
     _TAIL_TOL,
-    MomentReport,
     Route,
     WindowKind,
-    _ball_report,
     ball_moments,
     mean_ball,
     polydisk_moments,
-    variance_ball_integral,
 )
 
 
@@ -114,35 +111,11 @@ class ClassReport:
 
 def default_r_grid(n: int = 16, lo: float = 1.0, hi: float = 50.0) -> tuple[float, ...]:
     """Geometric grid; percent-level ratio convergence arrives by R = 50."""
-    if n < 2 or not 0 < lo < hi:
-        raise ValueError("need n >= 2 and 0 < lo < hi")
+    n, lo, hi = _check_index("n", n, 2), _check_positive("lo", lo), _check_positive("hi", hi)
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     step = (hi / lo) ** (1.0 / (n - 1))
     return tuple(lo * step**k for k in range(n))
-
-
-def _sweep_row(
-    spec: KernelSpec,
-    radius: float,
-    route: Route,
-    tail_tol: float,
-    mc: McConfig | None,
-) -> SweepRow:
-    if route == Route.SPECTRUM:
-        rep = polydisk_moments(spec, radius, tail_tol)
-    elif route == Route.MONTE_CARLO:
-        est = estimate_moments(spec, radius, mc, tail_tol)
-        ratio = est.var_hat / est.mean_hat if est.mean_hat else math.nan
-        return SweepRow(
-            radius, est.mean_hat, est.var_hat, ratio, radius * ratio,
-            est.se_mean, est.se_var, est.cells,
-        )
-    else:
-        rep = ball_moments(spec.dimension, radius, route)
-    return _report_row(radius, rep)
-
-
-def _report_row(radius: float, rep: MomentReport) -> SweepRow:
-    return SweepRow(radius, rep.mean, rep.variance, rep.ratio, radius * rep.ratio)
 
 
 def run_sweep(
@@ -155,9 +128,9 @@ def run_sweep(
 ) -> SweepResult:
     """One SweepRow per grid radius, all computed by the requested route.
 
-    The integral route passes the whole grid to variance_ball_integral, which
-    shares Bessel calls among consecutive radii within the node count of the
-    grid's largest radius; each row is bit for bit ball_moments' at its radius.
+    The closed and integral routes pass the whole grid to ball_moments, so
+    the integral route's radii share Bessel calls; each row is bit for bit
+    the one its radius gets alone.
     """
     window_kind = WindowKind(window_kind)
     route = Route(route)
@@ -184,15 +157,25 @@ def run_sweep(
         )
     elif route == Route.MONTE_CARLO and mc is None:
         raise ValueError("route 'mc' requires an McConfig")
-    if route == Route.INTEGRAL:
-        variances = variance_ball_integral(spec.dimension, radii).tolist()
-        rows = tuple(
-            _report_row(r, _ball_report(spec.dimension, r, route, v))
-            for r, v in zip(radii, variances)
-        )
+    if route == Route.MONTE_CARLO:
+        rows = []
+        for r in radii:
+            est = estimate_moments(spec, r, mc, tail_tol)
+            ratio = est.var_hat / est.mean_hat if est.mean_hat else math.nan
+            rows.append(SweepRow(
+                r, est.mean_hat, est.var_hat, ratio, r * ratio,
+                est.se_mean, est.se_var, est.cells,
+            ))
     else:
-        rows = tuple(_sweep_row(spec, r, route, tail_tol, mc) for r in radii)
-    return SweepResult(rows=rows, spec=spec, window_kind=window_kind, route=route)
+        if route == Route.SPECTRUM:
+            reports = [polydisk_moments(spec, r, tail_tol) for r in radii]
+        else:
+            reports = ball_moments(spec.dimension, radii, route)
+        rows = [
+            SweepRow(r, rep.mean, rep.variance, rep.ratio, r * rep.ratio)
+            for r, rep in zip(radii, reports)
+        ]
+    return SweepResult(rows=tuple(rows), spec=spec, window_kind=window_kind, route=route)
 
 
 def poisson_control_sweep(dimension: int, r_grid) -> SweepResult:
@@ -203,13 +186,13 @@ def poisson_control_sweep(dimension: int, r_grid) -> SweepResult:
     """
     rows = tuple(
         SweepRow(
-            r=float(r),
-            mean=mean_ball(dimension, float(r)),
-            variance=mean_ball(dimension, float(r)),
+            r=r,
+            mean=mean_ball(dimension, r),
+            variance=mean_ball(dimension, r),
             ratio=1.0,
-            r_times_ratio=float(r),
+            r_times_ratio=r,
         )
-        for r in r_grid
+        for r in map(_check_radius, r_grid)
     )
     return SweepResult(
         rows=rows,
@@ -248,6 +231,7 @@ def classify(sweep: SweepResult, fit_window: float = _FIT_WINDOW) -> ClassReport
     constants CLASS_ONE_BAND, NOT_HYPER_MARGIN, CURVATURE_IMPROVEMENT,
     CURVATURE_COEFF_MIN and SSR_FLOOR, whose roles the module docstring gives.
     """
+    fit_window = _as_float("fit_window", fit_window)
     if not 0.0 < fit_window <= 1.0:
         raise ValueError(f"fit_window must lie in (0, 1], got {fit_window}")
     n_fit = max(6, math.ceil(fit_window * len(sweep.rows)))

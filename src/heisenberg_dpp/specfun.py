@@ -42,7 +42,8 @@ _RESCALE_FACTOR = 1e-250
 
 # Most terms hyp3f2_terminating sums, and so the highest level c_constant
 # takes: ~0.3 us a term (2-core VM), so the cap stands for about 30 s of
-# work, as the spectrum route's size cap does.
+# work, as the spectrum route's size cap does.  It caps the Laguerre degree
+# too: a recurrence step costs about as much.
 _HYP3F2_TERM_CAP = 10**8
 
 
@@ -165,8 +166,13 @@ def _laguerre_scaled(n: int, alpha: float, x: float) -> tuple[float, int]:
     A step that would still overflow (|x| near the double range) is redone
     after scaling both iterates below 1 by an exact power of two.  Raises
     OverflowError when 1 + alpha - x, the slope of every step, overflows.
-    Checks nothing: n is an int >= 0 and alpha, x are finite floats.
+    A degree past _HYP3F2_TERM_CAP raises NumericalBudgetError at once;
+    nothing else is checked: n is an int >= 0, alpha and x finite floats.
     """
+    if n > _HYP3F2_TERM_CAP:
+        raise NumericalBudgetError(
+            f"laguerre: degree {_count(n)} is past the step cap {_HYP3F2_TERM_CAP}"
+        )
     if n == 0:
         return 1.0, 0
     prev = 1.0
@@ -193,7 +199,8 @@ def _laguerre_scaled_rows(n: np.ndarray, alpha: np.ndarray, x: np.ndarray):
     (integer degrees), alpha and x, as arrays value and shift, bit for bit:
     numpy's + - * / round as the float operations do, and each element
     stops at its own degree.  Where an iterate passes 2**512 or is NaN, and
-    the scalar recurrence would rescale, the element is taken from it.
+    the scalar recurrence would rescale, the element is taken from it.  A
+    top degree past _HYP3F2_TERM_CAP raises as the scalar recurrence does.
     """
     n, alpha, x = np.broadcast_arrays(n, alpha, x)
     # by descending degree, the elements still running at step k (degree
@@ -201,6 +208,8 @@ def _laguerre_scaled_rows(n: np.ndarray, alpha: np.ndarray, x: np.ndarray):
     order = np.argsort(-n, axis=None, kind="stable")
     deg, alpha, x = n.ravel()[order], alpha.ravel()[order], x.ravel()[order]
     top = int(deg[0]) if deg.size else 0
+    if top > _HYP3F2_TERM_CAP:
+        _laguerre_scaled(top, 0.0, 0.0)  # raises
     ends = np.searchsorted(-deg, -np.arange(max(top, 1)), side="left").tolist()
     value, shift = np.ones(deg.size), np.zeros(deg.size, dtype=int)
     cur = value[: ends[0]]
@@ -240,7 +249,8 @@ def laguerre(n: int, alpha: float, x: float):
     an array, each element bit-identical to the call on that element alone,
     from one recurrence over all elements at their own degrees; a bad
     element raises the ValueError, and an overflowing one the
-    OverflowError, of that call.
+    OverflowError, of that call.  A degree past _HYP3F2_TERM_CAP raises
+    NumericalBudgetError before any step, with arrays the largest degree's.
     """
     if not any(isinstance(v, np.ndarray) for v in (n, alpha, x)):
         return _laguerre_float(_check_index("n", n), _check_real("alpha", alpha), _check_real("x", x))

@@ -40,7 +40,7 @@ from .kernels import (
     hermitized_kernel,
     kernel_series_partial,
 )
-from .specfun import bessel_i_scaled, laguerre, regularized_lower_gamma
+from .specfun import _as_float, bessel_i_scaled, laguerre, regularized_lower_gamma
 from .window_stats import (
     Route,
     WindowKind,
@@ -400,6 +400,7 @@ ALL_CHECKS = {
 def run_checks(names: list[str] | None = None, scale: float = 1.0) -> list[CheckResult]:
     """Run the named checks (all of them by default) in order; each passes
     when its worst normalized delta is at most ``scale``."""
+    scale = _as_float("scale", scale)
     if not (scale >= 0.0 and math.isfinite(scale)):
         raise ValueError(f"scale must be finite and >= 0, got {scale}")
     selected = list(ALL_CHECKS) if names is None else names

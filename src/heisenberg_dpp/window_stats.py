@@ -63,6 +63,7 @@ from .specfun import _HYP3F2_TERM_CAP as _C_CONSTANT_LEVEL_CAP  # C(m) sums m te
 from .specfun import (
     _check_dimension,
     _check_index,
+    _check_positive,
     _check_radius,
     _count,
     bessel_i_scaled,
@@ -241,9 +242,11 @@ def _panel_bounds(dimension: int, radius: np.ndarray, mid: np.ndarray, half: np.
     return np.exp(log_m)
 
 
-def _integral_batch(dimension: int, radii: list[float], counts: list[int]) -> list[float]:
-    """Integral-route variances at radii, on counts panels each, from one
-    bessel_j call per _INTEGRAL_CHUNK_PANELS panels.
+def _integral_batch(
+    dimension: int, radii: list[float], counts: list[int], means: list[float]
+) -> list[float]:
+    """Integral-route variances at radii, with ball means `means`, on counts
+    panels each, from one bessel_j call per _INTEGRAL_CHUNK_PANELS panels.
 
     Each radius's error is its prefactor times the sum of _panel_bounds over
     its panels plus the cutoff bound: a proof, not a comparison with a
@@ -268,12 +271,11 @@ def _integral_batch(dimension: int, radii: list[float], counts: list[int]) -> li
         bounds = _panel_bounds(dimension, panel_radius, mid, half).tolist()
     cutoff_bound = math.exp(-0.25 * 13.0**2) * 2.0 / 13.0**2
     out, start = [], 0
-    for radius, count in zip(radii, counts):
+    for radius, count, mean in zip(radii, counts, means):
         fine = math.fsum(values[start : start + count])
         # each panel's exponent is good to ~1e-12: 1 + 2^-26 covers that
         quad_bound = (1.0 + 2.0**-26) * math.fsum(bounds[start : start + count])
         start += count
-        mean = mean_ball(dimension, radius)
         prefactor = 2.0 * dimension * mean  # used where a factor leaves the double range
         if dimension - 1 <= _FACTORIAL_MAX:
             with suppress(OverflowError):
@@ -330,23 +332,28 @@ def variance_ball_integral(dimension: int, radius):
     quadrature rather than a finite sum.
     """
     dimension = _check_dimension(dimension)
-    ndim = np.ndim(radius)
-    if ndim > 1:
-        raise ValueError("radius must be a float or a 1-D sequence")
-    radii = [_check_radius(r) for r in (radius if ndim else [radius])]
-    for r in radii:
-        mean_ball(dimension, r)  # an overflowing mean raises before any quadrature
+    radii, many = _radii(radius)
+    # an overflowing mean raises before any quadrature
+    means = [mean_ball(dimension, r) for r in radii]
     sizes = [_panel_count(r) for r in radii]
     cap = max(sizes, default=0)
     out, first, held = [], 0, 0
     for i, size in enumerate(sizes):
         if held + size > cap:
-            out += _integral_batch(dimension, radii[first:i], sizes[first:i])
+            out += _integral_batch(dimension, radii[first:i], sizes[first:i], means[first:i])
             first, held = i, 0
         held += size
     if radii:
-        out += _integral_batch(dimension, radii[first:], sizes[first:])
-    return np.array(out) if ndim else out[0]
+        out += _integral_batch(dimension, radii[first:], sizes[first:], means[first:])
+    return np.array(out) if many else out[0]
+
+
+def _radii(radius) -> tuple[list[float], bool]:
+    """Checked radii from a float or a 1-D sequence, and whether it was one."""
+    ndim = np.ndim(radius)
+    if ndim > 1:
+        raise ValueError("radius must be a float or a 1-D sequence")
+    return [_check_radius(r) for r in (radius if ndim else [radius])], bool(ndim)
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +791,7 @@ def build_spectrum(m: int, radius: float, tail_tol: float = _TAIL_TOL) -> Bernou
     """
     m = _check_index("m", m)
     radius = _check_radius(radius)
-    if not tail_tol > 0.0:
-        raise ValueError(f"tail_tol must be positive, got {tail_tol}")
+    tail_tol = _check_positive("tail_tol", tail_tol)
 
     n_top = _initial_truncation(radius, m)
     _check_budget(n_top, m, radius)
@@ -855,37 +861,33 @@ def polydisk_moments(
     )
 
 
-def ball_moments(
-    dimension: int, radius: float, route: Route = Route.CLOSED_FORM
-) -> MomentReport:
+def ball_moments(dimension: int, radius, route: Route = Route.CLOSED_FORM):
     """Mean/variance/ratio for the ball window of the level-zero process;
-    the ratio is NaN when the mean underflows to 0."""
+    the ratio is NaN when the mean underflows to 0.
+
+    ``radius`` is a float or a 1-D sequence, and the result a MomentReport
+    or a list of them, each bit for bit the one its radius gets alone.  All
+    radii are checked first; on the integral route a sequence goes to
+    variance_ball_integral whole, to share bessel_j calls.
+    """
     route = Route(route)
-    if route == Route.CLOSED_FORM:
-        variance = variance_ball_closed(dimension, radius)
-    elif route == Route.INTEGRAL:
-        variance = variance_ball_integral(dimension, radius)
-    else:
+    if route not in (Route.CLOSED_FORM, Route.INTEGRAL):
         raise UnsupportedConfigurationError(
             f"route {route.value!r} does not apply to the ball closed forms"
         )
-    return _ball_report(dimension, radius, route, variance)
-
-
-def _ball_report(dimension: int, radius: float, route: Route, variance: float) -> MomentReport:
-    """The MomentReport of a ball variance from the closed or integral route."""
-    mean = mean_ball(dimension, radius)
+    dimension = _check_dimension(dimension)
+    radii, many = _radii(radius)
     if route == Route.CLOSED_FORM:
-        err = 1e-12 * variance
+        variances = [variance_ball_closed(dimension, r) for r in radii]
     else:
-        err = _integral_tol(dimension, radius)
-    return MomentReport(
-        mean=mean,
-        variance=variance,
-        ratio=variance / mean if mean else math.nan,
-        route=route,
-        error_estimate=err,
-    )
+        variances = variance_ball_integral(dimension, radii).tolist()
+    reports = []
+    for r, variance in zip(radii, variances):
+        mean = mean_ball(dimension, r)
+        ratio = variance / mean if mean else math.nan
+        err = 1e-12 * variance if route == Route.CLOSED_FORM else _integral_tol(dimension, r)
+        reports.append(MomentReport(mean, variance, ratio, route, err))
+    return reports if many else reports[0]
 
 
 # ---------------------------------------------------------------------------

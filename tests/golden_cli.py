@@ -125,6 +125,10 @@ CASES: list[tuple[str, list[list[str]]]] = [
     ("err-budget", [["stats", *_D1, "--radius", "1e4"]]),
     ("err-budget-level", [["stats", *_D1, "--level", "2000", "--radius", "1"]]),
     ("err-tail-target", [["stats", *_D1, "--radius", "2", "--tail-tol", "1e-30"]]),
+    ("err-tail-tol-inf", [["stats", *_D1, "--radius", "2", "--tail-tol", "inf"]]),
+    # a degree-10^12 Laguerre recurrence is refused before its first step
+    ("err-budget-kernel-level", [["kernel-eval", *_D1, "--level", "1000000000000",
+                                  "--x", "1,0", "--y", "0,0"]]),
     ("err-classify-no-input", [["classify"]]),
     ("err-classify-missing-file", [["classify", "--in", "absent.json"]]),
     ("err-unknown-check", [["verify", "--check", "nope"]]),

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from heisenberg_dpp import analysis
@@ -54,9 +55,9 @@ class TestGrid:
         assert max(ratios) == pytest.approx(min(ratios), rel=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 2, got 1$"):
             default_r_grid(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^need lo < hi, got lo=2.0, hi=1.0$"):
             default_r_grid(4, 2.0, 1.0)
 
 
@@ -140,7 +141,8 @@ class TestSweepConstruction:
         def no_row(*args):
             raise AssertionError("a row was computed")
 
-        monkeypatch.setattr(analysis, "_sweep_row", no_row)
+        for name in ("polydisk_moments", "ball_moments", "estimate_moments"):
+            monkeypatch.setattr(analysis, name, no_row)
         with pytest.raises(error, match="route|spectrum representation"):
             run_sweep(spec, window, (1.0, 2.0), route)
 
@@ -208,6 +210,11 @@ class TestClassifyExactRoutes:
         report = classify(control)
         assert report.class_label is ClassLabel.NOT_HYPERUNIFORM
         assert report.fitted_slope == pytest.approx(2.0, abs=1e-9)
+
+    def test_poisson_control_refuses_strings(self):
+        with pytest.raises(ValueError, match=r"^radius must be a number, got '1'$"):
+            poisson_control_sweep(1, ["1", "2"])
+        assert poisson_control_sweep(1, [1, 2]) == poisson_control_sweep(1, [1.0, 2.0])
 
     def test_finite_window_curvature_stays_class_one(self):
         # at small radii the 1/R approach to the ratio limit curves the
@@ -281,6 +288,10 @@ class TestClassifyValidation:
             classify(sweep, fit_window=0.0)
         with pytest.raises(ValueError):
             classify(sweep, fit_window=1.5)
+        for bad in ("0.5", True, None):
+            with pytest.raises(ValueError, match=rf"^fit_window must be a number, got {bad!r}$"):
+                classify(sweep, fit_window=bad)
+        assert classify(sweep, fit_window=np.float64(0.5)) == classify(sweep)
 
     def test_needs_six_rows(self):
         sweep = synthetic_sweep(1, lambda r: r, n=5)

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,19 @@ class TestKernelEval:
         row = json.loads(out)["rows"][0]
         assert -6e182 < row["kernel_re"] < -4e182 and row["kernel_im"] == 0.0
 
+    def test_level_past_the_laguerre_cap_exits_3_at_once(self, capsys):
+        # L_(10^12) would run 10^12 recurrence steps, days of work
+        start = time.process_time()
+        argv = ["kernel-eval", "--dimension", "1", "--level", "1000000000000",
+                "--x", "1,0", "--y", "0,0"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            "numerical budget exhausted: laguerre: degree 1000000000000 is past "
+            "the step cap 100000000\n"
+        )
+        assert time.process_time() - start < 1.0
+
     def test_point_with_wrong_coordinate_count(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -254,6 +268,13 @@ class TestStats:
         code, out, err = run_cli(capsys, [*argv, "--dimension", "1"])
         assert (code, out) == (3, "")
         assert "needs 1.000e+400 indices at radius 1e+200, past the size cap" in err
+
+    def test_infinite_tail_target_exits_2(self, capsys):
+        # an infinite target would certify the first truncation, whatever its tail
+        argv = ["stats", "--dimension", "1", "--radius", "2", "--tail-tol", "inf"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: tail_tol must be positive and finite, got inf\n"
 
     def test_ball_mean_past_the_double_range_exits_2(self, capsys):
         argv = ["stats", "--dimension", "1", "--window", "ball", "--route", "closed",

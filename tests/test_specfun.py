@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import heisenberg_dpp.asymptotics as asy
 import heisenberg_dpp.specfun as sf
 import heisenberg_dpp.window_stats as ws
+from heisenberg_dpp.analysis import default_r_grid
 from heisenberg_dpp.exceptions import NumericalBudgetError
 from heisenberg_dpp.kernels import KernelSpec, kernel_series_partial
 from heisenberg_dpp.montecarlo import McConfig
@@ -227,6 +228,22 @@ class TestLaguerre:
             laguerre(2, 0.0, np.ones((2, 2)))
         with pytest.raises(ValueError):
             laguerre(np.array([1, 2]), 0.0, np.ones(3))
+
+    def test_degrees_past_the_cap_are_refused_at_once(self):
+        # 10^12 steps at ~0.3 us each would run for about 3.5 days, and the
+        # array path would first ask np.arange for 8 TB
+        start = time.process_time()
+        for n in (sf._HYP3F2_TERM_CAP + 1, 10**12):
+            want = rf"^laguerre: degree {n} is past the step cap 100000000$"
+            for call in (
+                lambda: laguerre(n, 0.0, 1.0),
+                lambda: laguerre_log(n, 0.0, 1.0),
+                lambda: laguerre(np.array([3, n, 2]), 0.0, 1.0),
+            ):
+                with pytest.raises(NumericalBudgetError, match=want):
+                    call()
+        assert time.process_time() - start < 0.1
+        assert laguerre(np.array([0, 5]), 0.0, 1.0)[1] == laguerre(5, 0.0, 1.0)
 
 
 class TestBesselIScaled:
@@ -611,11 +628,18 @@ NUMBER_ARGS = {
         "dimension", lambda v: ws.variance_ball_integral(v, 1.5), 2,
     ),
     "ball_moments radius": ("radius", lambda v: ws.ball_moments(1, v).variance, 1.5),
+    "ball_moments radii": ("radius", lambda v: ws.ball_moments(1, [1.0, v])[1].variance, 1.5),
     "bernoulli_prob n": ("n", lambda v: ws.bernoulli_prob(v, 1, 1.5), 2),
     "bernoulli_prob m": ("m", lambda v: ws.bernoulli_prob(2, v, 1.5), 1),
     "bernoulli_prob radius": ("radius", lambda v: ws.bernoulli_prob(2, 1, v), 1.5),
     "build_spectrum m": ("m", lambda v: ws.build_spectrum(v, 1.5).prob_sum, 1),
     "build_spectrum radius": ("radius", lambda v: ws.build_spectrum(1, v).prob_sum, 1.5),
+    "build_spectrum tail_tol": (
+        "tail_tol", lambda v: ws.build_spectrum(1, 1.5, v).prob_sum, 1e-9,
+    ),
+    "default_r_grid n": ("n", lambda v: default_r_grid(v, 1.0, 2.0), 4),
+    "default_r_grid lo": ("lo", lambda v: default_r_grid(4, v, 2.0), 1.0),
+    "default_r_grid hi": ("hi", lambda v: default_r_grid(4, 1.0, v), 2.0),
     "polydisk_moments radius": (
         "radius", lambda v: ws.polydisk_moments(KernelSpec(1), v).variance, 1.5,
     ),

@@ -32,6 +32,9 @@ class TestReporting:
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="scale must be finite and >= 0"):
                 run_checks(["not-a-check"], bad)
+        for bad in ("1", True, None):
+            with pytest.raises(ValueError, match=rf"^scale must be a number, got {bad!r}$"):
+                run_checks(["not-a-check"], bad)
 
     def test_result_named_from_registry(self, monkeypatch):
         # a check returns its worst delta; run_checks names and judges it

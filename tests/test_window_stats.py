@@ -328,6 +328,12 @@ class TestIntegralRoute:
         want = [variance_ball_integral(dim, r).hex() for r in radii]
         assert [v.hex() for v in got.tolist()] == want
         assert variance_ball_integral(dim, []).shape == (0,)
+        for route in (Route.CLOSED_FORM, Route.INTEGRAL):
+            reports = ball_moments(dim, radii, route)
+            alone = [ball_moments(dim, r, route) for r in radii]
+            assert reports == alone
+            assert [rep.variance.hex() for rep in reports] == [rep.variance.hex() for rep in alone]
+            assert ball_moments(dim, [], route) == []
 
     @staticmethod
     def first_error(call):
