@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import UnsupportedConfigurationError
 from .kernels import KernelSpec
 from .montecarlo import CellCounts, McConfig, estimate_moments
-from .specfun import _as_float, _check_index, _check_positive, _check_radius
+from .specfun import _as_float, _check_index, _check_positive, _check_radius, _checked_make
 from .window_stats import (
     _TAIL_TOL,
     Route,
@@ -64,8 +64,7 @@ class ClassLabel(enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     r: float
     mean: float
     variance: float
@@ -78,35 +77,52 @@ class SweepRow:
     cells: CellCounts | None = None
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class _SweepResultFields(NamedTuple):
     rows: tuple[SweepRow, ...]
     spec: KernelSpec
     window_kind: WindowKind
     route: Route
 
-    def __post_init__(self):
-        radii = [row.r for row in self.rows]
+
+class SweepResult(_SweepResultFields):
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, rows: tuple[SweepRow, ...], spec: KernelSpec,
+                window_kind: WindowKind, route: Route):
+        radii = [row.r for row in rows]
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("sweep rows must be sorted by strictly increasing R")
         # exact routes are under-dispersed to rounding error; a Monte Carlo
         # sample variance obeys no deterministic bound
-        if self.route == Route.MONTE_CARLO:
-            return
-        for row in self.rows:
-            if row.variance > row.mean + 1e-9 * row.mean:
-                raise ValueError(
-                    f"row R={row.r}: variance {row.variance} exceeds mean {row.mean}"
-                )
+        if route != Route.MONTE_CARLO:
+            for row in rows:
+                if row.variance > row.mean + 1e-9 * row.mean:
+                    raise ValueError(
+                        f"row R={row.r}: variance {row.variance} exceeds mean {row.mean}"
+                    )
+        return super().__new__(cls, rows, spec, window_kind, route)
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class _ClassReportFields(NamedTuple):
     fitted_slope: float
     slope_stderr: float
     leading_constant: float
     class_label: ClassLabel
-    detail: dict = field(default_factory=dict)
+    detail: dict
+
+
+class ClassReport(_ClassReportFields):
+    """``detail`` defaults to a fresh dict for each report."""
+
+    __slots__ = ()
+
+    def __new__(cls, fitted_slope: float, slope_stderr: float, leading_constant: float,
+                class_label: ClassLabel, detail: dict | None = None):
+        if detail is None:
+            detail = {}
+        return super().__new__(cls, fitted_slope, slope_stderr, leading_constant,
+                               class_label, detail)
 
 
 def default_r_grid(n: int = 16, lo: float = 1.0, hi: float = 50.0) -> tuple[float, ...]:

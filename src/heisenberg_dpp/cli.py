@@ -18,7 +18,6 @@ usage problem).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -415,7 +414,7 @@ def _cmd_classify(args) -> int:
     else:
         sweep, rows, tolerances = _moment_sweep(args, _parse_grid(args.r_grid))
         seed = tolerances.get("seed")
-    report = dataclasses.asdict(classify(sweep, fit_window=args.fit_window))
+    report = classify(sweep, fit_window=args.fit_window)._asdict()
     del report["detail"]
     report["class_label"] = report["class_label"].value
     doc = _document(
@@ -461,7 +460,7 @@ def _cmd_verify(args) -> int:
     if not (scale >= 0.0 and math.isfinite(scale)):
         raise ValueError(f"--tolerance-scale must be finite and >= 0, got {scale}")
     results = run_checks(args.check, scale)
-    rows = [dataclasses.asdict(r) for r in results]
+    rows = [r._asdict() for r in results]
     for row in rows:
         if not math.isfinite(row["max_delta"]):  # a check that failed outright
             row["max_delta"] = 1e308

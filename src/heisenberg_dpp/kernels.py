@@ -16,14 +16,13 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .exceptions import InternalConsistencyError, NumericalBudgetError
 from .specfun import _check_dimension, _check_index, _count, laguerre, laguerre_log
-from .specfun import _laguerre_float, _laguerre_scaled_rows
+from .specfun import _checked_make, _laguerre_float, _laguerre_scaled_rows
 
 MAX_CORRELATION_POINTS = 12
 
@@ -44,22 +43,25 @@ _SERIES_BLOCK = 2**14
 _SERIES_WORK_CAP = 3 * 10**7
 
 
-@dataclass(frozen=True)
-class ComplexPoint:
-    """A point of C^D stored as paired real and imaginary coordinates."""
-
+class _ComplexPointFields(NamedTuple):
     re: tuple[float, ...]
     im: tuple[float, ...]
 
-    def __post_init__(self):
-        re = tuple(float(v) for v in self.re)
-        im = tuple(float(v) for v in self.im)
+
+class ComplexPoint(_ComplexPointFields):
+    """A point of C^D stored as paired real and imaginary coordinates."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, re: tuple[float, ...], im: tuple[float, ...]):
+        re = tuple(float(v) for v in re)
+        im = tuple(float(v) for v in im)
         if len(re) != len(im) or not re:
             raise ValueError("re and im must be equal-length, nonempty tuples")
         if not all(map(math.isfinite, re + im)):
             raise ValueError("coordinates must be finite")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        return super().__new__(cls, re, im)
 
     @classmethod
     def from_complex(cls, values: Sequence[complex]) -> "ComplexPoint":
@@ -74,24 +76,27 @@ class ComplexPoint:
         return len(self.re)
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class _KernelSpecFields(NamedTuple):
+    dimension: int
+    level: tuple[int, ...]
+
+
+class KernelSpec(_KernelSpecFields):
     """Which member of the family: complex dimension and Landau levels."""
 
-    dimension: int
-    level: tuple[int, ...] = field(default=None)  # type: ignore[assignment]
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        object.__setattr__(self, "dimension", _check_dimension(self.dimension))
-        level = self.level
+    def __new__(cls, dimension: int, level: tuple[int, ...] | None = None):
+        dimension = _check_dimension(dimension)
         if level is None:
-            level = (0,) * self.dimension
+            level = (0,) * dimension
         level = tuple(_check_index("level", m) for m in level)
-        if len(level) != self.dimension:
+        if len(level) != dimension:
             raise ValueError(
-                f"level needs {self.dimension} entries, got {len(level)}"
+                f"level needs {dimension} entries, got {len(level)}"
             )
-        object.__setattr__(self, "level", level)
+        return super().__new__(cls, dimension, level)
 
 
 def _as_point(p, dimension: int) -> ComplexPoint:
@@ -247,25 +252,30 @@ def correlation_det(
     return _det_with_check(_kernel_matrix(kernel, points), imag_tol)
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Hermitized kernel matrix with its structural invariants enforced; the
-    Hermitian check compares K(x, y) with a separately computed K(y, x)."""
-
+class _CorrelationMatrixFields(NamedTuple):
     entries: np.ndarray
     dimension: int
 
-    def __post_init__(self):
-        m = self.entries
+
+class CorrelationMatrix(_CorrelationMatrixFields):
+    """Hermitized kernel matrix with its structural invariants enforced; the
+    Hermitian check compares K(x, y) with a separately computed K(y, x)."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, entries: np.ndarray, dimension: int):
+        m = entries
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("correlation matrix must be square")
         if np.max(np.abs(m - m.conj().T)) > 1e-12:
             raise InternalConsistencyError("kernel matrix is not Hermitian")
-        intensity = 1.0 / math.pi ** self.dimension
+        intensity = 1.0 / math.pi ** dimension
         if np.max(np.abs(np.diag(m) - intensity)) > 1e-12 * intensity:
             raise InternalConsistencyError(
                 "kernel matrix diagonal deviates from the one-point intensity"
             )
+        return super().__new__(cls, entries, dimension)
 
 
 def correlation_matrix(spec: KernelSpec, points: Sequence) -> CorrelationMatrix:

@@ -73,14 +73,13 @@ They are module constants, not settings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import NumericalBudgetError
 from .kernels import KernelSpec
-from .specfun import _check_index, _check_radius, _check_real
+from .specfun import _check_index, _check_radius, _check_real, _checked_make
 from .window_stats import _TAIL_TOL, BernoulliSpectrum, _cached_spectrum
 
 # Bounds the memory of the kept-cell array and of the thinning plan built
@@ -104,24 +103,30 @@ DENSE_Q = 0.03
 _DENSE_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class McConfig:
+# The records below are NamedTuples, as every record of the package is: a
+# frozen dataclass took 0.4 ms (5 fields) to 0.8 ms (12 fields) of each
+# import to build, a NamedTuple about 0.05 ms.
+class _McConfigFields(NamedTuple):
     replicas: int
     seed: int
-    cell_prob_floor: float = 0.0
+    cell_prob_floor: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "replicas", _check_index("replicas", self.replicas, 1))
-        object.__setattr__(self, "seed", _check_index("seed", self.seed))
-        if self.seed >= 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        floor = _check_real("cell_prob_floor", self.cell_prob_floor)
+
+class McConfig(_McConfigFields):
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, replicas: int, seed: int, cell_prob_floor: float = 0.0):
+        replicas = _check_index("replicas", replicas, 1)
+        seed = _check_index("seed", seed)
+        if seed >= 2**64:
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+        floor = _check_real("cell_prob_floor", cell_prob_floor)
         if not 0.0 <= floor < 1.0:
             raise ValueError(f"cell_prob_floor must lie in [0, 1), got {floor}")
-        object.__setattr__(self, "cell_prob_floor", floor)
+        return super().__new__(cls, replicas, seed, floor)
 
 
-# a NamedTuple, as a frozen dataclass took 0.4 ms more to import
 class CellCounts(NamedTuple):
     """How the sampler split the multi-index grid: the cells kept above the
     floor, of which ``dense`` are drawn from 16-bit digits and ``banded``
@@ -135,22 +140,27 @@ class CellCounts(NamedTuple):
     pooled: int
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class _McEstimateFields(NamedTuple):
     mean_hat: float
     var_hat: float
     se_mean: float
     se_var: float
     replicas: int
     # set by estimate_moments
-    cells: CellCounts | None = None
+    cells: CellCounts | None
 
-    def __post_init__(self):
-        if self.se_mean < 0 or self.se_var < 0 or self.var_hat < 0:
+
+class McEstimate(_McEstimateFields):
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, mean_hat: float, var_hat: float, se_mean: float, se_var: float,
+                replicas: int, cells: CellCounts | None = None):
+        if se_mean < 0 or se_var < 0 or var_hat < 0:
             raise ValueError("standard errors and var_hat must be >= 0")
+        return super().__new__(cls, mean_hat, var_hat, se_mean, se_var, replicas, cells)
 
 
-# a NamedTuple, as CellCounts is: a 12-field frozen dataclass takes ~0.8 ms to import
 class _CellModel(NamedTuple):
     """Flattened multi-index grid: kept cell parameters plus pooled rest.
 

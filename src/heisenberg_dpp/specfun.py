@@ -16,8 +16,8 @@ take numbers only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,18 +47,29 @@ _RESCALE_FACTOR = 1e-250
 _HYP3F2_TERM_CAP = 10**8
 
 
-@dataclass(frozen=True)
-class SpecFunResult:
-    """A numerical value together with an absolute error bound."""
-
+class _SpecFunResultFields(NamedTuple):
     value: float
     abs_error_bound: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite value {self.value!r}")
-        if not (self.abs_error_bound >= 0.0):
-            raise ValueError(f"negative error bound {self.abs_error_bound!r}")
+
+def _checked_make(cls, fields):
+    """A record's ``_make``, and so its ``_replace``, through its checking
+    ``__new__``; the NamedTuple's own ``_make`` builds the tuple unchecked."""
+    return cls(*fields)
+
+
+class SpecFunResult(_SpecFunResultFields):
+    """A numerical value together with an absolute error bound."""
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, value: float, abs_error_bound: float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value!r}")
+        if not (abs_error_bound >= 0.0):
+            raise ValueError(f"negative error bound {abs_error_bound!r}")
+        return super().__new__(cls, value, abs_error_bound)
 
 
 def _not_a_number(name: str, value) -> ValueError:

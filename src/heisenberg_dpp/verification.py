@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,7 @@ MC_GATE_SEED = 20260813
 MC_GATE_REPLICAS = 100_000
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check's verdict.
 
     ``detail`` is the human summary of the worst sub-check; ``sub_case``,

@@ -45,11 +45,11 @@ from __future__ import annotations
 import enum
 import math
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from math import comb, factorial, perm
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,12 +59,14 @@ from .exceptions import (
     UnsupportedConfigurationError,
 )
 from .kernels import KernelSpec
-from .specfun import _HYP3F2_TERM_CAP as _C_CONSTANT_LEVEL_CAP  # C(m) sums m terms
 from .specfun import (
+    BESSEL_I_SERIES_CUTOFF,
+    _HYP3F2_TERM_CAP,
     _check_dimension,
     _check_index,
     _check_positive,
     _check_radius,
+    _checked_make,
     _count,
     bessel_i_scaled,
     bessel_j,
@@ -100,26 +102,32 @@ class Route(enum.Enum):
     MONTE_CARLO = "mc"
 
 
-@dataclass(frozen=True, eq=False)
-class BernoulliSpectrum:
-    """Success probabilities of the Bernoulli representation on one coordinate.
-
-    probs[n] is the probability attached to lattice index n at this radius
-    and level; tail_bound certifies that the discarded indices contribute
-    at most this much to the mean (and, since p <= 1, to the sum of
-    squares as well).
-    """
-
+class _BernoulliSpectrumFields(NamedTuple):
     radius: float
     level: int
     probs: np.ndarray
     tail_bound: float
 
-    def __post_init__(self):
-        if self.tail_bound < 0.0:
+
+class BernoulliSpectrum(_BernoulliSpectrumFields):
+    """Success probabilities of the Bernoulli representation on one coordinate.
+
+    probs[n] is the probability attached to lattice index n at this radius
+    and level; tail_bound certifies that the discarded indices contribute
+    at most this much to the mean (and, since p <= 1, to the sum of
+    squares as well).  Spectra compare and hash by identity.
+    """
+
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
+
+    def __new__(cls, radius: float, level: int, probs: np.ndarray, tail_bound: float):
+        if tail_bound < 0.0:
             raise ValueError("tail_bound must be >= 0")
-        if len(self.probs) < self.level + 1:
+        if len(probs) < level + 1:
             raise ValueError("spectrum truncated before its own level")
+        return super().__new__(cls, radius, level, probs, tail_bound)
 
     @property
     def prob_sum(self) -> float:
@@ -130,20 +138,26 @@ class BernoulliSpectrum:
         return math.fsum((self.probs * self.probs).tolist())
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class _MomentReportFields(NamedTuple):
     mean: float
     variance: float
     ratio: float
     route: Route
     error_estimate: float
 
-    def __post_init__(self):
-        slack = 1e-12 * self.mean + self.error_estimate
-        if self.variance > self.mean + slack:
+
+class MomentReport(_MomentReportFields):
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, mean: float, variance: float, ratio: float, route: Route,
+                error_estimate: float):
+        slack = 1e-12 * mean + error_estimate
+        if variance > mean + slack:
             raise InternalConsistencyError(
-                f"variance {self.variance!r} exceeds mean {self.mean!r}"
+                f"variance {variance!r} exceeds mean {mean!r}"
             )
+        return super().__new__(cls, mean, variance, ratio, route, error_estimate)
 
 
 def mean_ball(dimension: int, radius: float) -> float:
@@ -174,10 +188,24 @@ def variance_ball_closed(dimension: int, radius: float) -> float:
 
 
 def variance_ratio_ball(dimension: int, radius: float) -> float:
-    """Var/mean for the ball window: the fsum of the closed form's Bessel terms."""
+    """Var/mean for the ball window: the fsum of the closed form's Bessel terms.
+
+    Past the series cutoff, order nu takes nu + 9.5 sqrt(2R^2) + 20 steps
+    of Miller's recurrence, one order per nu <= D; more than
+    _HYP3F2_TERM_CAP steps in all (about 30 s) raise NumericalBudgetError
+    before the first.
+    """
     dimension = _check_dimension(dimension)
     radius = _check_radius(radius)
     x = 2.0 * radius * radius
+    if x >= BESSEL_I_SERIES_CUTOFF:
+        # sqrt(2) R, as 2R^2 overflows from R ~ 1.34e154
+        steps = (dimension + 1) * (9.5 * math.sqrt(2.0) * radius + 20 + dimension / 2)
+        if steps > _HYP3F2_TERM_CAP:
+            raise NumericalBudgetError(
+                f"the closed ball route at D={dimension}, R={radius:g} takes "
+                f"{steps:.3g} Bessel recurrence steps, past the step cap {_HYP3F2_TERM_CAP}"
+            )
     scaled = [bessel_i_scaled(n, x) for n in range(dimension + 1)]
     return math.fsum(scaled[n] + scaled[n + 1] for n in range(dimension))
 
@@ -900,13 +928,14 @@ def c_constant(m: int) -> float:
     C(m) = (2 Gamma(m + 3/2) / (pi m!)) 3F2(-1/2, -1/2, -m; 1, -1/2 - m; 1),
     the limit of R * Var/mean as R -> inf.  The gamma ratio runs through
     log-gamma so large m cannot overflow.  A level past
-    _C_CONSTANT_LEVEL_CAP raises NumericalBudgetError before the sum.
+    _HYP3F2_TERM_CAP (C(m) sums m terms) raises NumericalBudgetError
+    before the sum.
     """
     m = _check_index("m", m)
-    if m > _C_CONSTANT_LEVEL_CAP:
+    if m > _HYP3F2_TERM_CAP:
         raise NumericalBudgetError(
             f"C({_count(m)}) sums {_count(m)} terms of its 3F2, "
-            f"past the level cap {_C_CONSTANT_LEVEL_CAP}"
+            f"past the level cap {_HYP3F2_TERM_CAP}"
         )
     prefactor = 2.0 * math.exp(math.lgamma(m + 1.5) - math.lgamma(m + 1.0)) / math.pi
     return prefactor * hyp3f2_terminating(-0.5, -0.5, m, 1.0, -0.5 - m)

@@ -4,19 +4,25 @@ Usage: PYTHONPATH=src python tests/golden_cli.py OUTDIR [CASE ...]
 
 Runs a fixed list of argv cases in process through ``cli.main``, or only
 the named ones (say, the ``mc-*`` cases after a change to the Monte Carlo
-streams, without the minute-long full capture).  Each
-case gets its own directory under OUTDIR, runs there (so ``--out`` and
+streams).  Each case gets its own directory under OUTDIR, runs there (so ``--out`` and
 ``--in`` paths are relative and every output is independent of OUTDIR),
 and keeps, per step, ``<i>.code``, ``<i>.stdout`` and ``<i>.stderr``
-next to any file the step wrote.  Capture a checkout before and after a
-change into two directories and compare them with ``diff -r``.
+next to any file the step wrote.
+
+``tests/golden`` holds the committed capture, which ``test_golden_cli.py``
+compares byte for byte with a fresh one.  A change that moves outputs
+regenerates it from the repository root with
+
+    rm -rf tests/golden && PYTHONPATH=src python tests/golden_cli.py tests/golden
+
+and lists the moved files.
 
 The cases cover every subcommand in JSON and CSV, the documented error
 exits, ``mc``, ``stats --route mc``, ``classify --in`` on exact and Monte
 Carlo documents, flags a subcommand does not declare or the chosen mode
 does not read, and ``--help``.
-The ``verify`` cases run every check, the Monte Carlo gate among them, so
-a full capture takes about a minute.
+The ``verify`` cases run every check, the Monte Carlo gate among them;
+a full capture takes about 5 s, most of it the ``verify-mc-gate`` case.
 """
 
 from __future__ import annotations
@@ -129,6 +135,12 @@ CASES: list[tuple[str, list[list[str]]]] = [
     # a degree-10^12 Laguerre recurrence is refused before its first step
     ("err-budget-kernel-level", [["kernel-eval", *_D1, "--level", "1000000000000",
                                   "--x", "1,0", "--y", "0,0"]]),
+    # the closed ball route prices its Bessel recurrences before the first
+    # step, past R ~ 1.34e154 too, where 2R^2 overflows
+    ("err-budget-closed-ball", [["stats", *_D1, *_BALL, "--route", "closed",
+                                 "--radius", "1e8"]]),
+    ("err-budget-closed-ball-overflow", [["stats", *_D1, *_BALL, "--route", "closed",
+                                          "--radius", "1e154"]]),
     ("err-classify-no-input", [["classify"]]),
     ("err-classify-missing-file", [["classify", "--in", "absent.json"]]),
     ("err-unknown-check", [["verify", "--check", "nope"]]),

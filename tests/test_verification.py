@@ -1,7 +1,6 @@
 """Verification-suite plumbing (the checks themselves run in the
 acceptance tests; this file covers reporting and selection)."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -103,7 +102,7 @@ class TestFailedOutright:
         def mislabel_d2(sweep):
             report = classify(sweep)
             if sweep.spec.dimension == 2 and report.class_label is ClassLabel.CLASS_I:
-                return dataclasses.replace(report, class_label=ClassLabel.CLASS_III)
+                return report._replace(class_label=ClassLabel.CLASS_III)
             return report
 
         monkeypatch.setattr(verification, "classify", mislabel_d2)

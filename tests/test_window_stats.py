@@ -130,6 +130,31 @@ class TestBallClosedForm:
         with pytest.raises(ValueError):
             mean_ball(2, math.inf)
 
+    def test_recurrence_steps_are_capped(self, monkeypatch):
+        # priced before the first Miller step: R = 1e8 ran past a 5 s
+        # timeout, and from R ~ 1.34e154 on 2R^2 overflowed to an x = inf
+        # that the caller never gave; D = 14142 costs ~D^2/2 steps at R = 4
+        calls = []
+        monkeypatch.setattr(ws, "bessel_i_scaled", lambda nu, x: calls.append(x))
+        for dim, r in ((1, 1e8), (1, 1e154), (3, 4e6), (14142, 4.0)):
+            with pytest.raises(NumericalBudgetError) as info:
+                variance_ball_closed(dim, r)
+            assert f"at D={dim}, R={r:g} takes " in str(info.value)
+        assert calls == []
+
+    def test_recurrence_cap_boundary(self, monkeypatch):
+        # D = 1, R = 100: two orders of 9.5 sqrt(2) R + 20 steps, plus nu = 1
+        steps = 2 * (9.5 * math.sqrt(2.0) * 100.0 + 20 + 0.5)
+        want = variance_ratio_ball(1, 100.0)
+        monkeypatch.setattr(ws, "_HYP3F2_TERM_CAP", math.floor(steps))
+        with pytest.raises(NumericalBudgetError, match="past the step cap"):
+            variance_ratio_ball(1, 100.0)
+        monkeypatch.setattr(ws, "_HYP3F2_TERM_CAP", math.ceil(steps))
+        assert variance_ratio_ball(1, 100.0) == want
+        # below the series cutoff no recurrence runs, so nothing is priced
+        monkeypatch.setattr(ws, "_HYP3F2_TERM_CAP", 0)
+        assert variance_ratio_ball(1, 3.8) > 0.0
+
 
 class TestIntegralRoute:
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -219,7 +244,6 @@ class TestIntegralRoute:
     @example(dim=2, r=2e4)
     @example(dim=5, r=2e4)
     @example(dim=1, r=17987.810860756388)  # past the panel cap, which the coarse rule refused
-    @pytest.mark.slow
     def test_accepted_values_hold_the_bound(self, dim, r):
         # The bound covers the quadrature, not the rounding of the nodes and
         # of mean - P * integral, which reaches ~4e-15 of the mean from
@@ -1475,7 +1499,7 @@ class TestClassOneConstants:
 
     def test_level_past_the_cap_is_refused_at_once(self):
         # C(m) sums m terms of its 3F2; past the cap that is over ~30 s
-        cap = ws._C_CONSTANT_LEVEL_CAP
+        cap = ws._HYP3F2_TERM_CAP
         start = time.process_time()
         for m in (cap + 1, 10**12):
             with pytest.raises(NumericalBudgetError, match="past the level cap 100000000"):
