@@ -44,6 +44,7 @@ from .window_stats import (
     _TAIL_TOL,
     Route,
     WindowKind,
+    _price_closed_ball,
     c_constant,
     polydisk_limit_constant,
     polydisk_moments,
@@ -324,6 +325,8 @@ def _moment_sweep(args, radii) -> tuple[SweepResult, list[dict], dict]:
     for dest, default in _SWEEP_DEFAULTS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
+    if args.window == "ball" and args.route == Route.CLOSED_FORM.value:
+        _price_closed_ball(args.dimension)  # at any R, before a spec of D levels is built
     spec = _parse_spec(args)
     mc = None
     if args.route == Route.MONTE_CARLO.value:

@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .exceptions import InternalConsistencyError, NumericalBudgetError
-from .specfun import _check_dimension, _check_index, _count, laguerre, laguerre_log
+from .exceptions import InternalConsistencyError
+from .specfun import _check_dimension, _check_index, _check_work, laguerre, laguerre_log
 from .specfun import _checked_make, _laguerre_float, _laguerre_scaled_rows
 
 MAX_CORRELATION_POINTS = 12
@@ -34,13 +34,10 @@ _EXP_NORMAL_MIN = math.log(2.0**-1022)
 _EXP_MAX = math.log(sys.float_info.max)
 _EXP_UNDERFLOW_CUTOFF = -800.0
 
-# kernel_series_partial forms _SERIES_BLOCK (pair, term) elements at a time
-# and refuses more than _SERIES_WORK_CAP units of work: a term weighs
-# 1 + min(m, n_terms), one for its log, exp, cos and sin and one for each
-# recurrence step, at 0.4 to 0.75 us a unit (2-core VM), so the cap stands
-# for about 30 s of work, as the spectrum route's size cap does.
+# kernel_series_partial forms _SERIES_BLOCK (pair, term) elements at a time.
+# A term is 1 + min(m, n_terms) series units (its log, exp, cos and sin, and
+# each recurrence step), 0.4 to 0.75 us each (2-core VM), priced at 1 us.
 _SERIES_BLOCK = 2**14
-_SERIES_WORK_CAP = 3 * 10**7
 
 
 class _ComplexPointFields(NamedTuple):
@@ -346,11 +343,8 @@ def kernel_series_partial(m: int, x, y, n_terms: int):
     if len(xs) != len(ys):
         raise ValueError(f"x and y need equal lengths, got {len(xs)} and {len(ys)}")
     pairs = len(xs)
-    if pairs * (n_terms + 1) * (1 + min(m, n_terms)) > _SERIES_WORK_CAP:
-        raise NumericalBudgetError(
-            f"the series needs {_count(pairs * (n_terms + 1))} terms at level {_count(m)}, "
-            f"past the work cap {_SERIES_WORK_CAP}"
-        )
+    terms = pairs * (n_terms + 1)
+    _check_work(10 * terms * (1 + min(m, n_terms)), "the series of {} terms at level {}", terms, m)
     abs_w, log_w, arg_w = np.zeros((3, pairs))
     for i, ((a, _), (b, _)) in enumerate(zip(xs, ys)):
         w = a * b.conjugate()

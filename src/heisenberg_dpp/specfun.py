@@ -11,6 +11,13 @@ NaN.  Bad arguments raise ValueError.  :func:`bessel_j` and
 :func:`laguerre` also take 1-D arrays and return an array whose every
 element is bit-identical to the scalar call on that element; the others
 take numbers only.
+
+The package's one work budget lives here: :func:`_check_work` refuses work
+priced past WORK_BUDGET units of 0.1 us (about 30 s).  A Laguerre step, 3F2
+term or Miller step of :func:`bessel_i_scaled` costs 3 units, an order of its
+series 20, a w(m)-weighted spectrum index 30, a kernel series unit 10, and a
+Monte Carlo replica 20, plus 1/64 a dense cell and 3 a thinning candidate:
+each price errs high of the CPU time its site quotes.
 """
 
 from __future__ import annotations
@@ -40,11 +47,7 @@ BESSEL_J_ASYMPTOTIC_CUTOFF = 30.0
 _RESCALE_THRESHOLD = 1e250
 _RESCALE_FACTOR = 1e-250
 
-# Most terms hyp3f2_terminating sums, and so the highest level c_constant
-# takes: ~0.3 us a term (2-core VM), so the cap stands for about 30 s of
-# work, as the spectrum route's size cap does.  It caps the Laguerre degree
-# too: a recurrence step costs about as much.
-_HYP3F2_TERM_CAP = 10**8
+WORK_BUDGET = 3 * 10**8  # units of 0.1 us, about 30 s; see the module notes
 
 
 class _SpecFunResultFields(NamedTuple):
@@ -151,6 +154,17 @@ def _count(n: int) -> str:
     return str(n) if n < 10**15 else format(Decimal(n), ".3e")
 
 
+def _check_work(units, what: str, *args) -> None:
+    """Raise NumericalBudgetError when `units` pass WORK_BUDGET, naming the
+    work `what`.format(*args), ints as :func:`_count` writes them, only then."""
+    if units > WORK_BUDGET:
+        what = what.format(*[_count(a) if type(a) is int else a for a in args])
+        raise NumericalBudgetError(
+            f"{what} takes about {Decimal(units) / 10**7:.3g} s of work, "
+            f"past the budget of {WORK_BUDGET / 10**7:g} s"
+        )
+
+
 def _check_dimension(dimension: int) -> int:
     return _check_index("dimension", dimension, 1)
 
@@ -177,13 +191,10 @@ def _laguerre_scaled(n: int, alpha: float, x: float) -> tuple[float, int]:
     A step that would still overflow (|x| near the double range) is redone
     after scaling both iterates below 1 by an exact power of two.  Raises
     OverflowError when 1 + alpha - x, the slope of every step, overflows.
-    A degree past _HYP3F2_TERM_CAP raises NumericalBudgetError at once;
-    nothing else is checked: n is an int >= 0, alpha and x finite floats.
+    A degree past the work budget (3 units a step) raises at once; nothing
+    else is checked: n is an int >= 0, alpha and x finite floats.
     """
-    if n > _HYP3F2_TERM_CAP:
-        raise NumericalBudgetError(
-            f"laguerre: degree {_count(n)} is past the step cap {_HYP3F2_TERM_CAP}"
-        )
+    _check_work(3 * n, "laguerre of degree {}", n)
     if n == 0:
         return 1.0, 0
     prev = 1.0
@@ -211,7 +222,7 @@ def _laguerre_scaled_rows(n: np.ndarray, alpha: np.ndarray, x: np.ndarray):
     numpy's + - * / round as the float operations do, and each element
     stops at its own degree.  Where an iterate passes 2**512 or is NaN, and
     the scalar recurrence would rescale, the element is taken from it.  A
-    top degree past _HYP3F2_TERM_CAP raises as the scalar recurrence does.
+    top degree past the work budget raises as the scalar recurrence does.
     """
     n, alpha, x = np.broadcast_arrays(n, alpha, x)
     # by descending degree, the elements still running at step k (degree
@@ -219,8 +230,7 @@ def _laguerre_scaled_rows(n: np.ndarray, alpha: np.ndarray, x: np.ndarray):
     order = np.argsort(-n, axis=None, kind="stable")
     deg, alpha, x = n.ravel()[order], alpha.ravel()[order], x.ravel()[order]
     top = int(deg[0]) if deg.size else 0
-    if top > _HYP3F2_TERM_CAP:
-        _laguerre_scaled(top, 0.0, 0.0)  # raises
+    _check_work(3 * top, "laguerre of degree {}", top)
     ends = np.searchsorted(-deg, -np.arange(max(top, 1)), side="left").tolist()
     value, shift = np.ones(deg.size), np.zeros(deg.size, dtype=int)
     cur = value[: ends[0]]
@@ -260,7 +270,7 @@ def laguerre(n: int, alpha: float, x: float):
     an array, each element bit-identical to the call on that element alone,
     from one recurrence over all elements at their own degrees; a bad
     element raises the ValueError, and an overflowing one the
-    OverflowError, of that call.  A degree past _HYP3F2_TERM_CAP raises
+    OverflowError, of that call.  A degree past the work budget raises
     NumericalBudgetError before any step, with arrays the largest degree's.
     """
     if not any(isinstance(v, np.ndarray) for v in (n, alpha, x)):
@@ -555,7 +565,7 @@ def hyp3f2_terminating(a1: float, a2: float, m: int, b1: float, b2: float) -> fl
     """Terminating 3F2(a1, a2, -m; b1, b2; 1), summed by term ratios.
 
     The third upper parameter is -m, so the series has exactly m+1 terms;
-    an m past _HYP3F2_TERM_CAP raises NumericalBudgetError before the sum.
+    at 3 units a term, an m past 10^8 passes the work budget.
     Using the ratio recurrence keeps each partial term O(sum) even when the
     individual Pochhammer symbols overflow (e.g. m ~ 1000).  A zero lower
     Pochhammer factor before termination raises ValueError.
@@ -565,10 +575,7 @@ def hyp3f2_terminating(a1: float, a2: float, m: int, b1: float, b2: float) -> fl
     m = _check_index("m", m)
     b1 = _check_real("b1", b1)
     b2 = _check_real("b2", b2)
-    if m > _HYP3F2_TERM_CAP:
-        raise NumericalBudgetError(
-            f"hyp3f2_terminating sums {_count(m)} terms, past the term cap {_HYP3F2_TERM_CAP}"
-        )
+    _check_work(3 * m, "hyp3f2_terminating of {} terms", m)
     term = 1.0
     total = 1.0
     for n in range(m):

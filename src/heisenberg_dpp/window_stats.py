@@ -35,9 +35,9 @@ Below n + m = R^2 most p_n are certain: a Laguerre bound certifies
 1 - p_n < 2^-55 there, so the assembly would return 1 - 2^-53 (p_n < 1 is
 held one ulp below 1), and those indices take that value without it, bit
 for bit; nor does the ladder sum its rungs below the first index assembled.
-No level is out of range: one work budget, counted in level-0 indices,
-refuses a spectrum or a p_n before its ladder is built when it would take
-more than about 30 s.
+No level is out of range: the package's one work budget (specfun), at 3 us
+a level-0 index, refuses a spectrum or a p_n before its ladder is built
+when it would take more than about 30 s.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import enum
 import math
 from contextlib import suppress
 from functools import lru_cache
-from itertools import repeat
+from itertools import pairwise, repeat
 from math import comb, factorial, perm
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -61,20 +61,17 @@ from .exceptions import (
 from .kernels import KernelSpec
 from .specfun import (
     BESSEL_I_SERIES_CUTOFF,
-    _HYP3F2_TERM_CAP,
     _check_dimension,
     _check_index,
     _check_positive,
     _check_radius,
+    _check_work,
     _checked_make,
-    _count,
     bessel_i_scaled,
     bessel_j,
     hyp3f2_terminating,
 )
 
-# Work budget of the spectrum route, in level-0 indices; see _check_budget.
-SPECTRUM_SIZE_CAP = 10_000_000
 _TAIL_TOL = 1e-9  # default spectrum tail bound, shared by every route and the CLI
 PROB_CONSISTENCY_BAND = 1e-12
 # Largest n with n! below the double range: a float divided by a larger
@@ -187,27 +184,27 @@ def variance_ball_closed(dimension: int, radius: float) -> float:
     return mean_ball(dimension, radius) * variance_ratio_ball(dimension, radius)
 
 
-def variance_ratio_ball(dimension: int, radius: float) -> float:
-    """Var/mean for the ball window: the fsum of the closed form's Bessel terms.
+def _price_closed_ball(dimension: int, radius: float = 0.0) -> None:
+    """Price the closed ball route's D + 1 bessel_i_scaled calls: below the
+    series cutoff 20 units an order (0.8 to 1.6 us from nu = 1000 on, CPU
+    time, 2-core VM), past it 3 units a step of Miller's recurrence, nu +
+    9.5 sqrt(2R^2) + 20 steps an order.  With no radius, the least at D."""
+    if 2.0 * radius * radius < BESSEL_I_SERIES_CUTOFF:
+        units = 20 * (dimension + 1)
+    else:  # sqrt(2) R, as 2R^2 overflows from R ~ 1.34e154
+        units = (dimension + 1) * (9.5 * math.sqrt(2.0) * radius + 20 + dimension / 2) * 3
+    what = "the closed ball route at D={}, R={:g}" if radius else "the closed ball route at D={}"
+    _check_work(units, what, dimension, radius)
 
-    Past the series cutoff, order nu takes nu + 9.5 sqrt(2R^2) + 20 steps
-    of Miller's recurrence, one order per nu <= D; more than
-    _HYP3F2_TERM_CAP steps in all (about 30 s) raise NumericalBudgetError
-    before the first.
-    """
-    dimension = _check_dimension(dimension)
-    radius = _check_radius(radius)
+
+def variance_ratio_ball(dimension: int, radius: float) -> float:
+    """Var/mean for the ball window: the fsum of the closed form's Bessel
+    terms, refused before the first when it passes the work budget."""
+    dimension, radius = _check_dimension(dimension), _check_radius(radius)
+    _price_closed_ball(dimension, radius)
     x = 2.0 * radius * radius
-    if x >= BESSEL_I_SERIES_CUTOFF:
-        # sqrt(2) R, as 2R^2 overflows from R ~ 1.34e154
-        steps = (dimension + 1) * (9.5 * math.sqrt(2.0) * radius + 20 + dimension / 2)
-        if steps > _HYP3F2_TERM_CAP:
-            raise NumericalBudgetError(
-                f"the closed ball route at D={dimension}, R={radius:g} takes "
-                f"{steps:.3g} Bessel recurrence steps, past the step cap {_HYP3F2_TERM_CAP}"
-            )
-    scaled = [bessel_i_scaled(n, x) for n in range(dimension + 1)]
-    return math.fsum(scaled[n] + scaled[n + 1] for n in range(dimension))
+    scaled = pairwise(bessel_i_scaled(n, x) for n in range(dimension + 1))
+    return math.fsum(a + b for a, b in scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -745,26 +742,23 @@ def _first_uncertain(m: int, radius: float, n_lo: int, n_hi: int) -> int:
     return n_lo
 
 
-def _check_budget(indices: int, level: int, radius: float, what: str = "spectrum") -> None:
-    """Raise NumericalBudgetError when `indices` p_n at `level` weigh more
-    than SPECTRUM_SIZE_CAP level-0 indices.
+def _check_budget(indices: int, level: int, radius: float,
+                  what: str = "spectrum of {0} indices at level {1} at radius {2:g}", *args):
+    """Price `indices` p_n at `level` against the work budget, at 30 units
+    (3 us) a level-0 index: 10^7 of them pass.  `what` names the work on
+    refusal, formatted with (indices, level, radius, *args).
 
     An index at level m weighs w(m) = (m + 1)(1 + (m/24)^2) level-0 ones:
     3 us w(m) bounds build_spectrum's time per index from above, within a
     factor of 6 (0.75 to 1.0 us at level 0, 12 to 15 us at 16, 52 to 63 us
     at 32 and 0.48 to 0.55 ms at 64, CPU time at R = 10 and 20 on a 2-core
-    VM), so the cap stands for at most about 30 s of work at any level.
-    The count includes the indices that the saturation certificate spares
-    the assembly (over half of them from R ~ 50), so the bound errs further
-    high as R grows.
+    VM).  The count includes the indices that the saturation certificate
+    spares the assembly (over half of them from R ~ 50), so the bound errs
+    further high as R grows.
     """
-    work = indices * (level + 1) * (576 + level * level)  # 576 w(m) per index
-    if work > 576 * SPECTRUM_SIZE_CAP:
-        weighed = f" at level {level} ({_count(work // 576)} at level 0)" if level else ""
-        raise NumericalBudgetError(
-            f"{what} needs {_count(indices)} indices{weighed} at radius {radius:g}, "
-            f"past the size cap {SPECTRUM_SIZE_CAP}"
-        )
+    # 30 w(m) units an index, 576 w(m) = (m + 1)(576 + m^2), rounded up
+    units = -(-indices * (level + 1) * (576 + level * level) * 5 // 96)
+    _check_work(units, what, indices, level, radius, *args)
 
 
 def bernoulli_prob(n: int, m: int, radius: float) -> float:
@@ -794,8 +788,8 @@ def bernoulli_prob(n: int, m: int, radius: float) -> float:
             return 1.0 - 2.0**-53
     except OverflowError:  # n past the double range: the budget answers
         pass
-    _check_budget(n + m, 0, radius, f"p_{_count(n)} at level {m}")
-    _check_budget(1, m, radius, f"p_{_count(n)}")
+    _check_budget(n + m, 0, radius, "p_{3} at level {4} at radius {2:g} ({0} ladder rungs)", n, m)
+    _check_budget(1, m, radius, "p_{3} at level {1} at radius {2:g}", n)
     return _assemble_probs(m, _GammaLadder(radius, _working_prec(m, n + m)), n, n)[0]
 
 
@@ -927,16 +921,11 @@ def c_constant(m: int) -> float:
 
     C(m) = (2 Gamma(m + 3/2) / (pi m!)) 3F2(-1/2, -1/2, -m; 1, -1/2 - m; 1),
     the limit of R * Var/mean as R -> inf.  The gamma ratio runs through
-    log-gamma so large m cannot overflow.  A level past
-    _HYP3F2_TERM_CAP (C(m) sums m terms) raises NumericalBudgetError
-    before the sum.
+    log-gamma so large m cannot overflow.  Its 3F2 terms are priced first,
+    3 units each, so a level past 10^8 is refused before the sum.
     """
     m = _check_index("m", m)
-    if m > _HYP3F2_TERM_CAP:
-        raise NumericalBudgetError(
-            f"C({_count(m)}) sums {_count(m)} terms of its 3F2, "
-            f"past the level cap {_HYP3F2_TERM_CAP}"
-        )
+    _check_work(3 * m, "C({})", m)
     prefactor = 2.0 * math.exp(math.lgamma(m + 1.5) - math.lgamma(m + 1.0)) / math.pi
     return prefactor * hyp3f2_terminating(-0.5, -0.5, m, 1.0, -0.5 - m)
 

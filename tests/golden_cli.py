@@ -141,6 +141,13 @@ CASES: list[tuple[str, list[list[str]]]] = [
                                  "--radius", "1e8"]]),
     ("err-budget-closed-ball-overflow", [["stats", *_D1, *_BALL, "--route", "closed",
                                           "--radius", "1e154"]]),
+    # below the series cutoff each of the D + 1 Bessel orders is priced,
+    # before a spec of D levels is built
+    ("err-budget-closed-ball-dimension", [["stats", "--dimension", "100000000", *_BALL,
+                                           "--route", "closed", "--radius", "1"]]),
+    # the replicas are priced before the first block is drawn
+    ("err-budget-mc-replicas", [["mc", *_D1, "--radius", "1", "--replicas",
+                                 "1000000000000"]]),
     ("err-classify-no-input", [["classify"]]),
     ("err-classify-missing-file", [["classify", "--in", "absent.json"]]),
     ("err-unknown-check", [["verify", "--check", "nope"]]),

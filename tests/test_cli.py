@@ -179,8 +179,8 @@ class TestKernelEval:
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (3, "")
         assert err == (
-            "numerical budget exhausted: laguerre: degree 1000000000000 is past "
-            "the step cap 100000000\n"
+            "numerical budget exhausted: laguerre of degree 1000000000000 takes "
+            "about 3.00e+5 s of work, past the budget of 30 s\n"
         )
         assert time.process_time() - start < 1.0
 
@@ -252,7 +252,7 @@ class TestStats:
         argv = ["stats", "--dimension", "1", "--level", "2000", "--radius", "1"]
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (3, "")
-        assert "at level 2000" in err and "size cap" in err
+        assert "at level 2000" in err and "past the budget of 30 s" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -267,7 +267,7 @@ class TestStats:
         # R^2 overflows a double, yet the spectrum is refused by its budget
         code, out, err = run_cli(capsys, [*argv, "--dimension", "1"])
         assert (code, out) == (3, "")
-        assert "needs 1.000e+400 indices at radius 1e+200, past the size cap" in err
+        assert "spectrum of 1.000e+400 indices at level 0 at radius 1e+200 takes" in err
 
     def test_infinite_tail_target_exits_2(self, capsys):
         # an infinite target would certify the first truncation, whatever its tail
@@ -734,7 +734,7 @@ class TestConstants:
         argv = ["constants", "--dimension", "1", "--level", "1000000000000"]
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (3, "")
-        assert "C(1000000000000) sums 1000000000000 terms" in err and "level cap" in err
+        assert err.startswith("numerical budget exhausted: C(1000000000000) takes about")
 
 
 class TestVerify:
@@ -1051,7 +1051,7 @@ def test_classify_input_fuzz_ends_in_documented_exit(tmp_path_factory, doc, fmt)
 
 # Values for the argv fuzz: valid ones, malformed ones and out-of-range
 # ones.  Radii, grids and replica counts stay small so that every example
-# is cheap; a radius of 1e4 reaches the spectrum size cap and ~41k panels
+# is cheap; a radius of 1e4 reaches the work budget and ~41k panels
 # of the integral route, 1e-30 an unreachable tail target.
 _FLAG_VALUES = {
     "--dimension": ["1", "2", "3", "0", "-1", "x", ""],

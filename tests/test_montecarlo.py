@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heisenberg_dpp.montecarlo as mc
+import heisenberg_dpp.specfun as sf
 from heisenberg_dpp.exceptions import NumericalBudgetError
 from heisenberg_dpp.kernels import KernelSpec
 from heisenberg_dpp.montecarlo import McConfig, McEstimate, estimate_moments
+from heisenberg_dpp.verification import MC_GATE_REPLICAS, MC_GATE_SEED, mc_gate_cells
 from heisenberg_dpp.window_stats import (
     BernoulliSpectrum,
     build_spectrum,
@@ -539,6 +541,26 @@ class TestCost:
         model = mc._build_cells([build_spectrum(m, radius, 1e-9) for m in level], 1e-12)
         assert draws_within_bound(model)
         assert candidates_within_bound(model)
+
+    def test_replicas_are_priced_before_the_first_block(self, monkeypatch):
+        # 10^12 replicas ran past a timeout, and their counts alone need 8 TB
+        def no_block(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(mc, "_draw_block", no_block)
+        cfg = McConfig(replicas=10**12, seed=1)
+        with pytest.raises(NumericalBudgetError, match=(
+                r"^the Monte Carlo route of 1000000000000 replicas at radius 1 "
+                r"takes about .* s of work, past the budget of 30 s$")):
+            estimate_moments(KernelSpec(1, (0,)), 1.0, cfg)
+
+    def test_the_gate_stays_far_inside_the_budget(self, monkeypatch):
+        # every cell of the 100k-replica gate passes a tenth of the budget
+        monkeypatch.setattr(sf, "WORK_BUDGET", sf.WORK_BUDGET // 10)
+        monkeypatch.setattr(mc, "_draw_block", lambda model, rows, rng: np.zeros(rows, dtype=np.int64))
+        cfg = McConfig(replicas=MC_GATE_REPLICAS, seed=MC_GATE_SEED)
+        for spec, radius in mc_gate_cells():
+            assert estimate_moments(spec, radius, cfg).mean_hat == 0.0
 
 
 class TestStreamIdentity:
