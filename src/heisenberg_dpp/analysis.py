@@ -37,7 +37,7 @@ import numpy as np
 from .exceptions import UnsupportedConfigurationError
 from .kernels import KernelSpec
 from .montecarlo import CellCounts, McConfig, estimate_moments
-from .specfun import _as_float, _check_index, _check_positive, _check_radius, _checked_make
+from .specfun import _as_float, _check_array, _check_index, _check_positive, _checked_make
 from .window_stats import (
     _TAIL_TOL,
     Route,
@@ -142,7 +142,8 @@ def run_sweep(
     tail_tol: float = _TAIL_TOL,
     mc: McConfig | None = None,
 ) -> SweepResult:
-    """One SweepRow per grid radius, all computed by the requested route.
+    """One SweepRow per grid radius, all computed by the requested route;
+    ``r_grid`` is an array argument (see the `specfun` module notes).
 
     The closed and integral routes pass the whole grid to ball_moments, so
     the integral route's radii share Bessel calls; each row is bit for bit
@@ -150,7 +151,7 @@ def run_sweep(
     """
     window_kind = WindowKind(window_kind)
     route = Route(route)
-    radii = [_check_radius(r) for r in r_grid]
+    radii = _check_array("radius", r_grid, _check_positive)[0].tolist()
     if not radii:
         raise ValueError("r_grid must be nonempty")
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -198,7 +199,7 @@ def poisson_control_sweep(dimension: int, r_grid) -> SweepResult:
     """Synthetic non-hyperuniform control: variance pinned to the mean.
 
     Labelled with the closed-form route: the rows are exact, so the
-    exact-route dispersion slack applies.
+    exact-route dispersion slack applies.  ``r_grid`` as for run_sweep.
     """
     rows = tuple(
         SweepRow(
@@ -208,7 +209,7 @@ def poisson_control_sweep(dimension: int, r_grid) -> SweepResult:
             ratio=1.0,
             r_times_ratio=r,
         )
-        for r in map(_check_radius, r_grid)
+        for r in _check_array("radius", r_grid, _check_positive)[0].tolist()
     )
     return SweepResult(
         rows=rows,

@@ -46,7 +46,6 @@ from .window_stats import (
     WindowKind,
     _price_closed_ball,
     c_constant,
-    polydisk_limit_constant,
     polydisk_moments,
 )
 from .asymptotics import c_asymptote
@@ -452,7 +451,7 @@ def _cmd_constants(args) -> int:
         spec,
         None,
         rows,
-        extra={"limit_constant_sum": polydisk_limit_constant(spec)},
+        extra={"limit_constant_sum": math.fsum(row["c_exact"] for row in rows)},
     )
     _write_output(doc, args.fmt, args.out)
     return 0

@@ -21,8 +21,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import InternalConsistencyError
-from .specfun import _check_dimension, _check_index, _check_work, laguerre, laguerre_log
-from .specfun import _checked_make, _laguerre_float, _laguerre_scaled_rows
+from .specfun import _check_array, _check_complex, _check_dimension, _check_index, _check_nonnegative
+from .specfun import _check_real, _check_work, _checked_make, _laguerre_float, laguerre, laguerre_log
+from .specfun import _laguerre_scaled_rows
 
 MAX_CORRELATION_POINTS = 12
 
@@ -52,18 +53,15 @@ class ComplexPoint(_ComplexPointFields):
     _make = classmethod(_checked_make)
 
     def __new__(cls, re: tuple[float, ...], im: tuple[float, ...]):
-        re = tuple(float(v) for v in re)
-        im = tuple(float(v) for v in im)
+        re = tuple(_check_array("re", re, _check_real)[0].tolist())
+        im = tuple(_check_array("im", im, _check_real)[0].tolist())
         if len(re) != len(im) or not re:
             raise ValueError("re and im must be equal-length, nonempty tuples")
-        if not all(map(math.isfinite, re + im)):
-            raise ValueError("coordinates must be finite")
         return super().__new__(cls, re, im)
 
     @classmethod
     def from_complex(cls, values: Sequence[complex]) -> "ComplexPoint":
-        vals = [complex(v) for v in values]
-        return cls(tuple(v.real for v in vals), tuple(v.imag for v in vals))
+        return _as_point("values", values)
 
     def to_complex(self) -> np.ndarray:
         return np.array(self.re, dtype=float) + 1j * np.array(self.im, dtype=float)
@@ -86,20 +84,19 @@ class KernelSpec(_KernelSpecFields):
 
     def __new__(cls, dimension: int, level: tuple[int, ...] | None = None):
         dimension = _check_dimension(dimension)
-        if level is None:
-            level = (0,) * dimension
-        level = tuple(_check_index("level", m) for m in level)
+        # only a level the caller gave is checked: D zeros need no check
+        level = (0,) * dimension if level is None else tuple(_check_index("level", m) for m in level)
         if len(level) != dimension:
-            raise ValueError(
-                f"level needs {dimension} entries, got {len(level)}"
-            )
+            raise ValueError(f"level needs {dimension} entries, got {len(level)}")
         return super().__new__(cls, dimension, level)
 
 
-def _as_point(p, dimension: int) -> ComplexPoint:
+def _as_point(name: str, p, dimension: int | None = None) -> ComplexPoint:
+    """p, a ComplexPoint or an array argument of complex coordinates."""
     if not isinstance(p, ComplexPoint):
-        p = ComplexPoint.from_complex(p)
-    if p.dimension != dimension:
+        p = _check_array(name, p, _check_complex)[0]
+        p = ComplexPoint(tuple(p.real.tolist()), tuple(p.imag.tolist()))
+    if dimension is not None and p.dimension != dimension:
         raise ValueError(f"point has dimension {p.dimension}, spec wants {dimension}")
     return p
 
@@ -153,8 +150,7 @@ def kernel_eval(spec: KernelSpec, x, y) -> complex:
     magnitudes and signs.  Use
     :func:`hermitized_kernel` for a bounded, gauge-equivalent variant.
     """
-    x = _as_point(x, spec.dimension)
-    y = _as_point(y, spec.dimension)
+    x, y = _as_point("x", x, spec.dimension), _as_point("y", y, spec.dimension)
     re, im, dist = _pair_terms(x, y)
     if re > 709.0:
         raise OverflowError(f"exp({re:.6g}) overflows; use hermitized_kernel instead")
@@ -188,8 +184,7 @@ def hermitized_kernel(spec: KernelSpec, x, y) -> complex:
     underflow, each e^(-t/2) L_m(t), t = |x_l - y_l|^2, is formed from
     log |L_m(t)|, so a far pair keeps its value where L_m(t) overflows.
     """
-    x = _as_point(x, spec.dimension)
-    y = _as_point(y, spec.dimension)
+    x, y = _as_point("x", x, spec.dimension), _as_point("y", y, spec.dimension)
     _, im, dist = _pair_terms(x, y)
     # Re(x . conj(y)) - (|x|^2 + |y|^2)/2 = -|x - y|^2/2, formed from the
     # distances: the left side cancels at large coordinates
@@ -245,7 +240,9 @@ def correlation_det(
     points: Sequence[ComplexPoint],
     imag_tol: float = 1e-8,
 ) -> float:
-    """det[kernel(x_i, x_j)] for an arbitrary kernel callable."""
+    """det[kernel(x_i, x_j)] for an arbitrary kernel callable; an imaginary
+    part past ``imag_tol`` >= 0 raises InternalConsistencyError."""
+    imag_tol = _check_nonnegative("imag_tol", imag_tol)
     return _det_with_check(_kernel_matrix(kernel, points), imag_tol)
 
 
@@ -276,7 +273,7 @@ class CorrelationMatrix(_CorrelationMatrixFields):
 
 
 def correlation_matrix(spec: KernelSpec, points: Sequence) -> CorrelationMatrix:
-    pts = [_as_point(p, spec.dimension) for p in points]
+    pts = [_as_point("points", p, spec.dimension) for p in points]
     if not pts:
         raise ValueError("need at least one point")
     entries = _kernel_matrix(lambda x, y: hermitized_kernel(spec, x, y), pts)
@@ -297,26 +294,6 @@ def correlation_function(spec: KernelSpec, points: Sequence) -> float:
     return _det_with_check(matrix.entries, 1e-8)
 
 
-def _series_point(name: str, value) -> tuple[complex, float]:
-    """value as a finite complex number, with its squared modulus."""
-    value = complex(value)
-    if not cmath.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    try:
-        return value, abs(value) ** 2
-    except OverflowError:
-        raise OverflowError(f"|{name}|^2 overflows double range ({name} = {value!r})") from None
-
-
-def _series_points(name: str, value) -> list[tuple[complex, float]]:
-    """_series_point of a number, or of each element of a 1-D array."""
-    if not isinstance(value, np.ndarray):
-        return [_series_point(name, value)]
-    if value.ndim != 1 or value.dtype.kind not in "iufc":
-        raise ValueError(f"{name} must be a number or a 1-D numeric array")
-    return [_series_point(name, v) for v in value.tolist()]
-
-
 def _map(f, values: np.ndarray) -> np.ndarray:
     """f of every element, through Python floats, so `math`'s bits are kept;
     a memoryview hands them over one at a time, without a list."""
@@ -331,27 +308,33 @@ def kernel_series_partial(m: int, x, y, n_terms: int):
     Laguerre index so no negative powers appear; all magnitudes accumulate
     in log form so extreme arguments cannot overflow.
 
-    ``x`` and ``y`` are complex numbers or equal-length 1-D arrays; with
-    arrays the result is a complex array, each element bit-identical to
-    the call on that pair alone.  One recurrence gives the Laguerre factors
+    ``x`` and ``y`` are array arguments of equal length (see the `specfun`
+    module notes), each element of the result bit-identical to the call on
+    that pair alone.  One recurrence gives the Laguerre factors
     of every pair and term, log, exp, cos and sin come from `math`, complex
     products are formed on real and imaginary parts as CPython forms them,
     and each pair's terms are added in order of n, a skipped one as +0.0.
     """
     m, n_terms = _check_index("m", m), _check_index("n_terms", n_terms)
-    xs, ys = _series_points("x", x), _series_points("y", y)
-    if len(xs) != len(ys):
-        raise ValueError(f"x and y need equal lengths, got {len(xs)} and {len(ys)}")
-    pairs = len(xs)
+    xs, many_x = _check_array("x", x, _check_complex)
+    ys, many_y = _check_array("y", y, _check_complex)
+    if xs.size != ys.size:
+        raise ValueError(f"x and y need equal lengths, got {xs.size} and {ys.size}")
+    xs, ys, pairs, sq = xs.tolist(), ys.tolist(), xs.size, []
+    for name, v in [("x", v) for v in xs] + [("y", v) for v in ys]:
+        try:
+            sq.append(abs(v) ** 2)
+        except OverflowError:
+            raise OverflowError(f"|{name}|^2 overflows double range ({name} = {v!r})") from None
+    sq = np.array(sq)[:, None]
     terms = pairs * (n_terms + 1)
     _check_work(10 * terms * (1 + min(m, n_terms)), "the series of {} terms at level {}", terms, m)
     abs_w, log_w, arg_w = np.zeros((3, pairs))
-    for i, ((a, _), (b, _)) in enumerate(zip(xs, ys)):
+    for i, (a, b) in enumerate(zip(xs, ys)):
         w = a * b.conjugate()
         abs_w[i] = abs(w)
         if abs_w[i] > 0.0:
             log_w[i], arg_w[i] = math.log(abs(w)), cmath.phase(w)
-    sq = np.array([s for _, s in xs + ys])[:, None]
     log_m_fact, log_2 = math.lgamma(m + 1), math.log(2.0)
 
     # the terms go _SERIES_BLOCK (pair, term) elements at a time, each
@@ -391,7 +374,7 @@ def kernel_series_partial(m: int, x, y, n_terms: int):
         terms[0, :, 1:] = np.where(keep, f * cos - 0.0 * sin, 0.0)
         terms[1, :, 1:] = np.where(keep, f * sin + 0.0 * cos, 0.0)
         totals = np.add.accumulate(terms, axis=2)[:, :, -1]
-    if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
+    if not (many_x or many_y):
         return complex(*totals[:, 0].tolist())
     out = np.empty(pairs, dtype=complex)
     out.real, out.imag = totals

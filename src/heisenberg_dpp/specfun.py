@@ -7,10 +7,11 @@ better over the parameter ranges the package actually uses, and the
 composed tolerances elsewhere assume that budget.
 
 Overflow is reported by raising OverflowError; no function returns inf or
-NaN.  Bad arguments raise ValueError.  :func:`bessel_j` and
-:func:`laguerre` also take 1-D arrays and return an array whose every
-element is bit-identical to the scalar call on that element; the others
-take numbers only.
+NaN.  Bad arguments raise ValueError naming the argument, from the
+package's one set of checkers, below: a number is an int or a float (a
+complex for a kernel coordinate), never a str or a bool; an array argument
+is a number or a 1-D list, tuple or ndarray, and the result is of the same
+kind.  Here only :func:`bessel_j` and :func:`laguerre` take arrays.
 
 The package's one work budget lives here: :func:`_check_work` refuses work
 priced past WORK_BUDGET units of 0.1 us (about 30 s).  A Laguerre step, 3F2
@@ -22,6 +23,7 @@ each price errs high of the CPU time its site quotes.
 
 from __future__ import annotations
 
+import cmath
 import math
 from decimal import Decimal
 from typing import NamedTuple
@@ -116,23 +118,43 @@ def _check_nonnegative(name: str, value: float) -> float:
     return value
 
 
-def _check_array(name: str, value, check) -> np.ndarray:
-    """value as a 1-D float array (a number as an array of one) whose
-    elements all pass the scalar `check`; the first bad element raises the
-    ValueError of that check."""
+def _check_complex(name: str, value) -> complex:
+    """value as a finite complex number; what _check_number refuses, and
+    what complex() refuses with a TypeError, is named as a non-number."""
+    if type(value) is not complex:
+        _check_number(name, value)
+        try:
+            value = complex(value)
+        except TypeError:
+            raise _not_a_number(name, value) from None
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _check_array(name: str, value, check) -> tuple[np.ndarray, bool]:
+    """A number or a 1-D list, tuple or ndarray as the 1-D array of its
+    elements (complex for _check_complex, else float), and whether a
+    sequence was given.  The first bad element raises the ValueError of the
+    scalar `check`, which sees an ndarray's elements only where they fail."""
+    dtype = complex if check is _check_complex else float
+    if isinstance(value, (list, tuple)):
+        return np.array([check(name, v) for v in value], dtype=dtype), True
     if not isinstance(value, np.ndarray):
-        return np.array([check(name, value)], dtype=float)
-    if value.ndim != 1 or value.dtype.kind not in "iuf":
+        return np.array([check(name, value)], dtype=dtype), False
+    if value.ndim != 1 or value.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
         raise ValueError(f"{name} must be a number or a 1-D numeric array")
-    value = value.astype(float)
+    value = value.astype(dtype)
     ok = np.isfinite(value)
     if check is _check_nonnegative:
         ok &= value >= 0.0
+    elif check is _check_positive:
+        ok &= value > 0.0
     elif check is _check_index:
         ok &= (value >= 0.0) & (value == np.floor(value))
     for bad in value[~ok].tolist():
         check(name, bad)
-    return value
+    return value, True
 
 
 def _check_index(name: str, value: int, lo: int = 0) -> int:
@@ -265,18 +287,18 @@ def laguerre(n: int, alpha: float, x: float):
     recurrence shared with :func:`laguerre_log`: any value that fits in a
     double is returned, however large the iterates grew on the way.
 
-    ``n``, ``alpha`` and ``x`` are numbers or broadcastable 1-D arrays, as
-    ``x`` of :func:`bessel_j` is.  With an array among them the result is
-    an array, each element bit-identical to the call on that element alone,
-    from one recurrence over all elements at their own degrees; a bad
-    element raises the ValueError, and an overflowing one the
-    OverflowError, of that call.  A degree past the work budget raises
+    ``n``, ``alpha`` and ``x`` are array arguments (see the module notes)
+    that broadcast.  With an array among them the result is an array,
+    each element bit-identical to the call on that element alone, from one
+    recurrence over all elements at their own degrees; a bad element
+    raises the ValueError, and an overflowing one the OverflowError, of
+    that call.  A degree past the work budget raises
     NumericalBudgetError before any step, with arrays the largest degree's.
     """
-    if not any(isinstance(v, np.ndarray) for v in (n, alpha, x)):
+    if not any(isinstance(v, (list, tuple, np.ndarray)) for v in (n, alpha, x)):
         return _laguerre_float(_check_index("n", n), _check_real("alpha", alpha), _check_real("x", x))
-    n = _check_array("n", n, _check_index).astype(int)
-    alpha, x = _check_array("alpha", alpha, _check_real), _check_array("x", x, _check_real)
+    n = _check_array("n", n, _check_index)[0].astype(int)
+    alpha, x = _check_array("alpha", alpha, _check_real)[0], _check_array("x", x, _check_real)[0]
     n, alpha, x = np.broadcast_arrays(n, alpha, x)
     value, shift = _laguerre_scaled_rows(n, alpha, x)
     # |value| < 2**e, so value * 2**shift is finite exactly when e + shift <= 1024
@@ -486,17 +508,16 @@ def _bessel_j_asymptotic(nu: int, x: np.ndarray) -> np.ndarray:
 def bessel_j(nu: int, x):
     """Bessel function of the first kind J_nu(x) for integer nu >= 0, x >= 0.
 
-    ``x`` is a float or a 1-D float array; the result is of the same kind,
-    and each element is bit-identical to the value of that element passed
-    alone.  Three regimes: ascending series for x <= 10, normalized
-    backward recurrence in the middle, and the Hankel (P, Q) asymptotic
-    expansion for x >= max(30, nu^2/3), where the optimally truncated
-    error is ~e^(-2x).
+    ``x`` is an array argument (see the module notes), each element of
+    the result bit-identical to the value of that element passed alone.
+    Three regimes: ascending series for x <= 10, normalized backward
+    recurrence in the middle, and the Hankel (P, Q) asymptotic expansion
+    for x >= max(30, nu^2/3), where the optimally truncated error is
+    ~e^(-2x).
     Accurate to ~1e-10 relative through x = 1e4 away from zeros.
     """
     nu = _check_index("nu", nu)
-    scalar = not isinstance(x, np.ndarray)
-    x = _check_array("x", x, _check_nonnegative)
+    x, many = _check_array("x", x, _check_nonnegative)
     out = np.zeros_like(x)
     if nu == 0:
         out[x == 0.0] = 1.0
@@ -510,7 +531,7 @@ def bessel_j(nu: int, x):
     for regime, mask in regimes:
         if mask.any():
             out[mask] = regime(nu, x[mask])
-    return float(out[0]) if scalar else out
+    return out if many else float(out[0])
 
 
 def regularized_lower_gamma(s: float, x: float) -> float:

@@ -46,7 +46,7 @@ import enum
 import math
 from contextlib import suppress
 from functools import lru_cache
-from itertools import pairwise, repeat
+from itertools import accumulate, pairwise, repeat
 from math import comb, factorial, perm
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -61,6 +61,7 @@ from .exceptions import (
 from .kernels import KernelSpec
 from .specfun import (
     BESSEL_I_SERIES_CUTOFF,
+    _check_array,
     _check_dimension,
     _check_index,
     _check_positive,
@@ -339,8 +340,8 @@ def variance_ball_integral(dimension: int, radius):
     bound decides: it holds the target through R ~ 23k at D = 1 and ~24.5k
     at D = 20, and refuses R = 32k.
 
-    ``radius`` is a float or a 1-D sequence of radii; the result is of the
-    same kind.  Consecutive radii of a sequence share bessel_j calls, as
+    ``radius`` is an array argument (see the `specfun` module notes).
+    Consecutive radii of a sequence share bessel_j calls, as
     long as the batch holds no more nodes than the request's largest radius
     needs alone, so no call is larger than that radius's own; a call takes
     at most _INTEGRAL_CHUNK_PANELS panels, which bounds the per-node floats
@@ -357,7 +358,8 @@ def variance_ball_integral(dimension: int, radius):
     quadrature rather than a finite sum.
     """
     dimension = _check_dimension(dimension)
-    radii, many = _radii(radius)
+    radii, many = _check_array("radius", radius, _check_positive)
+    radii = radii.tolist()
     # an overflowing mean raises before any quadrature
     means = [mean_ball(dimension, r) for r in radii]
     sizes = [_panel_count(r) for r in radii]
@@ -371,14 +373,6 @@ def variance_ball_integral(dimension: int, radius):
     if radii:
         out += _integral_batch(dimension, radii[first:], sizes[first:], means[first:])
     return np.array(out) if many else out[0]
-
-
-def _radii(radius) -> tuple[list[float], bool]:
-    """Checked radii from a float or a 1-D sequence, and whether it was one."""
-    ndim = np.ndim(radius)
-    if ndim > 1:
-        raise ValueError("radius must be a float or a 1-D sequence")
-    return [_check_radius(r) for r in (radius if ndim else [radius])], bool(ndim)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +489,7 @@ class _GammaLadder:
 
     def __init__(self, radius: float, prec: int):
         self.radius, self.prec = radius, prec
-        num, den = float(radius).as_integer_ratio()  # den is a power of two
+        num, den = radius.as_integer_ratio()  # den is a power of two
         self.rsq = num * num, 2 - 2 * den.bit_length()  # R^2 exactly, as (M, e)
         self._term = _exp_neg(*self.rsq, prec)  # t_(len(_p))
         self._p = []
@@ -870,10 +864,10 @@ def polydisk_moments(
     mean = math.prod(sums)
     variance = mean - math.prod(sq_sums)
     ratio = 1.0 - math.prod(q / s if s else math.nan for q, s in zip(sq_sums, sums))
-    tail_err = sum(
-        spectra[l].tail_bound * math.prod(sums[:l] + sums[l + 1 :])
-        for l in range(len(spectra))
-    )
+    # each tail bound times prod_(k != l) S_k, from prefix and suffix products
+    before = accumulate(sums[:-1], mul, initial=1.0)
+    after = list(accumulate(reversed(sums[1:]), mul, initial=1.0))[::-1]
+    tail_err = sum(s.tail_bound * b * a for s, b, a in zip(spectra, before, after))
     return MomentReport(
         mean=mean,
         variance=variance,
@@ -887,9 +881,9 @@ def ball_moments(dimension: int, radius, route: Route = Route.CLOSED_FORM):
     """Mean/variance/ratio for the ball window of the level-zero process;
     the ratio is NaN when the mean underflows to 0.
 
-    ``radius`` is a float or a 1-D sequence, and the result a MomentReport
-    or a list of them, each bit for bit the one its radius gets alone.  All
-    radii are checked first; on the integral route a sequence goes to
+    ``radius`` is an array argument (see the `specfun` module notes), each
+    MomentReport bit for bit the one its radius gets alone.  All radii are
+    checked first; on the integral route a sequence goes to
     variance_ball_integral whole, to share bessel_j calls.
     """
     route = Route(route)
@@ -898,7 +892,8 @@ def ball_moments(dimension: int, radius, route: Route = Route.CLOSED_FORM):
             f"route {route.value!r} does not apply to the ball closed forms"
         )
     dimension = _check_dimension(dimension)
-    radii, many = _radii(radius)
+    radii, many = _check_array("radius", radius, _check_positive)
+    radii = radii.tolist()
     if route == Route.CLOSED_FORM:
         variances = [variance_ball_closed(dimension, r) for r in radii]
     else:

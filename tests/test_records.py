@@ -209,7 +209,7 @@ INVALID = [
     (ComplexPoint((0.0,), (0.0,)), {"re": (), "im": ()}, ValueError,
      "re and im must be equal-length, nonempty tuples"),
     (ComplexPoint((0.0,), (0.0,)), {"re": (math.nan,)}, ValueError,
-     "coordinates must be finite"),
+     "re must be finite, got nan"),
     (KernelSpec(1), {"dimension": 0, "level": ()}, ValueError,
      "dimension must be an integer >= 1, got 0"),
     (KernelSpec(1), {"level": (0, 1)}, ValueError, "level needs 1 entries, got 2"),

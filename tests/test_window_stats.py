@@ -356,7 +356,7 @@ class TestIntegralRoute:
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             variance_ball_integral(-2, 1.0)
-        with pytest.raises(ValueError, match="a float or a 1-D sequence"):
+        with pytest.raises(ValueError, match=r"^radius must be a number, got \[1\.0, 2\.0\]$"):
             variance_ball_integral(1, [[1.0, 2.0]])
 
     @settings(max_examples=20, deadline=None)
@@ -1447,6 +1447,23 @@ class TestPolydiskMoments:
         rep = polydisk_moments(KernelSpec(1), 1e-200)
         assert (rep.mean, rep.variance) == (0.0, 0.0)
         assert math.isnan(rep.ratio)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+    def test_error_estimate_is_the_leave_one_out_sum(self, dim):
+        # 2 sum_l tail_l prod_(k != l) S_k + 1e-14 mean, the tail part summed
+        # exactly here; at D <= 2 each product has at most one factor, so the
+        # bits are those of the per-coordinate products
+        spec, radius = KernelSpec(dim, tuple(range(dim))), 2.5
+        rep = polydisk_moments(spec, radius)
+        spectra = [ws._cached_spectrum(m, radius, ws._TAIL_TOL) for m in spec.level]
+        sums = [Fraction(s.prob_sum) for s in spectra]
+        tails = [
+            Fraction(s.tail_bound) * math.prod(sums[:l] + sums[l + 1 :]) for l, s in enumerate(spectra)
+        ]
+        want = 2 * sum(tails) + Fraction(1e-14 * rep.mean)
+        if dim <= 2:
+            assert rep.error_estimate == 2.0 * sum(map(float, tails)) + 1e-14 * rep.mean
+        assert abs(Fraction(rep.error_estimate) - want) <= 1e-14 * want
 
     def test_higher_levels_fluctuate_more(self):
         # Var grows with level at fixed radius (flatter one-coordinate profile)
